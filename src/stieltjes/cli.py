@@ -34,27 +34,6 @@ from .spaces import Seminorm, SpaceModel
 
 __all__ = ["RunReport", "load_problem", "run_task", "emit", "main"]
 
-_TASKS = (
-    "integrate-gdx", "integrate-xdg", "perpartes", "semivariation", "eset",
-    "wcs-check", "represent-apply", "image-check", "roundtrip", "measure",
-)
-
-_REQUIRED_PARAMS = {
-    "integrate-gdx": ("integrand", "integrator"),
-    "integrate-xdg": ("integrand", "integrator"),
-    "perpartes": ("integrand", "integrator"),
-    "semivariation": ("function",),
-    "eset": ("function",),
-    "wcs-check": ("function",),
-    "represent-apply": ("integrator", "argument"),
-    "image-check": ("integrator",),
-    "roundtrip": ("integrator",),
-    "measure": ("integrator", "interval"),
-}
-
-_NEEDS_SPACE = ("semivariation", "wcs-check", "represent-apply",
-                "image-check")
-
 _SCHEMA = None
 
 
@@ -220,16 +199,12 @@ def _integral_payload(result):
             "levels": result.levels}
 
 
-def _run_integrate(task, funcs, space, params):
+def _run_integrate(integrate, funcs, space, params):
     f = _resolve(funcs, params, "integrand")
     x = _resolve(funcs, params, "integrator")
-    tol = params.get("tolerance", 1e-8)
-    levels = params.get("max_levels", 20)
     sems = space.seminorms if space is not None else None
-    if task == "integrate-gdx":
-        res = integrate_g_dx(f, x, seminorms=sems, tol=tol, max_levels=levels)
-    else:
-        res = integrate_x_dg(f, x, seminorms=sems, tol=tol, max_levels=levels)
+    res = integrate(f, x, seminorms=sems, tol=params.get("tolerance", 1e-8),
+                    max_levels=params.get("max_levels", 20))
     count = len(sems) if sems is not None else 1
     return (_integral_payload(res),
             {"error_estimates": res.error_estimates},
@@ -284,7 +259,7 @@ def _run_semivariation(funcs, space, params):
     return payload, diagnostics, traces
 
 
-def _run_eset(funcs, params):
+def _run_eset(funcs, space, params):
     x = _resolve(funcs, params, "function")
     if not x.is_step and "resolution" not in params:
         raise SchemaError("non-step functions need a grid resolution",
@@ -340,7 +315,7 @@ def _run_roundtrip(funcs, space, params):
     return payload, {}, []
 
 
-def _run_measure(funcs, params):
+def _run_measure(funcs, space, params):
     x = _resolve(funcs, params, "integrator")
     m = measure_from_function(x)
     c, d = params["interval"]
@@ -352,44 +327,43 @@ def _run_measure(funcs, params):
     return payload, {}, []
 
 
+# task -> (runner, required parameters, needs a space descriptor).  The
+# lambdas look the integration entry points up when they run, so that
+# rebinding a module-level name (as tracing does) takes effect.
+_TASKS = {
+    "integrate-gdx": (lambda *args: _run_integrate(integrate_g_dx, *args),
+                      ("integrand", "integrator"), False),
+    "integrate-xdg": (lambda *args: _run_integrate(integrate_x_dg, *args),
+                      ("integrand", "integrator"), False),
+    "perpartes": (_run_perpartes, ("integrand", "integrator"), False),
+    "semivariation": (_run_semivariation, ("function",), True),
+    "eset": (_run_eset, ("function",), False),
+    "wcs-check": (_run_wcs_check, ("function",), True),
+    "represent-apply": (_run_represent_apply, ("integrator", "argument"),
+                        True),
+    "image-check": (_run_image_check, ("integrator",), True),
+    "roundtrip": (_run_roundtrip, ("integrator",), False),
+    "measure": (_run_measure, ("integrator", "interval"), False),
+}
+
+
 def run_task(problem):
     """Dispatch a validated problem dict and return the :class:`RunReport`."""
     t0 = time.perf_counter()
     task = problem["task"]
     params = problem.get("parameters", {})
-    for key in _REQUIRED_PARAMS[task]:
+    runner, required, needs_space = _TASKS[task]
+    for key in required:
         if key not in params:
             raise SchemaError(f"task {task!r} requires the parameter "
                               f"{key!r}", f"parameters.{key}")
-    if task in _NEEDS_SPACE and "space" not in problem:
+    if needs_space and "space" not in problem:
         raise SchemaError(f"task {task!r} requires a space descriptor",
                           "space")
     space = _build_space(problem["space"]) if "space" in problem else None
     funcs = {name: _build_function(name, desc)
              for name, desc in problem["functions"].items()}
-
-    if task in ("integrate-gdx", "integrate-xdg"):
-        payload, diagnostics, traces = _run_integrate(task, funcs, space,
-                                                      params)
-    elif task == "perpartes":
-        payload, diagnostics, traces = _run_perpartes(funcs, space, params)
-    elif task == "semivariation":
-        payload, diagnostics, traces = _run_semivariation(funcs, space,
-                                                          params)
-    elif task == "eset":
-        payload, diagnostics, traces = _run_eset(funcs, params)
-    elif task == "wcs-check":
-        payload, diagnostics, traces = _run_wcs_check(funcs, space, params)
-    elif task == "represent-apply":
-        payload, diagnostics, traces = _run_represent_apply(funcs, space,
-                                                            params)
-    elif task == "image-check":
-        payload, diagnostics, traces = _run_image_check(funcs, space, params)
-    elif task == "roundtrip":
-        payload, diagnostics, traces = _run_roundtrip(funcs, space, params)
-    else:
-        payload, diagnostics, traces = _run_measure(funcs, params)
-
+    payload, diagnostics, traces = runner(funcs, space, params)
     return RunReport(task=task, payload=payload, diagnostics=diagnostics,
                      traces=traces, wall_time=time.perf_counter() - t0)
 

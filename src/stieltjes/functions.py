@@ -37,18 +37,30 @@ _RC_TOL = 1e-9
 
 
 def _shift_poly(c, dt):
-    """Coefficients of p(dt + tau) given ascending coefficients of p(tau)."""
+    """Coefficients of p_i(dt_i + tau) given ascending coefficients of each
+    p_i(tau); ``c`` is (m, K, ...) and ``dt`` is (m,)."""
     c = np.asarray(c)
+    dt = np.reshape(dt, (-1,) + (1,) * (c.ndim - 1))
     out = np.zeros_like(c)
-    out[0] = c[-1]
+    out[:, 0] = c[:, -1]
     deg = 0
-    for k in range(c.shape[0] - 2, -1, -1):
+    for k in range(c.shape[1] - 2, -1, -1):
         shifted = np.zeros_like(c)
-        shifted[1:deg + 2] = out[:deg + 1]
-        shifted[:deg + 1] += out[:deg + 1] * dt
-        shifted[0] += c[k]
+        shifted[:, 1:deg + 2] = out[:, :deg + 1]
+        shifted[:, :deg + 1] += out[:, :deg + 1] * dt
+        shifted[:, 0] += c[:, k]
         out = shifted
         deg += 1
+    return out
+
+
+def _horner(c, tau):
+    """Values p_i(tau_i) of the ascending-coefficient pieces ``c``
+    (m, K, ...) at the local coordinates ``tau`` (m,)."""
+    tau = np.reshape(tau, (-1,) + (1,) * (c.ndim - 2))
+    out = c[:, -1].copy()
+    for k in range(c.shape[1] - 2, -1, -1):
+        out = out * tau + c[:, k]
     return out
 
 
@@ -151,8 +163,7 @@ class PiecewiseFunction:
         self.coeffs = c
         if values is None:
             vals = np.concatenate(
-                [c[:, 0], [self._piece_end_value(bps.size - 2)]], axis=0
-            )
+                [c[:, 0], _horner(c[-1:], np.diff(bps[-2:]))], axis=0)
         else:
             vals = np.asarray(values)
             if not np.iscomplexobj(vals):
@@ -172,10 +183,6 @@ class PiecewiseFunction:
             self.coeffs = c
         self.values = vals
 
-    def _piece_end_value(self, i):
-        h = self.breakpoints[i + 1] - self.breakpoints[i]
-        return npoly.polyval(h, self.coeffs[i])
-
     # -- constructors -----------------------------------------------------
 
     @classmethod
@@ -188,8 +195,8 @@ class PiecewiseFunction:
     def from_global_polynomial(cls, coeffs, domain):
         """Single-piece function from ascending coefficients in t itself."""
         a, b = float(domain[0]), float(domain[1])
-        local = _shift_poly(np.asarray(coeffs), a)
-        return cls(np.array([a, b]), local[np.newaxis])
+        local = _shift_poly(np.asarray(coeffs)[np.newaxis], [a])
+        return cls(np.array([a, b]), local)
 
     @classmethod
     def step(cls, domain, times, jumps, start):
@@ -260,12 +267,7 @@ class PiecewiseFunction:
         ts = self._check_domain(np.atleast_1d(ts))
         idx = np.searchsorted(self.breakpoints, ts, side="right") - 1
         idx = np.clip(idx, 0, self.piece_count - 1)
-        tau = ts - self.breakpoints[idx]
-        c = self.coeffs[idx]
-        tau_b = tau if self.dim is None else tau[:, np.newaxis]
-        out = c[:, -1].copy()
-        for k in range(c.shape[1] - 2, -1, -1):
-            out = out * tau_b + c[:, k]
+        out = _horner(self.coeffs[idx], ts - self.breakpoints[idx])
         at_end = ts == self.b
         if np.any(at_end):
             out[at_end] = self.values[-1]
@@ -297,14 +299,11 @@ class PiecewiseFunction:
 
     def jump_points(self, atol=1e-12):
         """Ascending list of (t, jump) pairs where the jump exceeds atol."""
-        out = []
-        for i in range(1, self.breakpoints.size):
-            t = self.breakpoints[i]
-            left, _ = self.one_sided_limits(t)
-            jump = self.values[i] - left
-            if np.max(np.abs(np.atleast_1d(jump))) > atol:
-                out.append((float(t), jump))
-        return out
+        left = _horner(self.coeffs, np.diff(self.breakpoints))
+        jumps = self.values[1:] - left
+        size = np.max(np.abs(jumps.reshape(self.piece_count, -1)), axis=1)
+        return [(float(t), jump) for t, jump, s
+                in zip(self.breakpoints[1:], jumps, size) if s > atol]
 
     # -- calculus ----------------------------------------------------------
 
@@ -325,16 +324,7 @@ class PiecewiseFunction:
         inner = self.breakpoints[
             (self.breakpoints > lo) & (self.breakpoints < hi)]
         bps = np.concatenate([[lo], inner, [hi]])
-        coeffs = np.empty((bps.size - 1,) + self.coeffs.shape[1:],
-                          dtype=self.coeffs.dtype)
-        for k in range(bps.size - 1):
-            j = np.searchsorted(self.breakpoints, bps[k], side="right") - 1
-            j = min(j, self.piece_count - 1)
-            coeffs[k] = _shift_poly(self.coeffs[j],
-                                    bps[k] - self.breakpoints[j])
-        values = np.concatenate(
-            [coeffs[:, 0], self.values_at([hi])], axis=0)
-        return PiecewiseFunction(bps, coeffs, values)
+        return self._on_grid(bps, self.values_at([hi]))
 
     def _merge_grid(self, other):
         if self.domain != other.domain:
@@ -342,25 +332,21 @@ class PiecewiseFunction:
         return np.unique(np.concatenate([self.breakpoints,
                                          other.breakpoints]))
 
-    def _on_grid(self, bps):
-        """Re-express on a refinement of the breakpoint grid."""
-        K = self.coeffs.shape[1]
-        coeffs = np.empty((bps.size - 1, K) + self.coeffs.shape[2:],
-                          dtype=self.coeffs.dtype)
-        for k in range(bps.size - 1):
-            j = np.searchsorted(self.breakpoints, bps[k], side="right") - 1
-            j = min(j, self.piece_count - 1)
-            coeffs[k] = _shift_poly(self.coeffs[j],
-                                    bps[k] - self.breakpoints[j])
-        return PiecewiseFunction(
-            bps, coeffs,
-            np.concatenate([coeffs[:, 0], self.values[-1:]], axis=0))
+    def _on_grid(self, bps, end):
+        """Re-express on the grid ``bps`` inside the domain, whose last point
+        takes the value ``end`` (shape (1[, dim]))."""
+        j = np.searchsorted(self.breakpoints, bps[:-1], side="right") - 1
+        j = np.minimum(j, self.piece_count - 1)
+        coeffs = _shift_poly(self.coeffs[j], bps[:-1] - self.breakpoints[j])
+        return PiecewiseFunction(bps, coeffs,
+                                 np.concatenate([coeffs[:, 0], end], axis=0))
 
     def __add__(self, other):
         if not isinstance(other, PiecewiseFunction):
             other = PiecewiseFunction.constant(other, self.domain)
         bps = self._merge_grid(other)
-        f, g = self._on_grid(bps), other._on_grid(bps)
+        f = self._on_grid(bps, self.values[-1:])
+        g = other._on_grid(bps, other.values[-1:])
         kf, kg = f.coeffs.shape[1], g.coeffs.shape[1]
         K = max(kf, kg)
         cf = np.zeros((f.piece_count, K) + f.coeffs.shape[2:],
@@ -457,20 +443,25 @@ class TaggedPartition:
 
     def refine(self):
         """Bisect every cell; tag rule (or custom tag placement) is kept."""
-        pts = self.points
-        mids = 0.5 * (pts[:-1] + pts[1:])
-        new = np.empty(pts.size + mids.size)
-        new[0::2] = pts
-        new[1::2] = mids
+        new = bisect(self.points)
         if self.rule is not None:
             return TaggedPartition.from_points(new, self.rule)
         # custom tags: each old tag stays in the child cell containing it,
         # the sibling cell is tagged at its midpoint
         tags = _tags_by_rule(new, "midpoint")
         for i, s in enumerate(self.tags):
-            child = 2 * i if s <= mids[i] else 2 * i + 1
+            child = 2 * i if s <= new[2 * i + 1] else 2 * i + 1
             tags[child] = s
         return TaggedPartition(new, tags, None)
+
+
+def bisect(points):
+    """Points with each cell's midpoint inserted: t_0, m_1, t_1, ..., t_n."""
+    mids = 0.5 * (points[:-1] + points[1:])
+    out = np.empty(points.size + mids.size)
+    out[0::2] = points
+    out[1::2] = mids
+    return out
 
 
 def _tags_by_rule(points, rule):
@@ -545,7 +536,8 @@ def product_integral(f, g):
     if g.dim is not None:
         raise ArgumentError("second factor must be scalar")
     bps = f._merge_grid(g)
-    ff, gg = f._on_grid(bps), g._on_grid(bps)
+    ff = f._on_grid(bps, f.values[-1:])
+    gg = g._on_grid(bps, g.values[-1:])
     widths = np.diff(bps)
     parts = []
     for i in range(bps.size - 1):

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import ArgumentError, ExistenceError
-from .functions import PiecewiseFunction, _poly_sup_abs
+from .functions import PiecewiseFunction, _poly_sup_abs, bisect
 from .spaces import Seminorm
 
 __all__ = [
@@ -105,20 +105,18 @@ def _ensure_compatible(f, mu):
 _JUMP_ATOL = 1e-12
 
 
-def _common_jump_points(f, mu):
-    tf = {t for t, _ in f.jump_points(atol=_JUMP_ATOL)}
-    tm = {t for t, _ in mu.jump_points(atol=_JUMP_ATOL)}
-    return sorted(tf & tm)
-
-
 def _require_existence(f, mu):
-    common = _common_jump_points(f, mu)
+    """Refuse a pair with a common jump; return the jump times of mu."""
+    tm = [t for t, _ in mu.jump_points(atol=_JUMP_ATOL)]
+    common = sorted({t for t, _ in f.jump_points(atol=_JUMP_ATOL)}
+                    .intersection(tm))
     if common:
         pts = ", ".join(f"{t:.12g}" for t in common)
         raise ExistenceError(
             f"both functions jump at t = {pts}; the Stieltjes integral "
             "does not exist"
         )
+    return np.array(tm)
 
 
 def _default_seminorms(f, mu):
@@ -166,6 +164,17 @@ def _piece_index(func, lefts):
     return np.clip(idx, 0, func.piece_count - 1)
 
 
+def _tagged_sum(f, mu, points, tags):
+    """sum_i f(s_i) [mu(t_i) - mu(t_{i-1})] with either factor vector-valued."""
+    fv = f.values_at(tags)
+    dmu = np.diff(mu.values_at(points), axis=0)
+    if f.dim is None and mu.dim is not None:
+        fv = fv[:, np.newaxis]
+    elif f.dim is not None:
+        dmu = dmu[:, np.newaxis]
+    return (fv * dmu).sum(axis=0)
+
+
 def _level_sum(f, mu, points, jump_ts, envs, seminorms):
     D1f, D2f, D1m, D2m = envs
     lefts, rights = points[:-1], points[1:]
@@ -175,15 +184,7 @@ def _level_sum(f, mu, points, jump_ts, envs, seminorms):
     else:
         jump_end = np.zeros(lefts.size, dtype=bool)
     tags = np.where(jump_end, rights, 0.5 * (lefts + rights))
-    fv = f.values_at(tags)
-    dmu = np.diff(mu.values_at(points), axis=0)
-    if f.dim is None and mu.dim is not None:
-        terms = fv[:, np.newaxis] * dmu
-    elif f.dim is not None:
-        terms = fv * dmu[:, np.newaxis]
-    else:
-        terms = fv * dmu
-    value = terms.sum(axis=0)
+    value = _tagged_sum(f, mu, points, tags)
 
     d1f = D1f[_piece_index(f, lefts)]
     d2f = D2f[_piece_index(f, lefts)]
@@ -195,17 +196,9 @@ def _level_sum(f, mu, points, jump_ts, envs, seminorms):
     return value, est
 
 
-def _bisect(points):
-    mids = 0.5 * (points[:-1] + points[1:])
-    out = np.empty(points.size + mids.size)
-    out[0::2] = points
-    out[1::2] = mids
-    return out
-
-
 def _drive(f, mu, seminorms, tol, max_levels):
     _ensure_compatible(f, mu)
-    _require_existence(f, mu)
+    jump_ts = _require_existence(f, mu)
     if tol <= 0:
         raise ArgumentError("tol must be positive")
     if max_levels < 2:
@@ -221,7 +214,6 @@ def _drive(f, mu, seminorms, tol, max_levels):
     points = np.unique(np.concatenate(
         [f.breakpoints, mu.breakpoints,
          np.linspace(a, b, _INITIAL_UNIFORM_CELLS + 1)]))
-    jump_ts = np.array([t for t, _ in mu.jump_points(atol=_JUMP_ATOL)])
     envs = _envelopes(f, seminorms) + _envelopes(mu, seminorms)
     trace = []
     prev = None
@@ -238,7 +230,7 @@ def _drive(f, mu, seminorms, tol, max_levels):
                 break
         prev = value
         if level < max_levels - 1:
-            points = _bisect(points)
+            points = bisect(points)
     if dim is None:
         value = complex(value) if np.iscomplexobj(value) else float(value)
     return IntegralResult(value=value, error_estimates=est,
@@ -248,17 +240,11 @@ def _drive(f, mu, seminorms, tol, max_levels):
 
 def _plain_sum(f, mu, partition):
     _ensure_compatible(f, mu)
-    pts, tags = partition.points, partition.tags
+    pts = partition.points
     if pts[0] != f.a or pts[-1] != f.b:
         raise ArgumentError("partition does not cover the common domain")
-    fv = f.values_at(tags)
-    dmu = np.diff(mu.values_at(pts), axis=0)
-    if f.dim is None and mu.dim is not None:
-        out = (fv[:, np.newaxis] * dmu).sum(axis=0)
-    elif f.dim is not None:
-        out = (fv * dmu[:, np.newaxis]).sum(axis=0)
-    else:
-        out = (fv * dmu).sum(axis=0)
+    out = _tagged_sum(f, mu, pts, partition.tags)
+    if f.dim is None and mu.dim is None:
         out = complex(out) if np.iscomplexobj(out) else float(out)
     return out
 
@@ -310,8 +296,6 @@ def per_partes(x, g, seminorms=None, tol=1e-8, max_levels=20):
     """
     if g.dim is not None:
         raise ArgumentError("g must be scalar-valued")
-    _ensure_compatible(x, g)
-    _require_existence(x, g)
     lhs = _drive(x, g, seminorms, tol, max_levels)
     rhs = _drive(g, x, seminorms, tol, max_levels)
     boundary = x(x.b) * g(g.b) - x(x.a) * g(g.a)

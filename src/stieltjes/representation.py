@@ -15,12 +15,11 @@ additive interval measure through its cumulative y(t) = x(t) - x(a).
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 from scipy.optimize import linprog
 
 from .errors import ArgumentError, EnumerationLimitError
-from .functions import (PiecewiseFunction, _real_roots_in, _shift_poly,
-                        dual_compose, random_spline)
+from .functions import (PiecewiseFunction, _horner, _real_roots_in,
+                        _shift_poly, dual_compose, random_spline)
 from .integrals import integrate_g_dx
 from .semivariation import e_set, wcs_check
 from .spaces import Seminorm, SpaceModel, pair, sample_dual_ball
@@ -103,12 +102,11 @@ def _positive_part(f):
         h = widths[i]
         splits = _real_roots_in(c, 0.0, h, open_ends=True)
         edges = np.concatenate([[0.0], splits, [h]])
-        for k in range(edges.size - 1):
-            shifted = _shift_poly(c, edges[k])
-            mid = 0.5 * (edges[k + 1] - edges[k])
-            keep = npoly.polyval(mid, shifted) > 0.0
-            coeffs.append(shifted if keep else np.zeros_like(shifted))
-            bps.append(float(f.breakpoints[i] + edges[k + 1]))
+        shifted = _shift_poly(np.broadcast_to(c, (edges.size - 1,) + c.shape),
+                              edges[:-1])
+        keep = _horner(shifted, 0.5 * np.diff(edges)) > 0.0
+        coeffs.extend(np.where(keep[:, np.newaxis], shifted, 0.0))
+        bps.extend((f.breakpoints[i] + edges[1:]).tolist())
     coeffs = np.asarray(coeffs)
     values = np.concatenate([coeffs[:, 0], [max(float(f.values[-1]), 0.0)]])
     return PiecewiseFunction(np.asarray(bps), coeffs, values)

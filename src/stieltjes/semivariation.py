@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, EnumerationLimitError
-from .functions import dual_compose, scalar_variation
+from .functions import bisect, dual_compose, scalar_variation
 from .spaces import polar_gauge
 
 __all__ = [
@@ -75,63 +75,70 @@ def _check_pair(x, p):
         )
 
 
-def _expand_coefficients(alpha_nonzero, nonzero, n, dtype):
-    alpha = np.ones(n, dtype=dtype)
-    alpha[nonzero] = alpha_nonzero
-    return alpha
+def _digit_chunks(base, width):
+    """Digits of 0, 1, ..., base**width - 1, _CHUNK numbers at a time.
 
-
-def _sign_enumeration(deltas, p):
-    """Exact sup over sign patterns; deltas is (n, dim) with nonzero rows."""
-    n = deltas.shape[0]
-    if n == 0:
-        return 0.0, np.ones(0)
-    if n > MAX_ENUM_INCREMENTS:
-        raise EnumerationLimitError(
-            f"{n} nonzero increments exceed the enumeration cap "
-            f"of {MAX_ENUM_INCREMENTS}"
-        )
-    total = 1 << (n - 1)  # first sign fixed to +1 by symmetry
-    best_val, best_signs = -1.0, None
-    exps = np.arange(n - 1, dtype=np.uint64)
+    Row r of the sequence holds the ``width`` base-``base`` digits of r,
+    least significant first, so the rows follow itertools.product order
+    with each tuple reversed.
+    """
+    total = base ** width
+    radix = base ** np.arange(width, dtype=np.int64)
     for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
-        signs = np.ones((idx.size, n))
-        if n > 1:
-            bits = (idx[:, np.newaxis] >> exps) & np.uint64(1)
-            signs[:, 1:] = 1.0 - 2.0 * bits
-        vals = p.eval_many(signs @ deltas)
-        k = int(np.argmax(vals))
-        if vals[k] > best_val:
-            best_val, best_signs = float(vals[k]), signs[k].copy()
-    return best_val, best_signs
+        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        yield (idx[:, np.newaxis] // radix) % base
 
 
-def _phase_enumeration(deltas, p, phase_count):
-    """Grid lower bound over unimodular coefficients, first phase fixed."""
+def _pattern_rows(table, n):
+    """Every coefficient row (1, table[d_1], ..., table[d_{n-1}]), chunked.
+
+    The first coefficient stays 1: multiplying every coefficient by one
+    sign or phase leaves the seminorm unchanged.
+    """
+    for digits in _digit_chunks(table.size, n - 1):
+        rows = np.ones((digits.shape[0], n), dtype=table.dtype)
+        rows[:, 1:] = table[digits]
+        yield rows
+
+
+_SIGNS = np.array([1.0, -1.0])
+
+
+def _phases(phase_count):
+    return np.exp(2j * np.pi * np.arange(phase_count) / phase_count)
+
+
+def _pattern_enumeration(deltas, p, table):
+    """Sup of p(alpha @ deltas) over the coefficient rows drawn from
+    ``table`` (signs: exact; a phase grid: a lower bound); deltas is
+    (n, dim) with nonzero rows."""
     n = deltas.shape[0]
     if n == 0:
-        return 0.0, np.ones(0, dtype=complex)
-    combos = phase_count ** (n - 1)
-    if combos > MAX_COMBINATIONS:
-        raise EnumerationLimitError(
-            f"{phase_count}^{n - 1} phase combinations exceed the cap "
-            f"of {MAX_COMBINATIONS}"
-        )
-    table = np.exp(2j * np.pi * np.arange(phase_count) / phase_count)
+        return 0.0, np.ones(0, dtype=table.dtype)
     best_val, best_alpha = -1.0, None
-    radix = phase_count ** np.arange(n - 1, dtype=np.int64)
-    for start in range(0, combos, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, combos), dtype=np.int64)
-        alpha = np.ones((idx.size, n), dtype=complex)
-        if n > 1:
-            digits = (idx[:, np.newaxis] // radix) % phase_count
-            alpha[:, 1:] = table[digits]
+    for alpha in _pattern_rows(table, n):
         vals = p.eval_many(alpha @ deltas)
         k = int(np.argmax(vals))
         if vals[k] > best_val:
             best_val, best_alpha = float(vals[k]), alpha[k].copy()
     return best_val, best_alpha
+
+
+def _phase_grid_fits(n, phase_count):
+    return phase_count ** max(n - 1, 0) <= MAX_COMBINATIONS
+
+
+def _nonzero_rows(deltas):
+    """The nonzero increment rows, their mask, and the map that spreads
+    coefficients for them over all rows (coefficient 1 on a zero row)."""
+    nonzero = np.max(np.abs(deltas), axis=1) > 0.0
+
+    def expand(alpha):
+        out = np.ones(deltas.shape[0], dtype=alpha.dtype)
+        out[nonzero] = alpha
+        return out
+
+    return deltas[nonzero], nonzero, expand
 
 
 def _alternating_max(deltas, p, complex_field, starts, iters=80):
@@ -176,16 +183,8 @@ def _weighted_sup_exact(deltas, p, complex_field):
 
 def _weighted_one_exact(deltas, p):
     """Real closed form via the 2^dim sign vertices of the dual box."""
-    dim = deltas.shape[1]
-    total = 1 << (dim - 1)
-    exps = np.arange(dim - 1, dtype=np.uint64)
     best_val, best_alpha = -1.0, None
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
-        signs = np.ones((idx.size, dim))
-        if dim > 1:
-            bits = (idx[:, np.newaxis] >> exps) & np.uint64(1)
-            signs[:, 1:] = 1.0 - 2.0 * bits
+    for signs in _pattern_rows(_SIGNS, deltas.shape[1]):
         inner = deltas @ (signs * p.weights).T  # (n, patterns)
         vals = np.sum(np.abs(inner), axis=0)
         k = int(np.argmax(vals))
@@ -215,12 +214,6 @@ def _partition_best(deltas, p, complex_field, phase_count, warm=None):
     Returns (value, coefficients, exact, lower_bound_only) where the
     coefficients cover every increment row of ``deltas``.
     """
-    n = deltas.shape[0]
-    norms = np.max(np.abs(deltas), axis=1)
-    nonzero = norms > 0.0
-    active = deltas[nonzero]
-    dtype = complex if complex_field else float
-
     if p.kind == "max":
         best = (-1.0, None, True, False)
         for part in p.parts:
@@ -230,33 +223,31 @@ def _partition_best(deltas, p, complex_field, phase_count, warm=None):
                 best = cand
         return best
 
+    active, nonzero, expand = _nonzero_rows(deltas)
     if active.shape[0] == 0:
-        return 0.0, np.ones(n, dtype=dtype), True, False
+        return (0.0, expand(np.ones(0, dtype=complex if complex_field
+                                    else float)), True, False)
 
     if p.kind == "weighted-sup":
         val, alpha = _weighted_sup_exact(active, p, complex_field)
-        return val, _expand_coefficients(alpha, nonzero, n, dtype), True, False
+        return val, expand(alpha), True, False
 
     if not complex_field:
         if p.kind == "weighted-one" and deltas.shape[1] <= _MAX_VERTEX_DIM:
             val, alpha = _weighted_one_exact(active, p)
-            return (val, _expand_coefficients(alpha, nonzero, n, dtype),
-                    True, False)
+            return val, expand(alpha), True, False
         if active.shape[0] <= MAX_ENUM_INCREMENTS:
-            val, alpha = _sign_enumeration(active, p)
-            return (val, _expand_coefficients(alpha, nonzero, n, dtype),
-                    True, False)
-    else:
-        if phase_count ** max(active.shape[0] - 1, 0) <= MAX_COMBINATIONS:
-            val, alpha = _phase_enumeration(active, p, phase_count)
-            return (val, _expand_coefficients(alpha, nonzero, n, dtype),
-                    False, True)
+            val, alpha = _pattern_enumeration(active, p, _SIGNS)
+            return val, expand(alpha), True, False
+    elif _phase_grid_fits(active.shape[0], phase_count):
+        val, alpha = _pattern_enumeration(active, p, _phases(phase_count))
+        return val, expand(alpha), False, True
 
-    warm_active = warm[nonzero] if warm is not None and warm.shape[0] == n \
-        else None
+    warm_active = warm[nonzero] \
+        if warm is not None and warm.shape[0] == deltas.shape[0] else None
     starts = _starts_for(active, complex_field, warm_active)
     val, alpha = _alternating_max(active, p, complex_field, starts)
-    return val, _expand_coefficients(alpha, nonzero, n, dtype), False, True
+    return val, expand(alpha), False, True
 
 
 def semivariation_on_partition(x, partition, p, phase_count=16):
@@ -280,21 +271,17 @@ def semivariation_on_partition(x, partition, p, phase_count=16):
             f"{MAX_ENUM_INCREMENTS}; use semivariation() instead"
         )
     deltas = _increment_rows(x, pts)
-    complex_field = np.iscomplexobj(deltas)
-    n = deltas.shape[0]
-    norms = np.max(np.abs(deltas), axis=1)
-    nonzero = norms > 0.0
-    active = deltas[nonzero]
-    if not complex_field:
-        val, alpha = _sign_enumeration(active, p)
-        return val, _expand_coefficients(alpha, nonzero, n, float)
-    if phase_count ** max(active.shape[0] - 1, 0) > MAX_COMBINATIONS:
+    active, _, expand = _nonzero_rows(deltas)
+    if not np.iscomplexobj(deltas):
+        val, alpha = _pattern_enumeration(active, p, _SIGNS)
+        return val, expand(alpha)
+    if not _phase_grid_fits(active.shape[0], phase_count):
         raise EnumerationLimitError(
             "phase grid would exceed the combination cap; "
             "use semivariation() for the search fallback"
         )
-    val, alpha = _phase_enumeration(active, p, phase_count)
-    return val, _expand_coefficients(alpha, nonzero, n, complex)
+    val, alpha = _pattern_enumeration(active, p, _phases(phase_count))
+    return val, expand(alpha)
 
 
 def semivariation(x, p, tol=1e-8, max_levels=20, phase_count=16):
@@ -337,12 +324,8 @@ def semivariation(x, p, tol=1e-8, max_levels=20, phase_count=16):
             converged = True
             break
         if level < max_levels - 1:
-            mids = 0.5 * (pts[:-1] + pts[1:])
-            merged = np.empty(pts.size + mids.size)
-            merged[0::2] = pts
-            merged[1::2] = mids
             warm = np.repeat(alpha, 2)
-            pts = merged
+            pts = bisect(pts)
     # refinement values are genuine lower bounds of the sup; the limit is
     # only approached, so the result is never flagged exact here
     return SemivariationReport(
@@ -378,8 +361,7 @@ def e_set(x, resolution=None):
         if m == 0:
             return np.zeros((1,) + shape, dtype=dtype)
         jump_arr = np.reshape(jumps, (m, -1))
-        bits = (np.arange(1 << m, dtype=np.uint64)[:, np.newaxis]
-                >> np.arange(m, dtype=np.uint64)) & np.uint64(1)
+        bits = np.concatenate(list(_digit_chunks(2, m)))
         sums = (bits.astype(dtype) @ jump_arr).reshape((1 << m,) + shape)
         return _dedupe(sums)
 

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -29,6 +30,12 @@ PLANE = {
     "field": "real",
     "seminorms": [{"kind": "weighted-one", "weights": [1.0, 1.0]}],
 }
+
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+REFERENCE = REPO / "perfbench" / "reference"
+GOLDEN = sorted(path for path in (REPO / "problems").glob("*.json")
+                if (REFERENCE / f"{path.stem}.out").exists())
 
 
 def problem(task, functions, parameters, space=None):
@@ -249,3 +256,9 @@ def test_image_check_task():
     report = run_task(doc)
     assert report.payload["ok"] is True
     assert report.payload["worst_distance"] <= 1e-9
+
+
+@pytest.mark.parametrize("path", GOLDEN, ids=lambda path: path.stem)
+def test_problem_output_matches_reference_bytes(path):
+    expected = (REFERENCE / f"{path.stem}.out").read_bytes()
+    assert emit(run_task(load_problem(path))) == expected
