@@ -180,53 +180,47 @@ def _components(value, prefix="value"):
     return names, comps
 
 
-def _integral_trace(label, result, est_count):
-    columns = None
+def _integral_trace(label, result):
+    """One row per refinement level; a drive always records a level."""
     rows = []
     for rec in result.trace:
         names, comps = _components(rec.value)
-        columns = (["level", "mesh"] + names
-                   + [f"estimate_{j}" for j in range(est_count)])
-        rows.append([rec.level, float(rec.mesh)] + comps
-                    + [float(e) for e in np.atleast_1d(rec.estimates)])
-    if columns is None:
-        columns = ["level", "mesh", "value", "estimates"]
+        estimates = [float(e) for e in np.atleast_1d(rec.estimates)]
+        rows.append([rec.level, float(rec.mesh)] + comps + estimates)
+    columns = (["level", "mesh"] + names
+               + [f"estimate_{j}" for j in range(len(estimates))])
     return {"label": label, "columns": columns, "rows": rows}
 
 
-def _integral_payload(result):
-    return {"value": result.value, "converged": result.converged,
-            "levels": result.levels}
+def _drive_options(space, params):
+    """Keyword arguments shared by every refinement drive of a task."""
+    return {"seminorms": space.seminorms if space is not None else None,
+            "tol": params.get("tolerance", 1e-8),
+            "max_levels": params.get("max_levels", 20)}
 
 
 def _run_integrate(integrate, funcs, space, params):
     f = _resolve(funcs, params, "integrand")
     x = _resolve(funcs, params, "integrator")
-    sems = space.seminorms if space is not None else None
-    res = integrate(f, x, seminorms=sems, tol=params.get("tolerance", 1e-8),
-                    max_levels=params.get("max_levels", 20))
-    count = len(sems) if sems is not None else 1
-    return (_integral_payload(res),
+    res = integrate(f, x, **_drive_options(space, params))
+    return ({"value": res.value, "converged": res.converged,
+             "levels": res.levels},
             {"error_estimates": res.error_estimates},
-            [_integral_trace("integral", res, count)])
+            [_integral_trace("integral", res)])
 
 
 def _run_perpartes(funcs, space, params):
     x = _resolve(funcs, params, "integrand")
     g = _resolve(funcs, params, "integrator")
-    sems = space.seminorms if space is not None else None
-    res = per_partes(x, g, seminorms=sems,
-                     tol=params.get("tolerance", 1e-8),
-                     max_levels=params.get("max_levels", 20))
-    count = len(sems) if sems is not None else 1
+    res = per_partes(x, g, **_drive_options(space, params))
     payload = {"x_dg": res.x_dg.value, "g_dx": res.g_dx.value,
                "boundary": res.boundary, "max_gap": res.max_gap,
                "converged": res.converged}
     diagnostics = {"gaps": res.gaps,
                    "estimates_x_dg": res.x_dg.error_estimates,
                    "estimates_g_dx": res.g_dx.error_estimates}
-    traces = [_integral_trace("x-dg", res.x_dg, count),
-              _integral_trace("g-dx", res.g_dx, count)]
+    traces = [_integral_trace("x-dg", res.x_dg),
+              _integral_trace("g-dx", res.g_dx)]
     return payload, diagnostics, traces
 
 

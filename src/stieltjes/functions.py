@@ -65,12 +65,19 @@ def _horner(c, tau):
 
 
 def _real_roots_in(c, lo, hi, open_ends=False):
-    """Sorted real roots of the ascending-coefficient polynomial in [lo, hi]."""
-    c = np.asarray(c, dtype=complex)
-    c = npoly.polytrim(c, tol=0.0)
-    if c.shape[0] <= 1:
+    """Sorted real roots in [lo, hi] of a real ascending-coefficient
+    polynomial.  Leading terms below 1e-9 of the largest term on [lo, hi]
+    are dropped and the rest scaled by a power of two (exactly), so the
+    companion matrix gets no huge or, from subnormals, infinite entries."""
+    c = np.asarray(c, dtype=float)
+    s = np.float64(max(abs(lo), abs(hi)))
+    size = [abs(v) * s ** k for k, v in enumerate(c.tolist())]
+    top = 1e-9 * max(size)
+    n = max((k + 1 for k, v in enumerate(size) if v > top), default=0)
+    if n <= 1:
         return np.array([])
-    roots = npoly.polyroots(c)
+    scale = np.frexp(max(abs(v) for v in c[:n].tolist()))[1]
+    roots = npoly.polyroots(np.ldexp(c[:n], -scale).astype(complex))
     roots = roots[np.abs(roots.imag) < 1e-9].real
     eps = 1e-13 * max(1.0, abs(hi - lo))
     if open_ends:
@@ -85,36 +92,32 @@ def _real_roots_in(c, lo, hi, open_ends=False):
     return roots[keep]
 
 
-def _poly_extrema_candidates(c, h):
-    """Points in [0, h] where a real polynomial can attain extreme values."""
-    crit = _real_roots_in(npoly.polyder(np.asarray(c, dtype=float)), 0.0, h)
-    return np.concatenate([[0.0], crit, [h]])
+def _polyder(c):
+    """Derivatives of the ascending-coefficient pieces ``c`` (m, K, ...);
+    constant pieces keep one (zero) coefficient."""
+    return npoly.polyder(c, axis=1) if c.shape[1] > 1 else np.zeros_like(c)
 
 
-def _poly_range(c, h):
-    """Exact (min, max) of a real polynomial over [0, h]."""
-    vals = npoly.polyval(_poly_extrema_candidates(c, h), np.asarray(c, float))
-    return float(np.min(vals)), float(np.max(vals))
+def _poly_extreme_values(c, h):
+    """Values of a real polynomial at 0, at its critical points in [0, h]
+    and at h: its extreme values over [0, h] are among them."""
+    c = np.asarray(c, dtype=float)
+    crit = _real_roots_in(npoly.polyder(c), 0.0, h)
+    return npoly.polyval(np.concatenate([[0.0], crit, [h]]), c)
 
 
 def _poly_sup_abs(c, h):
     """Exact sup of \\|p(tau)\\| over [0, h]; supports complex coefficients."""
-    c = np.asarray(c)
     if not np.iscomplexobj(c):
-        lo, hi = _poly_range(c, h)
-        return max(abs(lo), abs(hi))
+        return float(np.max(np.abs(_poly_extreme_values(c, h))))
     sq = npoly.polymul(c, c.conj()).real  # \|p\|^2 is a real polynomial
-    cand = _poly_extrema_candidates(sq, h)
-    return float(np.sqrt(np.max(npoly.polyval(cand, sq))))
+    return float(np.sqrt(np.max(_poly_extreme_values(sq, h))))
 
 
 def _poly_variation(c, h):
     """Total variation of the polynomial path p: [0, h] -> scalar."""
-    c = np.asarray(c)
     if not np.iscomplexobj(c):
-        pts = _poly_extrema_candidates(c, h)
-        vals = npoly.polyval(pts, c.astype(float))
-        return float(np.sum(np.abs(np.diff(vals))))
+        return float(np.sum(np.abs(np.diff(_poly_extreme_values(c, h)))))
     # complex path: integrate \|p'\| between zeros of \|p'\|^2
     der = npoly.polyder(c)
     sq = npoly.polymul(der, der.conj()).real
@@ -262,15 +265,18 @@ class PiecewiseFunction:
             )
         return ts
 
+    def _piece_at(self, ts):
+        """Index of the piece whose span [b_i, b_{i+1}) holds each t; the
+        last piece for t = b."""
+        idx = np.searchsorted(self.breakpoints, ts, side="right") - 1
+        return np.clip(idx, 0, self.piece_count - 1)
+
     def values_at(self, ts):
         """Vectorized evaluation at an array of points inside [a, b]."""
         ts = self._check_domain(np.atleast_1d(ts))
-        idx = np.searchsorted(self.breakpoints, ts, side="right") - 1
-        idx = np.clip(idx, 0, self.piece_count - 1)
+        idx = self._piece_at(ts)
         out = _horner(self.coeffs[idx], ts - self.breakpoints[idx])
-        at_end = ts == self.b
-        if np.any(at_end):
-            out[at_end] = self.values[-1]
+        out[ts == self.b] = self.values[-1]
         return out
 
     def evaluate(self, t):
@@ -289,11 +295,9 @@ class PiecewiseFunction:
         left = right = None
         if t > self.a:
             j = np.searchsorted(self.breakpoints, t, side="left") - 1
-            j = min(max(j, 0), self.piece_count - 1)
             left = npoly.polyval(t - self.breakpoints[j], self.coeffs[j])
         if t < self.b:
-            i = np.searchsorted(self.breakpoints, t, side="right") - 1
-            i = min(max(i, 0), self.piece_count - 1)
+            i = self._piece_at(t)
             right = npoly.polyval(t - self.breakpoints[i], self.coeffs[i])
         return left, right
 
@@ -309,11 +313,7 @@ class PiecewiseFunction:
 
     def derivative(self):
         """Piecewise derivative of the smooth parts; jump data is dropped."""
-        if self.coeffs.shape[1] == 1:
-            der = np.zeros_like(self.coeffs)
-        else:
-            der = npoly.polyder(self.coeffs, axis=1)
-        return PiecewiseFunction(self.breakpoints, der)
+        return PiecewiseFunction(self.breakpoints, _polyder(self.coeffs))
 
     def restrict(self, lo, hi):
         """The same function viewed on the subinterval [lo, hi]."""
@@ -335,8 +335,7 @@ class PiecewiseFunction:
     def _on_grid(self, bps, end):
         """Re-express on the grid ``bps`` inside the domain, whose last point
         takes the value ``end`` (shape (1[, dim]))."""
-        j = np.searchsorted(self.breakpoints, bps[:-1], side="right") - 1
-        j = np.minimum(j, self.piece_count - 1)
+        j = self._piece_at(bps[:-1])
         coeffs = _shift_poly(self.coeffs[j], bps[:-1] - self.breakpoints[j])
         return PiecewiseFunction(bps, coeffs,
                                  np.concatenate([coeffs[:, 0], end], axis=0))
@@ -382,13 +381,8 @@ class PiecewiseFunction:
     def sup_abs(self):
         """Exact sup of \\|f\\| (scalar) or max-abs over coordinates (vector)."""
         widths = np.diff(self.breakpoints)
-        if self.dim is None:
-            sups = [_poly_sup_abs(self.coeffs[i], widths[i])
-                    for i in range(self.piece_count)]
-        else:
-            sups = [_poly_sup_abs(self.coeffs[i, :, d], widths[i])
-                    for i in range(self.piece_count)
-                    for d in range(self.dim)]
+        c = self.coeffs.reshape(self.coeffs.shape[:2] + (-1,))
+        sups = [_poly_sup_abs(q, h) for ci, h in zip(c, widths) for q in ci.T]
         end = float(np.max(np.abs(np.atleast_1d(self.values[-1]))))
         return max(max(sups), end)
 
@@ -397,12 +391,10 @@ class PiecewiseFunction:
         if self.dim is not None or np.iscomplexobj(self.coeffs):
             raise ArgumentError("range_bounds needs a real scalar function")
         widths = np.diff(self.breakpoints)
-        lo, hi = np.inf, -np.inf
-        for i in range(self.piece_count):
-            plo, phi = _poly_range(self.coeffs[i], widths[i])
-            lo, hi = min(lo, plo), max(hi, phi)
-        end = float(self.values[-1])
-        return min(lo, end), max(hi, end)
+        vals = np.concatenate(
+            [_poly_extreme_values(c, h) for c, h in zip(self.coeffs, widths)]
+            + [self.values[-1:]])
+        return float(np.min(vals)), float(np.max(vals))
 
 
 @dataclass(frozen=True, eq=False)
@@ -497,9 +489,8 @@ def scalar_variation(f):
     """
     if f.dim is not None:
         raise ArgumentError("scalar_variation expects a scalar function")
-    widths = np.diff(f.breakpoints)
-    total = sum(_poly_variation(f.coeffs[i], widths[i])
-                for i in range(f.piece_count))
+    total = sum(_poly_variation(c, h)
+                for c, h in zip(f.coeffs, np.diff(f.breakpoints)))
     total += sum(abs(jump) for _, jump in f.jump_points(atol=0.0))
     return float(total)
 
@@ -518,12 +509,8 @@ def dual_compose(x, dual):
 
 def definite_integral(f):
     """Exact Riemann integral of f over its domain (jumps are null sets)."""
-    widths = np.diff(f.breakpoints)
     anti = npoly.polyint(f.coeffs, axis=1)
-    total = 0.0
-    for i in range(f.piece_count):
-        total = total + npoly.polyval(widths[i], anti[i])
-    return total
+    return sum(_horner(anti, np.diff(f.breakpoints)), 0.0)
 
 
 def product_integral(f, g):
@@ -538,20 +525,13 @@ def product_integral(f, g):
     bps = f._merge_grid(g)
     ff = f._on_grid(bps, f.values[-1:])
     gg = g._on_grid(bps, g.values[-1:])
-    widths = np.diff(bps)
-    parts = []
-    for i in range(bps.size - 1):
-        gc = gg.coeffs[i]
-        if ff.dim is None:
-            prod = npoly.polymul(ff.coeffs[i], gc)
-            parts.append(npoly.polyval(widths[i], npoly.polyint(prod)))
-        else:
-            coords = [npoly.polyval(widths[i],
-                                    npoly.polyint(npoly.polymul(
-                                        ff.coeffs[i, :, d], gc)))
-                      for d in range(ff.dim)]
-            parts.append(np.array(coords))
-    return sum(parts)
+    fc, kf = ff.coeffs, ff.coeffs.shape[1]
+    gc = gg.coeffs.reshape(gg.coeffs.shape + (1,) * (fc.ndim - 2))
+    prod = np.zeros((fc.shape[0], kf + gc.shape[1] - 1) + fc.shape[2:],
+                    dtype=np.result_type(fc, gc))
+    for k in range(gc.shape[1]):
+        prod[:, k:k + kf] += fc * gc[:, k:k + 1]
+    return sum(_horner(npoly.polyint(prod, axis=1), np.diff(bps)), 0.0)
 
 
 def random_spline(domain, rng, knot_count=6, sup_bound=1.0,

@@ -19,10 +19,10 @@ not exist and are refused.
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import ArgumentError, ExistenceError
-from .functions import PiecewiseFunction, _poly_sup_abs, bisect
+from .functions import (PiecewiseFunction, _horner, _poly_sup_abs, _polyder,
+                        bisect)
 from .spaces import Seminorm
 
 __all__ = [
@@ -99,17 +99,26 @@ def _ensure_compatible(f, mu):
         raise ArgumentError("at most one factor may be vector-valued")
 
 
-# Jumps below this size are treated as float evaluation noise, not as
-# genuine discontinuities; scaled or summed polynomial pieces can disagree
-# with their stored breakpoint values by a few ulp.
-_JUMP_ATOL = 1e-12
+# Jumps below this share of a function's size are treated as float
+# evaluation noise, not as genuine discontinuities; scaled or summed
+# polynomial pieces can disagree with their stored breakpoint values by a
+# few ulp of the magnitudes involved.
+_JUMP_RTOL = 1e-12
+
+
+def _jump_times(func):
+    """Times of the jumps of func above its noise floor.  The floor scales
+    with max_i sum_k \\|c_ik\\| h_i^k, which bounds each piece and each of
+    its Horner terms."""
+    size = _horner(np.abs(func.coeffs), np.diff(func.breakpoints))
+    atol = _JUMP_RTOL * max(1.0, float(np.max(size)))
+    return [t for t, _ in func.jump_points(atol=atol)]
 
 
 def _require_existence(f, mu):
     """Refuse a pair with a common jump; return the jump times of mu."""
-    tm = [t for t, _ in mu.jump_points(atol=_JUMP_ATOL)]
-    common = sorted({t for t, _ in f.jump_points(atol=_JUMP_ATOL)}
-                    .intersection(tm))
+    tm = _jump_times(mu)
+    common = sorted(set(_jump_times(f)).intersection(tm))
     if common:
         pts = ", ".join(f"{t:.12g}" for t in common)
         raise ExistenceError(
@@ -125,8 +134,7 @@ def _default_seminorms(f, mu):
 
 
 def _sem_values(seminorms, v):
-    rows = np.atleast_1d(v)[np.newaxis]
-    return np.array([float(p.eval_many(rows)[0]) for p in seminorms])
+    return np.array([p(v) for p in seminorms])
 
 
 def _envelopes(func, seminorms):
@@ -136,32 +144,18 @@ def _envelopes(func, seminorms):
     vector pieces use the triangle-inequality envelope
     sum_k p(c_k) h^k, which upper-bounds sup p over the piece.
     """
-    m = func.piece_count
     widths = np.diff(func.breakpoints)
-    S = len(seminorms)
-    D1 = np.zeros((m, S))
-    D2 = np.zeros((m, S))
-    for i in range(m):
-        c = func.coeffs[i]
-        c1 = npoly.polyder(c, axis=0) if c.shape[0] > 1 \
-            else np.zeros((1,) + c.shape[1:], dtype=c.dtype)
-        c2 = npoly.polyder(c1, axis=0) if c1.shape[0] > 1 \
-            else np.zeros((1,) + c.shape[1:], dtype=c.dtype)
+    first = _polyder(func.coeffs)
+    out = []
+    for der in (first, _polyder(first)):
         if func.dim is None:
-            D1[i, :] = _poly_sup_abs(c1, widths[i])
-            D2[i, :] = _poly_sup_abs(c2, widths[i])
+            sups = [_poly_sup_abs(c, h) for c, h in zip(der, widths)]
+            out.append(np.outer(sups, np.ones(len(seminorms))))
         else:
-            pow1 = widths[i] ** np.arange(c1.shape[0])
-            pow2 = widths[i] ** np.arange(c2.shape[0])
-            for s, p in enumerate(seminorms):
-                D1[i, s] = p.eval_many(c1) @ pow1
-                D2[i, s] = p.eval_many(c2) @ pow2
-    return D1, D2
-
-
-def _piece_index(func, lefts):
-    idx = np.searchsorted(func.breakpoints, lefts, side="right") - 1
-    return np.clip(idx, 0, func.piece_count - 1)
+            out.append(np.array([[p.eval_many(c) @ h ** np.arange(c.shape[0])
+                                  for p in seminorms]
+                                 for c, h in zip(der, widths)]))
+    return tuple(out)
 
 
 def _tagged_sum(f, mu, points, tags):
@@ -175,21 +169,16 @@ def _tagged_sum(f, mu, points, tags):
     return (fv * dmu).sum(axis=0)
 
 
-def _level_sum(f, mu, points, jump_ts, envs, seminorms):
+def _level_sum(f, mu, points, jump_ts, envs):
     D1f, D2f, D1m, D2m = envs
     lefts, rights = points[:-1], points[1:]
     h = rights - lefts
-    if jump_ts.size:
-        jump_end = np.isin(rights, jump_ts)
-    else:
-        jump_end = np.zeros(lefts.size, dtype=bool)
+    jump_end = np.isin(rights, jump_ts)
     tags = np.where(jump_end, rights, 0.5 * (lefts + rights))
     value = _tagged_sum(f, mu, points, tags)
 
-    d1f = D1f[_piece_index(f, lefts)]
-    d2f = D2f[_piece_index(f, lefts)]
-    d1m = D1m[_piece_index(mu, lefts)]
-    d2m = D2m[_piece_index(mu, lefts)]
+    i, j = f._piece_at(lefts), mu._piece_at(lefts)
+    d1f, d2f, d1m, d2m = D1f[i], D2f[i], D1m[j], D2m[j]
     smooth = (d1f * d2m + 0.5 * d2f * d1m) * (h ** 3 / 12.0)[:, np.newaxis]
     atjump = (d1f * d1m) * (h ** 2)[:, np.newaxis]
     est = np.sum(np.where(jump_end[:, np.newaxis], atjump, smooth), axis=0)
@@ -218,9 +207,8 @@ def _drive(f, mu, seminorms, tol, max_levels):
     trace = []
     prev = None
     converged = False
-    value, est = None, None
     for level in range(max_levels):
-        value, est = _level_sum(f, mu, points, jump_ts, envs, seminorms)
+        value, est = _level_sum(f, mu, points, jump_ts, envs)
         trace.append(LevelRecord(level, float(np.max(np.diff(points))),
                                  value, est))
         if prev is not None:

@@ -20,7 +20,7 @@ from scipy.optimize import linprog
 from .errors import ArgumentError, EnumerationLimitError
 from .functions import (PiecewiseFunction, _horner, _real_roots_in,
                         _shift_poly, dual_compose, random_spline)
-from .integrals import integrate_g_dx
+from .integrals import _jump_times, integrate_g_dx
 from .semivariation import e_set, wcs_check
 from .spaces import Seminorm, SpaceModel, pair, sample_dual_ball
 
@@ -84,7 +84,7 @@ def apply(T, g, tol=1e-8):
     """Tg = integral(g dx) as a coordinate vector; g must be continuous."""
     if g.dim is not None:
         raise ArgumentError("g must be scalar-valued")
-    if not g.is_continuous():
+    if _jump_times(g):
         raise ArgumentError("operator domain is C[a,b]; g has jumps")
     if g.domain != T.domain:
         raise ArgumentError("g is not defined on the operator domain")

@@ -141,25 +141,28 @@ def _nonzero_rows(deltas):
     return deltas[nonzero], nonzero, expand
 
 
+def _aligning(z, fallback=1.0):
+    """Unimodular coefficients conj(z)/|z| that turn each entry of z onto
+    the positive real axis; ``fallback`` where z vanishes."""
+    az = np.abs(z)
+    return np.where(az > 0, np.conj(z) / np.where(az > 0, az, 1), fallback)
+
+
 def _alternating_max(deltas, p, complex_field, starts, iters=80):
     """Coordinate-sign / phase ascent from several starts (lower bound)."""
     dtype = complex if complex_field else float
     best_val, best_alpha = -1.0, np.ones(deltas.shape[0], dtype=dtype)
     for alpha0 in starts:
         alpha = np.asarray(alpha0, dtype=dtype).copy()
-        val = float(p.eval_many((alpha @ deltas)[np.newaxis])[0])
+        val = p(alpha @ deltas)
         for _ in range(iters):
-            v = alpha @ deltas
-            u = p._dual_at(v)
+            u = p._dual_at(alpha @ deltas)
             if u is None:
                 break
-            z = deltas @ np.conj(u)
-            az = np.abs(z)
-            alpha_new = np.where(az > 0, np.conj(z) / np.where(az > 0, az, 1),
-                                 alpha)
+            alpha_new = _aligning(deltas @ np.conj(u), alpha)
             if not complex_field:
                 alpha_new = alpha_new.real
-            new_val = float(p.eval_many((alpha_new @ deltas)[np.newaxis])[0])
+            new_val = p(alpha_new @ deltas)
             if new_val <= val + 1e-15:
                 alpha, val = alpha_new, max(val, new_val)
                 break
@@ -173,9 +176,7 @@ def _weighted_sup_exact(deltas, p, complex_field):
     """Closed form: coordinates decouple, each maximised independently."""
     scores = p.weights * np.sum(np.abs(deltas), axis=0)
     i = int(np.argmax(scores))
-    col = deltas[:, i]
-    az = np.abs(col)
-    alpha = np.where(az > 0, np.conj(col) / np.where(az > 0, az, 1), 1.0)
+    alpha = _aligning(deltas[:, i])
     if not complex_field:
         alpha = alpha.real
     return float(scores[i]), alpha
@@ -200,12 +201,8 @@ def _starts_for(deltas, complex_field, warm):
                       else float)]
     if warm is not None and warm.shape[0] == deltas.shape[0]:
         starts.insert(0, warm)
-    for i in range(deltas.shape[1]):
-        z = deltas[:, i]
-        az = np.abs(z)
-        s = np.where(az > 0, np.conj(z) / np.where(az > 0, az, 1), 1.0)
-        starts.append(s if complex_field else s.real)
-    return starts
+    aligned = _aligning(deltas.T)  # one start per coordinate
+    return starts + list(aligned if complex_field else aligned.real)
 
 
 def _partition_best(deltas, p, complex_field, phase_count, warm=None):

@@ -36,6 +36,7 @@ REPO = pathlib.Path(__file__).resolve().parents[1]
 REFERENCE = REPO / "perfbench" / "reference"
 GOLDEN = sorted(path for path in (REPO / "problems").glob("*.json")
                 if (REFERENCE / f"{path.stem}.out").exists())
+PROBLEMS = sorted((REPO / "problems").glob("*.json"))
 
 
 def problem(task, functions, parameters, space=None):
@@ -262,3 +263,9 @@ def test_image_check_task():
 def test_problem_output_matches_reference_bytes(path):
     expected = (REFERENCE / f"{path.stem}.out").read_bytes()
     assert emit(run_task(load_problem(path))) == expected
+
+
+@pytest.mark.parametrize("path", PROBLEMS, ids=lambda path: path.stem)
+def test_problem_table_matches_reference_bytes(path):
+    expected = (REPO / "tests" / "reference" / f"{path.stem}.tsv").read_bytes()
+    assert emit(run_task(load_problem(path)), "table") == expected

@@ -336,6 +336,18 @@ def test_product_integral_merges_grids():
     np.testing.assert_allclose(exact, approx, atol=1e-12)
 
 
+@pytest.mark.parametrize("lead", [1e-13, 1e-121, 5e-324])
+def test_range_with_a_negligible_leading_term(lead):
+    # the cubic term is far below float resolution on the piece; left in,
+    # it swamps the companion matrix and hides the maximum near t = 0.92
+    f = PiecewiseFunction([0.0, 1.5], [[215.0, 612.0, -332.0, lead]])
+    peak = 215.0 + 612.0 ** 2 / (4 * 332.0)
+    lo, hi = f.range_bounds()
+    assert lo == 215.0
+    assert math.isclose(hi, peak, rel_tol=1e-12)
+    assert math.isclose(f.sup_abs(), peak, rel_tol=1e-12)
+
+
 def test_random_spline_contract():
     rng = np.random.default_rng(123)
     f = random_spline((0.0, 1.0), rng)

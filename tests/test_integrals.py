@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stieltjes.errors import ArgumentError, ExistenceError
 from stieltjes.functions import (PiecewiseFunction, TaggedPartition,
@@ -10,7 +12,8 @@ from stieltjes.functions import (PiecewiseFunction, TaggedPartition,
 from stieltjes.integrals import (exact_step_integral, integrate_g_dx,
                                  integrate_x_dg, per_partes, rs_sum_S,
                                  rs_sum_s)
-from stieltjes.spaces import Seminorm
+from stieltjes.representation import StieltjesOperator
+from stieltjes.spaces import Seminorm, SpaceModel
 
 
 def single_jump():
@@ -295,3 +298,35 @@ def test_custom_seminorms_reported():
     rep = per_partes(single_jump(), ramp(), seminorms=(p, q))
     assert rep.gaps.shape == (2,)
     assert rep.max_gap < 1e-10
+
+
+SCALES = st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e4, 1e6, 1e8])
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+def unit_step_operator():
+    space = SpaceModel(1, "real", (Seminorm.weighted_sup(np.ones(1)),))
+    x = PiecewiseFunction.step((0.0, 1.0), [0.5], [[1.0]], [0.0])
+    return StieltjesOperator(space, x)
+
+
+@settings(max_examples=40)
+@given(SCALES, SEEDS)
+def test_continuous_sums_exist_at_every_scale(s, seed):
+    # s*spline + s*spline disagrees with its stored breakpoint values by a
+    # few ulp of s; that rounding must not read as a jump at any scale
+    spline = random_spline((0.0, 1.0), np.random.default_rng(seed))
+    x = s * spline + s * spline
+    assert integrate_g_dx(x, x, max_levels=2).levels == 2
+    unit_step_operator().apply(x)
+
+
+@settings(max_examples=40)
+@given(SCALES, SEEDS)
+def test_a_common_jump_is_refused_at_every_scale(s, seed):
+    spline = random_spline((0.0, 1.0), np.random.default_rng(seed))
+    x = s * spline + PiecewiseFunction.step((0.0, 1.0), [0.3], [s], 0.0)
+    with pytest.raises(ExistenceError, match=r"jump at t = 0\.3;"):
+        integrate_g_dx(x, x, max_levels=2)
+    with pytest.raises(ArgumentError, match="g has jumps"):
+        unit_step_operator().apply(x)

@@ -2,7 +2,8 @@
 
 Each batched kernel must keep the per-element operation order of the
 per-piece code it replaced, so the references below are compared with
-``np.array_equal``, not with a tolerance.
+``np.array_equal``, not with a tolerance.  ``product_integral`` is the one
+exception: its test says why.
 """
 
 import itertools
@@ -13,9 +14,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.polynomial import polynomial as npoly
 
-from stieltjes.functions import (PiecewiseFunction, _horner, _shift_poly,
-                                 bisect)
-from stieltjes.semivariation import _CHUNK, _digit_chunks
+from stieltjes.functions import (PiecewiseFunction, _horner, _poly_sup_abs,
+                                 _shift_poly, bisect, definite_integral,
+                                 product_integral)
+from stieltjes.integrals import _envelopes
+from stieltjes.semivariation import _CHUNK, _aligning, _digit_chunks
+from stieltjes.spaces import Seminorm
 
 FINITE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 LOCAL = st.floats(0.0, 2.0, allow_nan=False)
@@ -50,7 +54,7 @@ def pieces(draw):
     return c, tau
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(pieces())
 def test_batched_shift_matches_per_piece(case):
     c, dt = case
@@ -58,7 +62,7 @@ def test_batched_shift_matches_per_piece(case):
     assert np.array_equal(_shift_poly(c, dt), expected)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(pieces())
 def test_batched_horner_matches_polyval(case):
     c, tau = case
@@ -83,7 +87,7 @@ def functions_with_jumps(draw):
     return PiecewiseFunction(bps, c, values if draw(st.booleans()) else None)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(functions_with_jumps(), st.sampled_from([0.0, 1e-12, 0.75]))
 def test_jump_points_matches_one_sided_limits(f, atol):
     expected = []
@@ -108,7 +112,6 @@ def test_bisect_interleaves_points_and_midpoints(raw):
     assert np.array_equal(out[1::2], 0.5 * (pts[:-1] + pts[1:]))
 
 
-@settings(deadline=None)
 @given(st.integers(2, 5), st.integers(0, 5))
 def test_digit_chunks_follow_product_order(base, width):
     rows = np.concatenate(list(_digit_chunks(base, width)))
@@ -122,3 +125,140 @@ def test_digit_chunks_across_chunk_boundary():
     assert [c.shape[0] for c in chunks] == [_CHUNK] * ((1 << 18) // _CHUNK)
     expected = np.array(list(itertools.product(range(2), repeat=18)))
     assert np.array_equal(np.concatenate(chunks), expected[:, ::-1])
+
+
+@st.composite
+def piecewise(draw, dims=(None, 1, 3), fields=(False, True)):
+    """Random piecewise polynomial on [0, sum of widths] with a dimension
+    drawn from ``dims`` (None: scalar) and real or complex coefficients."""
+    m = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 7))
+    dim = draw(st.sampled_from(dims))
+    complex_field = draw(st.sampled_from(fields))
+    shape = (m, k) if dim is None else (m, k, dim)
+    widths = draw(hnp.arrays(float, (m,),
+                             elements=st.floats(0.01, 2.0, allow_nan=False)))
+    c = draw(hnp.arrays(float, shape, elements=FINITE))
+    if complex_field:
+        c = c + 1j * draw(hnp.arrays(float, shape, elements=FINITE))
+    return PiecewiseFunction(np.concatenate([[0.0], np.cumsum(widths)]), c)
+
+
+def same_bits(a, b):
+    """Equal dtype, shape and bytes: signed zeros must match too."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=150)
+@given(piecewise())
+def test_definite_integral_matches_per_piece_polyval(f):
+    widths = np.diff(f.breakpoints)
+    anti = npoly.polyint(f.coeffs, axis=1)
+    expected = 0.0
+    for i in range(f.piece_count):
+        expected = expected + npoly.polyval(widths[i], anti[i])
+    assert same_bits(definite_integral(f), expected)
+
+
+def envelopes_per_piece(func, seminorms):
+    widths = np.diff(func.breakpoints)
+    D1 = np.zeros((func.piece_count, len(seminorms)))
+    D2 = np.zeros_like(D1)
+    for i, c in enumerate(func.coeffs):
+        zero = np.zeros((1,) + c.shape[1:], dtype=c.dtype)
+        c1 = npoly.polyder(c, axis=0) if c.shape[0] > 1 else zero
+        c2 = npoly.polyder(c1, axis=0) if c1.shape[0] > 1 else zero
+        for s, p in enumerate(seminorms):
+            if func.dim is None:
+                D1[i, s] = _poly_sup_abs(c1, widths[i])
+                D2[i, s] = _poly_sup_abs(c2, widths[i])
+            else:
+                D1[i, s] = p.eval_many(c1) @ widths[i] ** np.arange(len(c1))
+                D2[i, s] = p.eval_many(c2) @ widths[i] ** np.arange(len(c2))
+    return D1, D2
+
+
+@settings(max_examples=100)
+@given(piecewise())
+def test_envelopes_match_per_piece_polyder(f):
+    d = f.dim or 1
+    sems = (Seminorm.weighted_sup(np.ones(d)),
+            Seminorm.quadratic(np.eye(d) + 0.5))
+    got, expected = _envelopes(f, sems), envelopes_per_piece(f, sems)
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+def product_per_piece(f, g, absolute=False):
+    """The integral of f*g piece by piece with polymul, or with the
+    coefficient moduli (a bound on every term) when ``absolute``."""
+    bps = f._merge_grid(g)
+    fc = f._on_grid(bps, f.values[-1:]).coeffs
+    gc = g._on_grid(bps, g.values[-1:]).coeffs
+    if absolute:
+        fc, gc = np.abs(fc), np.abs(gc)
+    fc = fc.reshape(fc.shape[:2] + (-1,))
+    total = 0.0
+    for i, h in enumerate(np.diff(bps)):
+        total = total + np.array([
+            npoly.polyval(h, npoly.polyint(npoly.polymul(fc[i, :, d], gc[i])))
+            for d in range(fc.shape[2])])
+    return total if f.dim is not None else total[0]
+
+
+@st.composite
+def product_pairs(draw):
+    f = draw(piecewise())
+    g = draw(piecewise(dims=(None,)))
+    bps = g.breakpoints * (f.b / g.b)
+    bps[-1] = f.b
+    g = PiecewiseFunction(bps, g.coeffs)
+    return f, g
+
+
+@settings(max_examples=150)
+@given(product_pairs())
+def test_product_integral_matches_per_piece_polymul(pair):
+    # the batched multiply-add sums each product coefficient in another
+    # order than np.convolve, so only the last bits may differ
+    f, g = pair
+    got = product_integral(f, g)
+    expected = product_per_piece(f, g)
+    scale = np.maximum(product_per_piece(f, g, absolute=True), 1e-300)
+    assert np.shape(got) == np.shape(expected)
+    assert np.all(np.abs(got - expected) <= 1e-15 * scale)
+
+
+@settings(max_examples=150)
+@given(piecewise(dims=(None,), fields=(False,)))
+def test_range_bounds_bracket_dense_samples(f):
+    lo, hi = f.range_bounds()
+    samples = f.values_at(np.linspace(f.a, f.b, 2001))
+    size = np.max(_horner(np.abs(f.coeffs), np.diff(f.breakpoints)))
+    slack = 1e-12 * max(1.0, size)
+    assert lo <= hi
+    assert np.all(samples >= lo - slack) and np.all(samples <= hi + slack)
+
+
+ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, 3.5, -2.25])
+
+
+@st.composite
+def aligning_inputs(draw):
+    n = draw(st.integers(1, 8))
+    z = draw(hnp.arrays(float, (n,), elements=ENTRIES))
+    if draw(st.booleans()):
+        z = z + 1j * draw(hnp.arrays(float, (n,), elements=ENTRIES))
+    fallback = draw(st.one_of(
+        st.just(1.0), hnp.arrays(z.dtype, (n,), elements=ENTRIES)))
+    return z, fallback
+
+
+@given(aligning_inputs())
+def test_aligning_is_the_conjugate_over_the_modulus(case):
+    z, fallback = case
+    az = np.abs(z)
+    expected = np.where(az > 0, np.conj(z) / np.where(az > 0, az, 1),
+                        fallback)
+    assert same_bits(_aligning(z, fallback), expected)
