@@ -11,6 +11,7 @@ share the same container; polynomial degree is capped at 6.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -34,6 +35,12 @@ MAX_DEGREE = 6
 
 # tolerance for validating user-supplied right-continuity of values
 _RC_TOL = 1e-9
+
+# Jumps below this share of a function's size are treated as float
+# evaluation noise, not as genuine discontinuities; scaled or summed
+# polynomial pieces can disagree with their stored breakpoint values by a
+# few ulp of the magnitudes involved.
+_JUMP_RTOL = 1e-12
 
 
 def _shift_poly(c, dt):
@@ -61,6 +68,17 @@ def _horner(c, tau):
     out = c[:, -1].copy()
     for k in range(c.shape[1] - 2, -1, -1):
         out = out * tau + c[:, k]
+    return out
+
+
+def _horner_at(c, idx, tau):
+    """``_horner(c[idx], tau)`` with the same bits.  Gathering one
+    coefficient column at a time with ``take`` avoids numpy's slow
+    fancy-indexing path for whole (n, K, ...) rows."""
+    tau = np.reshape(tau, (-1,) + (1,) * (c.ndim - 2))
+    out = c[:, -1].take(idx, axis=0)
+    for k in range(c.shape[1] - 2, -1, -1):
+        out = out * tau + c[:, k].take(idx, axis=0)
     return out
 
 
@@ -143,17 +161,21 @@ class PiecewiseFunction:
         breakpoints.  Interior values must agree with the piece constants
         (right continuity); the value at b is free, which is how a jump at
         the right endpoint is encoded.  Defaults to the continuous choice.
+
+    The constructor keeps its own copies of the arrays and marks them
+    read-only, so the derived data cached on the object (jump times,
+    derivative sups) cannot go stale.
     """
 
     def __init__(self, breakpoints, coeffs, values=None):
-        bps = np.asarray(breakpoints, dtype=float)
+        bps = np.array(breakpoints, dtype=float)
         if bps.ndim != 1 or bps.size < 2:
             raise ArgumentError("need at least two breakpoints")
         if not np.all(np.diff(bps) > 0):
             raise ArgumentError("breakpoints must be strictly increasing")
-        c = np.asarray(coeffs)
+        c = np.array(coeffs)
         if not np.iscomplexobj(c):
-            c = c.astype(float)
+            c = c.astype(float, copy=False)
         if c.ndim not in (2, 3) or c.shape[0] != bps.size - 1:
             raise ArgumentError(
                 "coeffs must have shape (pieces, K) or (pieces, K, dim)"
@@ -162,12 +184,8 @@ class PiecewiseFunction:
             raise ArgumentError(f"polynomial degree is capped at {MAX_DEGREE}")
         if c.shape[1] == 0:
             raise ArgumentError("empty coefficient arrays")
-        self.breakpoints = bps
-        self.coeffs = c
-        if values is None:
-            vals = np.concatenate(
-                [c[:, 0], _horner(c[-1:], np.diff(bps[-2:]))], axis=0)
-        else:
+        end = None
+        if values is not None:
             vals = np.asarray(values)
             if not np.iscomplexobj(vals):
                 vals = vals.astype(float)
@@ -179,12 +197,37 @@ class PiecewiseFunction:
                     "values at piece starts violate right continuity "
                     f"(max deviation {np.max(gap):.2e})"
                 )
-            vals = np.concatenate([c[:, 0], vals[-1:]], axis=0)
+            end = vals[-1:]
+        self._set(bps, c, end)
+
+    def _set(self, bps, c, end):
+        """Store the arrays read-only; the values are the piece constants
+        followed by ``end`` (shape (1[, dim])), by default the last piece's
+        value at b."""
+        if end is None:
+            end = _horner(c[-1:], np.diff(bps[-2:]))
+        vals = np.concatenate([c[:, 0], end], axis=0)
         if np.iscomplexobj(c) or np.iscomplexobj(vals):
-            c = c.astype(complex)
-            vals = vals.astype(complex)
-            self.coeffs = c
-        self.values = vals
+            c = c.astype(complex, copy=False)
+            vals = vals.astype(complex, copy=False)
+        for arr in (bps, c, vals):
+            arr.flags.writeable = False
+        self.breakpoints, self.coeffs, self.values = bps, c, vals
+
+    def __setstate__(self, state):
+        # copies and unpickled arrays come back writeable; a write would
+        # leave the copied caches stale
+        self.__dict__.update(state)
+        for arr in (self.breakpoints, self.coeffs, self.values):
+            arr.flags.writeable = False
+
+    @classmethod
+    def _trusted(cls, bps, coeffs, end=None):
+        """Construct without validation from arrays that already form a
+        consistent function, as the library's own operations produce."""
+        self = object.__new__(cls)
+        self._set(bps, coeffs, end)
+        return self
 
     # -- constructors -----------------------------------------------------
 
@@ -274,10 +317,16 @@ class PiecewiseFunction:
     def values_at(self, ts):
         """Vectorized evaluation at an array of points inside [a, b]."""
         ts = self._check_domain(np.atleast_1d(ts))
-        idx = self._piece_at(ts)
-        out = _horner(self.coeffs[idx], ts - self.breakpoints[idx])
+        out = self._values_in(self._piece_at(ts), ts)
         out[ts == self.b] = self.values[-1]
         return out
+
+    def _values_in(self, idx, ts):
+        """Values of the pieces ``idx`` at the points ``ts``; unlike
+        :meth:`values_at`, t = b gets the last piece's value, not the
+        stored end value."""
+        return _horner_at(self.coeffs, idx,
+                          ts - self.breakpoints.take(idx))
 
     def evaluate(self, t):
         """Function value at a single point (right-continuous convention)."""
@@ -309,11 +358,30 @@ class PiecewiseFunction:
         return [(float(t), jump) for t, jump, s
                 in zip(self.breakpoints[1:], jumps, size) if s > atol]
 
+    @cached_property
+    def _jump_times(self):
+        """Times of the jumps above the function's noise floor.  The floor
+        scales with max_i sum_k \\|c_ik\\| h_i^k, which bounds each piece and
+        each of its Horner terms."""
+        size = _horner(np.abs(self.coeffs), np.diff(self.breakpoints))
+        atol = _JUMP_RTOL * max(1.0, float(np.max(size)))
+        return tuple(t for t, _ in self.jump_points(atol=atol))
+
+    @cached_property
+    def _derivative_sups(self):
+        """Per-piece sups of \\|q'\\| and of \\|q''\\| (scalar functions)."""
+        widths = np.diff(self.breakpoints)
+        first = _polyder(self.coeffs)
+        return tuple(
+            np.array([_poly_sup_abs(c, h) for c, h in zip(der, widths)])
+            for der in (first, _polyder(first)))
+
     # -- calculus ----------------------------------------------------------
 
     def derivative(self):
         """Piecewise derivative of the smooth parts; jump data is dropped."""
-        return PiecewiseFunction(self.breakpoints, _polyder(self.coeffs))
+        return PiecewiseFunction._trusted(self.breakpoints,
+                                          _polyder(self.coeffs))
 
     def restrict(self, lo, hi):
         """The same function viewed on the subinterval [lo, hi]."""
@@ -337,8 +405,7 @@ class PiecewiseFunction:
         takes the value ``end`` (shape (1[, dim]))."""
         j = self._piece_at(bps[:-1])
         coeffs = _shift_poly(self.coeffs[j], bps[:-1] - self.breakpoints[j])
-        return PiecewiseFunction(bps, coeffs,
-                                 np.concatenate([coeffs[:, 0], end], axis=0))
+        return PiecewiseFunction._trusted(bps, coeffs, end)
 
     def __add__(self, other):
         if not isinstance(other, PiecewiseFunction):
@@ -352,10 +419,12 @@ class PiecewiseFunction:
                       dtype=np.result_type(f.coeffs, g.coeffs))
         cf[:, :kf] = f.coeffs
         cf[:, :kg] += g.coeffs
-        return PiecewiseFunction(bps, cf, f.values + g.values)
+        return PiecewiseFunction._trusted(bps, cf,
+                                          f.values[-1:] + g.values[-1:])
 
     def __neg__(self):
-        return PiecewiseFunction(self.breakpoints, -self.coeffs, -self.values)
+        return PiecewiseFunction._trusted(self.breakpoints, -self.coeffs,
+                                          -self.values[-1:])
 
     def __sub__(self, other):
         if not isinstance(other, PiecewiseFunction):
@@ -365,18 +434,21 @@ class PiecewiseFunction:
     def __mul__(self, scalar):
         if isinstance(scalar, PiecewiseFunction):
             return NotImplemented
-        return PiecewiseFunction(self.breakpoints, self.coeffs * scalar,
-                                 self.values * scalar)
+        return PiecewiseFunction._trusted(self.breakpoints,
+                                          self.coeffs * scalar,
+                                          self.values[-1:] * scalar)
 
     __rmul__ = __mul__
 
     def real_part(self):
-        return PiecewiseFunction(self.breakpoints, self.coeffs.real.copy(),
-                                 self.values.real.copy())
+        return PiecewiseFunction._trusted(self.breakpoints,
+                                          self.coeffs.real.copy(),
+                                          self.values[-1:].real)
 
     def imag_part(self):
-        return PiecewiseFunction(self.breakpoints, self.coeffs.imag.copy(),
-                                 self.values.imag.copy())
+        return PiecewiseFunction._trusted(self.breakpoints,
+                                          self.coeffs.imag.copy(),
+                                          self.values[-1:].imag)
 
     def sup_abs(self):
         """Exact sup of \\|f\\| (scalar) or max-abs over coordinates (vector)."""
@@ -449,10 +521,16 @@ class TaggedPartition:
 
 def bisect(points):
     """Points with each cell's midpoint inserted: t_0, m_1, t_1, ..., t_n."""
-    mids = 0.5 * (points[:-1] + points[1:])
-    out = np.empty(points.size + mids.size)
-    out[0::2] = points
-    out[1::2] = mids
+    return _interleave(points, 0.5 * (points[:-1] + points[1:]))
+
+
+def _interleave(a, b):
+    """a_0, b_0, a_1, b_1, ... along the first axis; len(a) is len(b) or
+    len(b) + 1."""
+    out = np.empty((len(a) + len(b),) + a.shape[1:],
+                   dtype=np.result_type(a, b))
+    out[0::2] = a
+    out[1::2] = b
     return out
 
 
@@ -504,7 +582,7 @@ def dual_compose(x, dual):
         raise ArgumentError("dual dimension mismatch")
     coeffs = np.tensordot(x.coeffs, dual.conj(), axes=([2], [0]))
     values = x.values @ dual.conj()
-    return PiecewiseFunction(x.breakpoints, coeffs, values)
+    return PiecewiseFunction._trusted(x.breakpoints, coeffs, values[-1:])
 
 
 def definite_integral(f):

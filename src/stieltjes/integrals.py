@@ -14,6 +14,18 @@ exactly and the remaining per-cell error is second order in the cell
 width, so a certified per-seminorm error estimate can be summed from
 per-piece derivative envelopes.  Integrals against a common-jump pair do
 not exist and are refused.
+
+The driver is incremental.  Because the initial grid holds every
+breakpoint of both functions, each cell lies inside one piece of each, so
+the per-cell piece indices are looked up once and inherited by both
+children at every bisection.  Each level's midpoints are its tags and the
+next level's new points: the integrator is evaluated only there and its
+earlier values are kept, and since every jump time is an initial point a
+left child never ends at a jump.  Tags at jump ends, which are right
+endpoints, go through ``values_at`` for its right-hand-piece and t = b
+conventions.  A cell only a few ulps wide can have its midpoint on an end;
+the driver then looks the next partition up afresh, which gives the same
+bits as a from-scratch level.
 """
 
 from dataclasses import dataclass, field
@@ -21,8 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, ExistenceError
-from .functions import (PiecewiseFunction, _horner, _poly_sup_abs, _polyder,
-                        bisect)
+from .functions import PiecewiseFunction, _interleave, _polyder
 from .spaces import Seminorm
 
 __all__ = [
@@ -99,26 +110,10 @@ def _ensure_compatible(f, mu):
         raise ArgumentError("at most one factor may be vector-valued")
 
 
-# Jumps below this share of a function's size are treated as float
-# evaluation noise, not as genuine discontinuities; scaled or summed
-# polynomial pieces can disagree with their stored breakpoint values by a
-# few ulp of the magnitudes involved.
-_JUMP_RTOL = 1e-12
-
-
-def _jump_times(func):
-    """Times of the jumps of func above its noise floor.  The floor scales
-    with max_i sum_k \\|c_ik\\| h_i^k, which bounds each piece and each of
-    its Horner terms."""
-    size = _horner(np.abs(func.coeffs), np.diff(func.breakpoints))
-    atol = _JUMP_RTOL * max(1.0, float(np.max(size)))
-    return [t for t, _ in func.jump_points(atol=atol)]
-
-
 def _require_existence(f, mu):
     """Refuse a pair with a common jump; return the jump times of mu."""
-    tm = _jump_times(mu)
-    common = sorted(set(_jump_times(f)).intersection(tm))
+    tm = mu._jump_times
+    common = sorted(set(f._jump_times).intersection(tm))
     if common:
         pts = ", ".join(f"{t:.12g}" for t in common)
         raise ExistenceError(
@@ -144,41 +139,59 @@ def _envelopes(func, seminorms):
     vector pieces use the triangle-inequality envelope
     sum_k p(c_k) h^k, which upper-bounds sup p over the piece.
     """
+    if func.dim is None:
+        return tuple(np.outer(sups, np.ones(len(seminorms)))
+                     for sups in func._derivative_sups)
     widths = np.diff(func.breakpoints)
     first = _polyder(func.coeffs)
-    out = []
-    for der in (first, _polyder(first)):
-        if func.dim is None:
-            sups = [_poly_sup_abs(c, h) for c, h in zip(der, widths)]
-            out.append(np.outer(sups, np.ones(len(seminorms))))
-        else:
-            out.append(np.array([[p.eval_many(c) @ h ** np.arange(c.shape[0])
-                                  for p in seminorms]
-                                 for c, h in zip(der, widths)]))
-    return tuple(out)
+    return tuple(np.array([[p.eval_many(c) @ h ** np.arange(c.shape[0])
+                            for p in seminorms]
+                           for c, h in zip(der, widths)])
+                 for der in (first, _polyder(first)))
 
 
-def _tagged_sum(f, mu, points, tags):
-    """sum_i f(s_i) [mu(t_i) - mu(t_{i-1})] with either factor vector-valued."""
-    fv = f.values_at(tags)
-    dmu = np.diff(mu.values_at(points), axis=0)
-    if f.dim is None and mu.dim is not None:
+def _product_sum(fv, dmu):
+    """sum_i fv_i dmu_i, where either factor may carry a coordinate axis."""
+    if fv.ndim < dmu.ndim:
         fv = fv[:, np.newaxis]
-    elif f.dim is not None:
+    elif fv.ndim > dmu.ndim:
         dmu = dmu[:, np.newaxis]
     return (fv * dmu).sum(axis=0)
 
 
-def _level_sum(f, mu, points, jump_ts, envs):
-    D1f, D2f, D1m, D2m = envs
-    lefts, rights = points[:-1], points[1:]
-    h = rights - lefts
-    jump_end = np.isin(rights, jump_ts)
-    tags = np.where(jump_end, rights, 0.5 * (lefts + rights))
-    value = _tagged_sum(f, mu, points, tags)
+def _cells(f, mu, points, jump_ts):
+    """Per-cell piece indices of f and mu, mu at the points, and the mask
+    of cells that end at a jump of mu, looked up from scratch."""
+    lefts = points[:-1]
+    return (f._piece_at(lefts), mu._piece_at(lefts), mu.values_at(points),
+            np.isin(points[1:], jump_ts))
 
-    i, j = f._piece_at(lefts), mu._piece_at(lefts)
-    d1f, d2f, d1m, d2m = D1f[i], D2f[i], D1m[j], D2m[j]
+
+def _bisected_cells(mu, cells, mids):
+    """The cells after bisection at midpoints strictly inside each cell:
+    both children inherit the piece indices, mu is evaluated only at the
+    midpoints, and only right children can end at a jump."""
+    i, j, mu_vals, jump_end = cells
+    return (np.repeat(i, 2), np.repeat(j, 2),
+            _interleave(mu_vals, mu._values_in(j, mids)),
+            _interleave(np.zeros_like(jump_end), jump_end))
+
+
+def _level_sum(f, rights, h, mids, inside, cells, envs):
+    """The tagged sum and per-seminorm error estimate of one level whose
+    cells have right ends ``rights``, widths ``h`` and midpoints ``mids``;
+    ``inside`` says that every midpoint lies strictly inside its cell."""
+    D1f, D2f, D1m, D2m = envs
+    i, j, mu_vals, jump_end = cells
+    if inside:
+        fv = f._values_in(i, mids)
+        fv[jump_end] = f.values_at(rights[jump_end])
+    else:
+        fv = f.values_at(np.where(jump_end, rights, mids))
+    value = _product_sum(fv, np.diff(mu_vals, axis=0))
+
+    d1f, d2f = D1f.take(i, axis=0), D2f.take(i, axis=0)
+    d1m, d2m = D1m.take(j, axis=0), D2m.take(j, axis=0)
     smooth = (d1f * d2m + 0.5 * d2f * d1m) * (h ** 3 / 12.0)[:, np.newaxis]
     atjump = (d1f * d1m) * (h ** 2)[:, np.newaxis]
     est = np.sum(np.where(jump_end[:, np.newaxis], atjump, smooth), axis=0)
@@ -204,13 +217,17 @@ def _drive(f, mu, seminorms, tol, max_levels):
         [f.breakpoints, mu.breakpoints,
          np.linspace(a, b, _INITIAL_UNIFORM_CELLS + 1)]))
     envs = _envelopes(f, seminorms) + _envelopes(mu, seminorms)
+    cells = _cells(f, mu, points, jump_ts)
     trace = []
     prev = None
     converged = False
     for level in range(max_levels):
-        value, est = _level_sum(f, mu, points, jump_ts, envs)
-        trace.append(LevelRecord(level, float(np.max(np.diff(points))),
-                                 value, est))
+        lefts, rights = points[:-1], points[1:]
+        h = rights - lefts
+        mids = 0.5 * (lefts + rights)
+        inside = bool(np.all(lefts < mids) and np.all(mids < rights))
+        value, est = _level_sum(f, rights, h, mids, inside, cells, envs)
+        trace.append(LevelRecord(level, float(np.max(h)), value, est))
         if prev is not None:
             diffs = _sem_values(seminorms, value - prev)
             if np.all(est < tol) and np.all(diffs < tol):
@@ -218,7 +235,9 @@ def _drive(f, mu, seminorms, tol, max_levels):
                 break
         prev = value
         if level < max_levels - 1:
-            points = bisect(points)
+            points = _interleave(points, mids)
+            cells = (_bisected_cells(mu, cells, mids) if inside
+                     else _cells(f, mu, points, jump_ts))
     if dim is None:
         value = complex(value) if np.iscomplexobj(value) else float(value)
     return IntegralResult(value=value, error_estimates=est,
@@ -231,7 +250,8 @@ def _plain_sum(f, mu, partition):
     pts = partition.points
     if pts[0] != f.a or pts[-1] != f.b:
         raise ArgumentError("partition does not cover the common domain")
-    out = _tagged_sum(f, mu, pts, partition.tags)
+    out = _product_sum(f.values_at(partition.tags),
+                       np.diff(mu.values_at(pts), axis=0))
     if f.dim is None and mu.dim is None:
         out = complex(out) if np.iscomplexobj(out) else float(out)
     return out

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -360,3 +362,57 @@ def test_random_spline_contract():
     assert np.iscomplexobj(z.coeffs)
     with pytest.raises(ArgumentError):
         random_spline((0.0, 1.0), rng, knot_count=3)
+
+
+def spline_with_jumps():
+    g = random_spline((0.0, 1.0), np.random.default_rng(5))
+    return g + PiecewiseFunction.step((0.0, 1.0), [0.3, 1.0], [2.0, -1.0],
+                                      0.0)
+
+
+@pytest.mark.parametrize("make", [
+    spline_with_jumps,
+    lambda: spline_with_jumps().derivative(),
+    lambda: 2.0 * spline_with_jumps(),
+    lambda: dual_compose(single_jump(), np.array([1.0, 1j])),
+])
+def test_stored_arrays_are_read_only(make):
+    f = make()
+    for arr in (f.breakpoints, f.coeffs, f.values):
+        with pytest.raises(ValueError):
+            arr[0] = 7.0
+
+
+@pytest.mark.parametrize("copy_of", [
+    copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))])
+def test_copies_keep_arrays_read_only(copy_of):
+    f = spline_with_jumps()
+    assert f._jump_times == (0.3, 1.0)
+    g = copy_of(f)
+    for arr in (g.breakpoints, g.coeffs, g.values):
+        with pytest.raises(ValueError):
+            arr[-1] = 7.0
+    assert g._jump_times == (0.3, 1.0)
+
+
+def test_constructor_copies_the_callers_arrays():
+    bps = np.array([0.0, 0.5, 1.0])
+    coeffs = np.array([[1.0, 2.0], [3.0, 0.0]]) + 0j
+    values = np.array([1.0, 3.0, 5.0])
+    f = PiecewiseFunction(bps, coeffs, values)
+    for mine, stored in ((bps, f.breakpoints), (coeffs, f.coeffs),
+                         (values, f.values)):
+        assert mine.flags.writeable
+        assert not np.shares_memory(mine, stored)
+    bps[1] = 0.25
+    assert f.breakpoints[1] == 0.5
+
+
+def test_cached_derived_data_matches_a_fresh_computation():
+    f = spline_with_jumps()
+    times, sups = f._jump_times, f._derivative_sups
+    assert f._jump_times is times and f._derivative_sups is sups
+    fresh = PiecewiseFunction(f.breakpoints, f.coeffs, f.values)
+    assert times == fresh._jump_times == (0.3, 1.0)
+    for a, b in zip(sups, fresh._derivative_sups, strict=True):
+        assert np.array_equal(a, b)

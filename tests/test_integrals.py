@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stieltjes.errors import ArgumentError, ExistenceError
-from stieltjes.functions import (PiecewiseFunction, TaggedPartition,
-                                 product_integral, random_spline,
+from stieltjes.functions import (PiecewiseFunction, TaggedPartition, _horner,
+                                 bisect, product_integral, random_spline,
                                  uniform_tagged_partition)
-from stieltjes.integrals import (exact_step_integral, integrate_g_dx,
+from stieltjes.integrals import (_INITIAL_UNIFORM_CELLS, _drive, _envelopes,
+                                 _require_existence, _sem_values,
+                                 exact_step_integral, integrate_g_dx,
                                  integrate_x_dg, per_partes, rs_sum_S,
                                  rs_sum_s)
 from stieltjes.representation import StieltjesOperator
@@ -330,3 +332,161 @@ def test_a_common_jump_is_refused_at_every_scale(s, seed):
         integrate_g_dx(x, x, max_levels=2)
     with pytest.raises(ArgumentError, match="g has jumps"):
         unit_step_operator().apply(x)
+
+
+# -- the incremental driver against a from-scratch level loop -----------------
+
+
+def values_reference(func, ts):
+    """Values at ``ts`` with a fresh piece lookup and whole-row gather."""
+    idx = func._piece_at(ts)
+    out = _horner(func.coeffs[idx], ts - func.breakpoints[idx])
+    out[ts == func.b] = func.values[-1]
+    return out
+
+
+def drive_reference(f, mu, seminorms, tol, max_levels):
+    """Each level looks the pieces up again and evaluates both functions at
+    all of its points: (value, estimates, levels, converged, records)."""
+    jump_ts = _require_existence(f, mu)
+    seminorms = seminorms or (
+        Seminorm.weighted_sup(np.ones(f.dim or mu.dim or 1)),)
+    D1f, D2f = _envelopes(f, seminorms)
+    D1m, D2m = _envelopes(mu, seminorms)
+    points = np.unique(np.concatenate(
+        [f.breakpoints, mu.breakpoints,
+         np.linspace(f.a, f.b, _INITIAL_UNIFORM_CELLS + 1)]))
+    records, prev, converged = [], None, False
+    for level in range(max_levels):
+        lefts, rights = points[:-1], points[1:]
+        h = rights - lefts
+        jump_end = np.isin(rights, jump_ts)
+        tags = np.where(jump_end, rights, 0.5 * (lefts + rights))
+        fv = values_reference(f, tags)
+        dmu = np.diff(values_reference(mu, points), axis=0)
+        if f.dim is None and mu.dim is not None:
+            fv = fv[:, np.newaxis]
+        elif f.dim is not None:
+            dmu = dmu[:, np.newaxis]
+        value = (fv * dmu).sum(axis=0)
+        i, j = f._piece_at(lefts), mu._piece_at(lefts)
+        d1f, d2f, d1m, d2m = D1f[i], D2f[i], D1m[j], D2m[j]
+        smooth = (d1f * d2m + 0.5 * d2f * d1m) * (h ** 3 / 12.0)[:, None]
+        atjump = (d1f * d1m) * (h ** 2)[:, None]
+        est = np.sum(np.where(jump_end[:, None], atjump, smooth), axis=0)
+        records.append((level, float(np.max(np.diff(points))), value, est))
+        if prev is not None:
+            diffs = _sem_values(seminorms, value - prev)
+            if np.all(est < tol) and np.all(diffs < tol):
+                converged = True
+                break
+        prev = value
+        if level < max_levels - 1:
+            points = bisect(points)
+    return value, est, len(records), converged, records
+
+
+# relative steps far below the jump noise floor: a function joined with
+# them is continuous, yet its right-hand values differ from its left limits
+NOISE = st.sampled_from([0.0, 0.0, 4e-16, -1e-15])
+
+
+def continuous_pieces(draw, bps, dim, complex_field):
+    """Random polynomial pieces on ``bps``, joined continuously up to
+    float noise, also at b."""
+    m = bps.size - 1
+    k = draw(st.integers(1, 5))
+    shape = (m, k) + (() if dim is None else (dim,))
+    c = np.random.default_rng(draw(SEEDS)).uniform(-2.0, 2.0, shape)
+    if complex_field:
+        c = c + 1j * np.random.default_rng(draw(SEEDS)).uniform(
+            -2.0, 2.0, shape)
+    ends = _horner(c, np.diff(bps)) * (1 + draw(NOISE))
+    for i in range(1, m):
+        c[i, 0] = _horner(c[i - 1:i], bps[i:i + 1] - bps[i - 1:i])[0] \
+            * (1 + draw(NOISE))
+        ends[i - 1] = c[i, 0]
+    return PiecewiseFunction(bps, c, np.concatenate([c[:1, 0], ends]))
+
+
+TIMES = st.lists(st.floats(0.01, 0.99, allow_nan=False), min_size=1,
+                 max_size=6, unique=True).map(sorted)
+STEP_TIMES = st.one_of(TIMES, TIMES.map(lambda t: t + [1.0]))
+
+
+@st.composite
+def drive_pairs(draw):
+    """(f, mu) on [0, 1]: steps, splines, polynomials, real, complex or
+    with one vector factor; f may have a breakpoint exactly at a jump of
+    mu and be continuous there."""
+    complex_field = draw(st.booleans())
+    vec = draw(st.sampled_from([None, "f", "mu"]))
+
+    def make(role, kind):
+        dim = 2 if vec == role else None
+        if kind == "step":
+            times = draw(STEP_TIMES)
+            shape = (len(times),) + (() if dim is None else (dim,))
+            rng = np.random.default_rng(draw(SEEDS))
+            jumps = rng.normal(size=shape) * (1 + 1j * complex_field)
+            return PiecewiseFunction.step((0.0, 1.0), times, jumps,
+                                          np.ones(shape[1:]))
+        if kind == "spline":
+            rng = np.random.default_rng(draw(SEEDS))
+            g = random_spline((0.0, 1.0), rng, complex_field=complex_field)
+            return g if dim is None else PiecewiseFunction(
+                g.breakpoints, np.stack([g.coeffs, 2 * g.coeffs], axis=2))
+        bps = np.unique(np.concatenate([[0.0, 1.0], draw(TIMES)]))
+        return continuous_pieces(draw, bps, dim, complex_field)
+
+    mu = make("mu", draw(st.sampled_from(["step", "spline", "poly"])))
+    kind = draw(st.sampled_from(["step", "spline", "poly", "at-jump"]))
+    if kind == "at-jump":
+        bps = np.unique(np.concatenate(
+            [[0.0, 1.0], mu.breakpoints, draw(TIMES)]))
+        f = continuous_pieces(draw, bps, 2 if vec == "f" else None,
+                              complex_field)
+    else:
+        f = make("f", kind)
+    return f, mu
+
+
+@settings(max_examples=200)
+@given(drive_pairs(), st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12]),
+       st.integers(2, 9))
+def test_incremental_drive_matches_a_from_scratch_loop(pair, tol, levels):
+    f, mu = pair
+    try:
+        expected = drive_reference(f, mu, None, tol, levels)
+    except ExistenceError:
+        with pytest.raises(ExistenceError):
+            _drive(f, mu, None, tol, levels)
+        return
+    got = _drive(f, mu, None, tol, levels)
+    value, est, n, converged, records = expected
+    assert np.array_equal(got.value, value)
+    assert np.array_equal(got.error_estimates, est)
+    assert (got.levels, got.converged) == (n, converged)
+    for rec, (level, mesh, v, e) in zip(got.trace, records, strict=True):
+        assert (rec.level, rec.mesh) == (level, mesh)
+        assert np.array_equal(rec.value, v) and np.array_equal(rec.estimates, e)
+
+
+def test_drive_with_cells_narrower_than_float_resolution():
+    # a cell one ulp wide has its midpoint on one of its ends, here on the
+    # right end of [p, 0.5] and the left end of [0.5, u]; those levels fall
+    # back to a fresh lookup and must still give the from-scratch bits
+    p, u = np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)
+    assert 0.5 * (p + 0.5) == 0.5 == 0.5 * (0.5 + u)
+    mu = PiecewiseFunction.from_global_polynomial([0.0, 1.0, 3.0], (0.0, 1.0))
+    f = PiecewiseFunction([0.0, p, 0.5, u, 1.0],
+                          [[1.0, 2.0], [-2.0, 1.0], [3.0, -1.0], [0.5, 4.0]])
+    for a, b in ((f, mu), (mu, f)):
+        got = _drive(a, b, None, 1e-300, 6)
+        value, est, n, converged, records = drive_reference(
+            a, b, None, 1e-300, 6)
+        assert (got.levels, got.converged) == (n, converged) == (6, False)
+        assert np.array_equal(got.value, value)
+        for rec, (_, _, v, e) in zip(got.trace, records, strict=True):
+            assert np.array_equal(rec.value, v)
+            assert np.array_equal(rec.estimates, e)

@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.polynomial import polynomial as npoly
 
-from stieltjes.functions import (PiecewiseFunction, _horner, _poly_sup_abs,
-                                 _shift_poly, bisect, definite_integral,
+from stieltjes.functions import (PiecewiseFunction, _horner, _horner_at,
+                                 _poly_sup_abs, _shift_poly, bisect,
+                                 definite_integral, dual_compose,
                                  product_integral)
-from stieltjes.integrals import _envelopes
+from stieltjes.integrals import _bisected_cells, _cells, _envelopes
 from stieltjes.semivariation import _CHUNK, _aligning, _digit_chunks
 from stieltjes.spaces import Seminorm
 
@@ -69,6 +70,30 @@ def test_batched_horner_matches_polyval(case):
     expected = np.array([npoly.polyval(tau[i], c[i])
                          for i in range(c.shape[0])])
     assert np.array_equal(_horner(c, tau), expected)
+
+
+@st.composite
+def gathers(draw):
+    """(coeffs (m, K[, dim]), piece indices (n,), local points (n,)); many
+    pieces of degree 0 stand for a step function with many jumps."""
+    m = draw(st.integers(1, 40))
+    k = draw(st.sampled_from([1, 1, 2, 4, 7]))
+    dim = draw(st.sampled_from([None, 1, 3]))
+    shape = (m, k) if dim is None else (m, k, dim)
+    c = draw(hnp.arrays(float, shape, elements=FINITE))
+    if draw(st.booleans()):
+        c = c + 1j * draw(hnp.arrays(float, shape, elements=FINITE))
+    n = draw(st.integers(0, 60))
+    idx = draw(hnp.arrays(np.intp, (n,), elements=st.integers(0, m - 1)))
+    tau = draw(hnp.arrays(float, (n,), elements=LOCAL))
+    return c, idx, tau
+
+
+@settings(max_examples=150)
+@given(gathers())
+def test_horner_at_known_pieces_matches_gathered_horner(case):
+    c, idx, tau = case
+    assert same_bits(_horner_at(c, idx, tau), _horner(c[idx], tau))
 
 
 @st.composite
@@ -262,3 +287,58 @@ def test_aligning_is_the_conjugate_over_the_modulus(case):
     expected = np.where(az > 0, np.conj(z) / np.where(az > 0, az, 1),
                         fallback)
     assert same_bits(_aligning(z, fallback), expected)
+
+
+@settings(max_examples=100)
+@given(piecewise(), piecewise(dims=(None,)), st.integers(0, 6))
+def test_inherited_cells_match_a_fresh_lookup(f, mu, k):
+    # each cell lies inside one piece of f and of mu, so bisection keeps
+    # every piece index, mu value and jump-end flag a fresh lookup gives
+    scaled = mu.breakpoints * (f.b / mu.b)
+    scaled[-1] = f.b
+    mu = PiecewiseFunction(scaled, mu.coeffs)
+    bps = np.unique(np.concatenate([f.breakpoints, mu.breakpoints]))
+    jump_ts = np.array(mu._jump_times)
+    cells = _cells(f, mu, bps, jump_ts)
+    for _ in range(k):
+        mids = 0.5 * (bps[:-1] + bps[1:])
+        if not (np.all(bps[:-1] < mids) and np.all(mids < bps[1:])):
+            break
+        cells = _bisected_cells(mu, cells, mids)
+        bps = bisect(bps)
+    expected = _cells(f, mu, bps, jump_ts)
+    assert all(same_bits(a, b) for a, b in zip(cells, expected))
+    assert np.array_equal(cells[0], f._piece_at(bps[:-1]))
+
+
+def public_copy(bps, coeffs, values):
+    return PiecewiseFunction(np.array(bps), np.array(coeffs),
+                             np.array(values))
+
+
+@settings(max_examples=100)
+@given(piecewise(), st.sampled_from([2.0, -0.5, 1j, 1.5 - 2j]))
+def test_internal_constructions_match_the_public_constructor(f, s):
+    # the library's own operations skip validation; each must give the
+    # arrays the validating constructor gives for the same data
+    cases = [
+        (f.derivative(), (f.breakpoints, npoly.polyder(f.coeffs, axis=1)
+                          if f.coeffs.shape[1] > 1
+                          else np.zeros_like(f.coeffs), None)),
+        (-f, (f.breakpoints, -f.coeffs, -f.values)),
+        (f * s, (f.breakpoints, f.coeffs * s, f.values * s)),
+        (f.real_part(), (f.breakpoints, f.coeffs.real, f.values.real)),
+        (f.imag_part(), (f.breakpoints, f.coeffs.imag, f.values.imag)),
+    ]
+    if f.dim is not None:
+        d = np.arange(1.0, f.dim + 1) * s
+        cases.append((dual_compose(f, d),
+                      (f.breakpoints,
+                       np.tensordot(f.coeffs, d.conj(), axes=([2], [0])),
+                       f.values @ d.conj())))
+    for got, (bps, coeffs, values) in cases:
+        expected = (PiecewiseFunction(np.array(bps), np.array(coeffs))
+                    if values is None else public_copy(bps, coeffs, values))
+        for name in ("breakpoints", "coeffs", "values"):
+            assert same_bits(getattr(got, name), getattr(expected, name))
+            assert not getattr(got, name).flags.writeable
