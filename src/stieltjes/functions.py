@@ -15,7 +15,6 @@ from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.interpolate import CubicSpline
 
 from .errors import ArgumentError
 
@@ -82,32 +81,34 @@ def _horner_at(c, idx, tau):
     return out
 
 
-def _real_roots_in(c, lo, hi, open_ends=False):
-    """Sorted real roots in [lo, hi] of a real ascending-coefficient
-    polynomial.  Leading terms below 1e-9 of the largest term on [lo, hi]
-    are dropped and the rest scaled by a power of two (exactly), so the
-    companion matrix gets no huge or, from subnormals, infinite entries."""
+def _poly_roots(c, h):
+    """Complex roots of a real ascending-coefficient polynomial considered
+    on [0, h].  Leading terms below 1e-9 of the largest term on [0, h] are
+    dropped and the rest scaled by a power of two (exactly), so the
+    companion matrix gets no huge or, from subnormals, infinite entries.
+    A root of multiplicity k comes back with an imaginary part of order
+    eps**(1/k), so callers use the real parts of all roots."""
     c = np.asarray(c, dtype=float)
-    s = np.float64(max(abs(lo), abs(hi)))
+    s = np.float64(h)
     size = [abs(v) * s ** k for k, v in enumerate(c.tolist())]
     top = 1e-9 * max(size)
     n = max((k + 1 for k, v in enumerate(size) if v > top), default=0)
     if n <= 1:
-        return np.array([])
+        return np.array([], dtype=complex)
     scale = np.frexp(max(abs(v) for v in c[:n].tolist()))[1]
-    roots = npoly.polyroots(np.ldexp(c[:n], -scale).astype(complex))
-    roots = roots[np.abs(roots.imag) < 1e-9].real
-    eps = 1e-13 * max(1.0, abs(hi - lo))
-    if open_ends:
-        roots = roots[(roots > lo + eps) & (roots < hi - eps)]
-    else:
-        roots = roots[(roots >= lo - eps) & (roots <= hi + eps)]
-        roots = np.clip(roots, lo, hi)
+    return npoly.polyroots(np.ldexp(c[:n], -scale).astype(complex))
+
+
+def _split_points(c, h):
+    """Sorted real parts, at least eps apart, of the roots of a real
+    polynomial that lie strictly inside (0, h): every point where it can
+    change sign.  Real parts of complex roots add harmless extra splits."""
+    eps = 1e-13 * max(1.0, h)
+    roots = np.sort(_poly_roots(c, h).real)
+    roots = roots[(roots > eps) & (roots < h - eps)]
     if roots.size == 0:
-        return np.array([])
-    roots = np.sort(roots)
-    keep = np.concatenate([[True], np.diff(roots) > eps])
-    return roots[keep]
+        return roots
+    return roots[np.concatenate([[True], np.diff(roots) > eps])]
 
 
 def _polyder(c):
@@ -117,10 +118,11 @@ def _polyder(c):
 
 
 def _poly_extreme_values(c, h):
-    """Values of a real polynomial at 0, at its critical points in [0, h]
-    and at h: its extreme values over [0, h] are among them."""
+    """Values of a real polynomial at 0, at the clipped real parts of all
+    roots of its derivative, in ascending order, and at h: its extreme
+    values over [0, h] are among them."""
     c = np.asarray(c, dtype=float)
-    crit = _real_roots_in(npoly.polyder(c), 0.0, h)
+    crit = np.sort(np.clip(_poly_roots(npoly.polyder(c), h).real, 0.0, h))
     return npoly.polyval(np.concatenate([[0.0], crit, [h]]), c)
 
 
@@ -139,7 +141,7 @@ def _poly_variation(c, h):
     # complex path: integrate \|p'\| between zeros of \|p'\|^2
     der = npoly.polyder(c)
     sq = npoly.polymul(der, der.conj()).real
-    splits = np.concatenate([[0.0], _real_roots_in(sq, 0.0, h, True), [h]])
+    splits = np.concatenate([[0.0], _split_points(sq, h), [h]])
     nodes, wts = np.polynomial.legendre.leggauss(64)
     total = 0.0
     for lo, hi in zip(splits[:-1], splits[1:]):
@@ -612,6 +614,45 @@ def product_integral(f, g):
     return sum(_horner(npoly.polyint(prod, axis=1), np.diff(bps)), 0.0)
 
 
+def _natural_spline(x, y):
+    """Ascending coefficients (m, 4) of the natural cubic spline through
+    the knots ``x`` (m+1,) with values ``y``.
+
+    The knot slopes solve the tridiagonal system that scipy's
+    ``CubicSpline(x, y, bc_type="natural")`` builds, in LAPACK ``dgtsv``'s
+    elimination and back-substitution order, followed by the same Hermite
+    coefficients, so the result is bit for bit scipy's whenever ``dgtsv``
+    swaps no rows: whenever each diagonal entry stays at least the one
+    below it, as for knots whose neighbouring spacings differ by less than
+    a factor 2.
+    """
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    d = np.concatenate([2 * dx[:1], 2 * (dx[:-1] + dx[1:]),
+                        2 * dx[-1:]]).tolist()
+    upper = np.concatenate([dx[:1], dx[:-1]]).tolist()
+    lower = np.concatenate([dx[1:], dx[-1:]]).tolist()
+    s = np.concatenate([3 * np.diff(y[:2]),
+                        3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+                        3 * np.diff(y[-2:])]).tolist()
+    n = len(s)
+    for i in range(n - 1):
+        fact = lower[i] / d[i]
+        d[i + 1] -= fact * upper[i]
+        s[i + 1] -= fact * s[i]
+    s[-1] /= d[-1]
+    # dgtsv also subtracts its zeroed second superdiagonal times
+    # s[i + 2]; that term can turn a -0.0 into +0.0, so it stays, with a
+    # +0.0 standing in for s[n] in row n - 2
+    s.append(0.0)
+    for i in range(n - 2, -1, -1):
+        s[i] = (s[i] - upper[i] * s[i + 1] - 0.0 * s[i + 2]) / d[i]
+    s = np.array(s[:-1])
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack([y[:-1], s[:-1], (slope - s[:-1]) / dx - t, t / dx],
+                    axis=1)
+
+
 def random_spline(domain, rng, knot_count=6, sup_bound=1.0,
                   complex_field=False):
     """Random continuous cubic spline with sup-norm exactly ``sup_bound``.
@@ -627,8 +668,7 @@ def random_spline(domain, rng, knot_count=6, sup_bound=1.0,
 
     def one():
         vals = rng.uniform(-1.0, 1.0, knot_count)
-        cs = CubicSpline(knots, vals, bc_type="natural")
-        return PiecewiseFunction(knots, cs.c[::-1].T.copy())
+        return PiecewiseFunction(knots, _natural_spline(knots, vals))
 
     f = one()
     if complex_field:

@@ -15,11 +15,10 @@ additive interval measure through its cumulative y(t) = x(t) - x(a).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import ArgumentError, EnumerationLimitError
-from .functions import (PiecewiseFunction, _horner, _real_roots_in,
-                        _shift_poly, dual_compose, random_spline)
+from .functions import (PiecewiseFunction, _horner, _shift_poly,
+                        _split_points, dual_compose, random_spline)
 from .integrals import integrate_g_dx
 from .semivariation import e_set, wcs_check
 from .spaces import Seminorm, SpaceModel, pair, sample_dual_ball
@@ -100,7 +99,7 @@ def _positive_part(f):
     for i in range(f.piece_count):
         c = f.coeffs[i]
         h = widths[i]
-        splits = _real_roots_in(c, 0.0, h, open_ends=True)
+        splits = _split_points(c, h)
         edges = np.concatenate([[0.0], splits, [h]])
         shifted = _shift_poly(np.broadcast_to(c, (edges.size - 1,) + c.shape),
                               edges[:-1])
@@ -243,6 +242,9 @@ def hull_membership(v, generators, tol=1e-9):
     a_ub[:2 * d, -1] = -1.0
     a_ub[-1, :2 * k] = 1.0
     b_ub = np.concatenate([v2, -v2, [1.0]])
+    # Imported on first use: scipy.optimize takes longer to import than a
+    # typical CLI problem takes to run, and only this LP needs it.
+    from scipy.optimize import linprog
     res = linprog(cost, A_ub=a_ub, b_ub=b_ub,
                   bounds=[(0, None)] * (2 * k + 1), method="highs")
     if not res.success:  # pragma: no cover - LP is always feasible (beta=0)

@@ -149,6 +149,30 @@ def test_main_writes_stdout():
     np.testing.assert_allclose(parsed["diagnostics"]["bounds"], [3.0])
 
 
+@pytest.mark.parametrize("name, needs_lp", [("roundtrip_mixed", False),
+                                            ("image_check_step", True)])
+def test_scipy_is_loaded_only_by_the_hull_lp(name, needs_lp):
+    # a fresh interpreter, as each CLI run is: importing scipy costs more
+    # than most problems take to run, and only hull_membership needs it
+    path = REPO / "problems" / f"{name}.json"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys; from stieltjes import cli;"
+         "code = cli.main(['--input', sys.argv[1]]);"
+         "print(json.dumps([m for m in sys.modules"
+         " if m.split('.')[0] == 'scipy']), file=sys.stderr);"
+         "sys.exit(code)",
+         str(path)],
+        capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (REFERENCE / f"{name}.out").read_bytes()
+    scipy_modules = json.loads(proc.stderr.decode().splitlines()[-1])
+    if needs_lp:
+        assert "scipy.optimize" in scipy_modules
+    else:
+        assert scipy_modules == []
+
+
 def test_complex_scalars_accepted():
     steps = {
         "domain": [0.0, 1.0],

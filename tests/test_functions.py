@@ -8,7 +8,7 @@ from scipy.integrate import simpson
 
 from stieltjes.errors import ArgumentError
 from stieltjes.functions import (PiecewiseFunction, TaggedPartition,
-                                 definite_integral, dual_compose,
+                                 _poly_sup_abs, definite_integral, dual_compose,
                                  product_integral, random_spline, refine,
                                  scalar_variation, uniform_tagged_partition)
 
@@ -348,6 +348,27 @@ def test_range_with_a_negligible_leading_term(lead):
     assert lo == 215.0
     assert math.isclose(hi, peak, rel_tol=1e-12)
     assert math.isclose(f.sup_abs(), peak, rel_tol=1e-12)
+
+
+def test_extremes_at_a_triple_critical_point():
+    # p = 1 - (t - 1/2)^4: np.polyroots returns the triple root of p' with
+    # imaginary parts near 1e-6, and its real parts must still be candidates
+    c = [0.9375, 0.5, -1.5, 2.0, -1.0]
+    assert _poly_sup_abs(c, 1.0) == 1.0
+    f = PiecewiseFunction([0.0, 1.0], [c])
+    assert f.range_bounds() == (0.9375, 1.0)
+    assert math.isclose(scalar_variation(f), 0.125, rel_tol=1e-12)
+
+
+def test_complex_variation_splits_where_the_path_stops():
+    # p = (t - 1/2)^2 + i (t - 1/2)^3 stops at t = 1/2, a double root of
+    # \|p'\|^2 = (t - 1/2)^2 (4 + 9 (t - 1/2)^2); quadrature across the
+    # kink of \|p'\| there is off by 1e-4
+    c = np.array([0.25, -1.0, 1.0, 0.0]) + 1j * np.array([-0.125, 0.75,
+                                                          -1.5, 1.0])
+    f = PiecewiseFunction([0.0, 1.0], [c])
+    exact = 2.0 * (6.25 ** 1.5 - 8.0) / 27.0
+    assert math.isclose(scalar_variation(f), exact, rel_tol=1e-12)
 
 
 def test_random_spline_contract():

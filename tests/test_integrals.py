@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from stieltjes.errors import ArgumentError, ExistenceError
 from stieltjes.functions import (PiecewiseFunction, TaggedPartition, _horner,
@@ -278,6 +279,53 @@ def test_estimates_bound_true_error_smooth():
     for rec in res.trace:
         true_err = float(np.max(np.abs(rec.value - exact)))
         assert true_err <= float(np.max(rec.estimates)) + 1e-12
+
+
+def assert_estimates_bound_true_errors(g):
+    """Levels 0-3 of both integrals of g against x(t) = t (one coordinate)
+    are within their estimates of the exact values."""
+    x = PiecewiseFunction([0.0, 1.0], [[[0.0], [1.0]]])
+    for res, exact in (
+            (integrate_x_dg(x, g, tol=1e-14, max_levels=4),
+             product_integral(x, g.derivative())),
+            (integrate_g_dx(g, x, tol=1e-14, max_levels=4),
+             product_integral(x.derivative(), g))):
+        assert res.levels == 4
+        for rec in res.trace:
+            true_err = float(np.max(np.abs(rec.value - exact)))
+            assert true_err <= float(np.max(rec.estimates)) + 1e-12
+
+
+def test_estimates_bound_true_error_at_a_flat_maximum():
+    # g'' = 1 - 10 (t - 0.6)^4 peaks where g''' has a triple root
+    d2 = npoly.polysub([1.0], 10.0 * npoly.polypow([-0.6, 1.0], 4))
+    g = PiecewiseFunction.from_global_polynomial(npoly.polyint(d2, 2),
+                                                 (0.0, 1.0))
+    assert math.isclose(g.derivative().derivative().sup_abs(), 1.0,
+                        rel_tol=1e-12)
+    assert_estimates_bound_true_errors(g)
+
+
+@st.composite
+def multiple_roots(draw, lo, hi, max_degree):
+    """s * prod_j (t - r_j)^m_j with multiplicities m_j in 1..4 at random
+    points r_j in [lo, hi], of degree at most ``max_degree``."""
+    c = np.array([draw(st.sampled_from([1.0, -1.0, 2.5, -7.0, 20.0]))])
+    for m in draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)):
+        if c.size + m > max_degree + 1:
+            break
+        c = npoly.polymul(c, npoly.polypow([-draw(st.floats(lo, hi)), 1.0], m))
+    return c
+
+
+@settings(max_examples=150)
+@given(multiple_roots(0.05, 0.95, 4), st.floats(-2.0, 2.0))
+def test_estimates_bound_true_error_at_multiple_roots(d2, shift):
+    # the sups of g' and g'' come from the roots of g'' and g''', which
+    # here can have multiplicities up to 4 and 3
+    g = PiecewiseFunction.from_global_polynomial(
+        npoly.polyint(npoly.polyadd(d2, [shift]), 2), (0.0, 1.0))
+    assert_estimates_bound_true_errors(g)
 
 
 def test_converged_means_estimates_below_tol():

@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.polynomial import polynomial as npoly
+from scipy.interpolate import CubicSpline
 
 from stieltjes.functions import (PiecewiseFunction, _horner, _horner_at,
-                                 _poly_sup_abs, _shift_poly, bisect,
-                                 definite_integral, dual_compose,
-                                 product_integral)
+                                 _natural_spline, _poly_sup_abs, _shift_poly,
+                                 bisect, definite_integral, dual_compose,
+                                 product_integral, random_spline)
 from stieltjes.integrals import _bisected_cells, _cells, _envelopes
 from stieltjes.semivariation import _CHUNK, _aligning, _digit_chunks
 from stieltjes.spaces import Seminorm
@@ -342,3 +343,58 @@ def test_internal_constructions_match_the_public_constructor(f, s):
         for name in ("breakpoints", "coeffs", "values"):
             assert same_bits(getattr(got, name), getattr(expected, name))
             assert not getattr(got, name).flags.writeable
+
+
+KNOT_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                        st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@st.composite
+def spline_data(draw):
+    """Uniform knots on a random domain, with values that repeat and
+    include signed zeros."""
+    n = draw(st.integers(4, 16))
+    a = draw(st.floats(-1e3, 1e3, allow_nan=False))
+    width = draw(st.floats(1e-3, 1e3, allow_nan=False))
+    y = draw(hnp.arrays(float, (n,), elements=KNOT_VALUES))
+    return np.linspace(a, a + width, n), y
+
+
+@settings(max_examples=300)
+@given(spline_data())
+def test_natural_spline_matches_scipy_bits(data):
+    x, y = data
+    expected = CubicSpline(x, y, bc_type="natural").c[::-1].T
+    assert same_bits(_natural_spline(x, y), expected)
+
+
+def scipy_random_spline(domain, rng, knot_count=6, sup_bound=1.0,
+                        complex_field=False):
+    """The CubicSpline-based construction that random_spline reproduces."""
+    knots = np.linspace(float(domain[0]), float(domain[1]), knot_count)
+
+    def one():
+        vals = rng.uniform(-1.0, 1.0, knot_count)
+        cs = CubicSpline(knots, vals, bc_type="natural")
+        return PiecewiseFunction(knots, cs.c[::-1].T.copy())
+
+    f = one()
+    if complex_field:
+        f = f + 1j * one()
+    s = f.sup_abs()
+    return f * (sup_bound / s) if s > 0 else f
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(4, 16),
+       st.floats(-10.0, 10.0), st.floats(0.01, 10.0),
+       st.sampled_from([1.0, 0.25, 3.0]), st.booleans())
+def test_random_spline_matches_the_scipy_construction(seed, knots, a, width,
+                                                      bound, complex_field):
+    domain = (a, a + width)
+    got = random_spline(domain, np.random.default_rng(seed), knots, bound,
+                        complex_field)
+    expected = scipy_random_spline(domain, np.random.default_rng(seed),
+                                   knots, bound, complex_field)
+    for name in ("breakpoints", "coeffs", "values"):
+        assert same_bits(getattr(got, name), getattr(expected, name))

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from stieltjes.errors import ArgumentError
-from stieltjes.functions import (PiecewiseFunction, dual_compose,
+from stieltjes.functions import (PiecewiseFunction, _horner, dual_compose,
                                  random_spline)
 from stieltjes.integrals import integrate_g_dx
 from stieltjes.representation import (IntervalMeasure, StieltjesOperator,
@@ -123,6 +126,62 @@ def test_decompose_reconstructs():
         for part in (g0, g1, g2, g3):
             lo, hi = part.range_bounds()
             assert lo >= -1e-12 and hi <= 1.0 + 1e-12
+
+
+def test_decompose_splits_at_a_triple_root():
+    # np.polyroots returns the triple root of (t - 1/2)^3 with imaginary
+    # parts near 1e-6; without a split there, g0 - g2 misses g by 1/8
+    g = PiecewiseFunction.from_global_polynomial([-0.125, 0.75, -1.5, 1.0],
+                                                 (0.0, 1.0))
+    g0, g1, g2, g3 = decompose(g)
+    ts = np.linspace(0.0, 1.0, 1001)
+    gap = np.max(np.abs(g0.values_at(ts) - g2.values_at(ts) - g.values_at(ts)))
+    assert gap <= 1e-15
+
+
+@st.composite
+def rooted_piece(draw, h):
+    """s * prod_j (tau - r_j)^m_j on [0, h], multiplicities m_j in 1..4
+    at random points r_j, degree at most 6."""
+    c = np.array([draw(st.sampled_from([1.0, -1.0, 3.0, -0.5]))])
+    for m in draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)):
+        if c.size + m > 7:
+            break
+        r = draw(st.floats(0.0, h))
+        c = npoly.polymul(c, npoly.polypow([-r, 1.0], m))
+    return np.pad(c, (0, 7 - c.size))
+
+
+@st.composite
+def rooted_functions(draw):
+    """Real or complex piecewise polynomials with sup-norm at most 1 whose
+    real and imaginary parts have roots of multiplicity 1..4."""
+    widths = draw(st.lists(st.floats(0.1, 2.0), min_size=1, max_size=3))
+    coeffs = np.array([draw(rooted_piece(h)) for h in widths])
+    if draw(st.booleans()):
+        coeffs = coeffs + 1j * np.array([draw(rooted_piece(h))
+                                         for h in widths])
+    g = PiecewiseFunction(np.concatenate([[0.0], np.cumsum(widths)]), coeffs)
+    return g * (draw(st.floats(0.1, 1.0)) / g.sup_abs())
+
+
+@settings(max_examples=150)
+@given(rooted_functions())
+def test_decompose_reconstructs_at_multiple_roots(g):
+    parts = decompose(g)
+    ts = np.unique(np.concatenate([np.linspace(g.a, g.b, 2001)]
+                                  + [p.breakpoints for p in parts]))
+    v0, v1, v2, v3 = (p.values_at(ts) for p in parts)
+    # the parts' pieces are Taylor shifts of g's, rounded in proportion to
+    # the size max_i sum_k |c_ik| h_i^k of its coefficients
+    widths = np.diff(g.breakpoints)
+    noise = 1e-15 * (1.0 + float(np.max(_horner(np.abs(g.coeffs), widths))))
+    assert np.all(np.abs(v0 - v2 + 1j * (v1 - v3) - g.values_at(ts)) <= noise)
+    # a root closer than the split margin 1e-13 * max(1, h) to a piece end
+    # is not split off, so a kept piece can dip below 0 within that margin
+    dip = 1e-13 * max(1.0, float(np.max(widths))) * g.derivative().sup_abs()
+    for v in (v0, v1, v2, v3):
+        assert np.all((v >= -dip) & (v <= 1.0 + noise))
 
 
 def test_abel_identity_hand_case():
