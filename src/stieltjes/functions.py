@@ -128,6 +128,8 @@ def _poly_extreme_values(c, h):
 
 def _poly_sup_abs(c, h):
     """Exact sup of \\|p(tau)\\| over [0, h]; supports complex coefficients."""
+    if not np.any(c):
+        return 0.0  # what the root path gives the zero polynomial
     if not np.iscomplexobj(c):
         return float(np.max(np.abs(_poly_extreme_values(c, h))))
     sq = npoly.polymul(c, c.conj()).real  # \|p\|^2 is a real polynomial
@@ -370,6 +372,12 @@ class PiecewiseFunction:
         return tuple(t for t, _ in self.jump_points(atol=atol))
 
     @cached_property
+    def _envelope_cache(self):
+        """Derivative envelopes per seminorm tuple, filled by the
+        integration driver."""
+        return {}
+
+    @cached_property
     def _derivative_sups(self):
         """Per-piece sups of \\|q'\\| and of \\|q''\\| (scalar functions)."""
         widths = np.diff(self.breakpoints)
@@ -526,13 +534,15 @@ def bisect(points):
     return _interleave(points, 0.5 * (points[:-1] + points[1:]))
 
 
-def _interleave(a, b):
-    """a_0, b_0, a_1, b_1, ... along the first axis; len(a) is len(b) or
-    len(b) + 1."""
-    out = np.empty((len(a) + len(b),) + a.shape[1:],
-                   dtype=np.result_type(a, b))
-    out[0::2] = a
-    out[1::2] = b
+def _interleave(a, b, axis=0):
+    """a_0, b_0, a_1, b_1, ... along ``axis``, into a new C-ordered array;
+    a is as long as b or one longer along that axis."""
+    shape = list(a.shape)
+    shape[axis] += b.shape[axis]
+    out = np.empty(shape, dtype=np.result_type(a, b))
+    lead = (slice(None),) * axis
+    out[lead + (slice(0, None, 2),)] = a
+    out[lead + (slice(1, None, 2),)] = b
     return out
 
 

@@ -25,9 +25,25 @@ left child never ends at a jump.  Tags at jump ends, which are right
 endpoints, go through ``values_at`` for its right-hand-piece and t = b
 conventions.  A cell only a few ulps wide can have its midpoint on an end;
 the driver then looks the next partition up afresh, which gives the same
-bits as a from-scratch level.
+bits as a from-scratch level.  Each cell keeps its envelope product
+d1f d2m + d2f d1m / 2 through bisection, and the cells that end at a jump
+are held as indices.
+
+One loop also drives a scalar f against a stack of k scalar integrators
+on one breakpoint grid, such as the compositions of one integrator with k
+duals.  The columns share the partition, the piece lookups and f's
+values; each keeps its own integrator values, derivative sups and
+jump-end cells, and its own stop level: a column that passes its test
+reports from that level and leaves the stack.  The per-cell arrays of a
+stack are C-ordered (k, n) and each column is summed along axis 1, which
+is numpy's 1-d pairwise order, the order of a drive against that column
+alone; summing an (n, k) array along axis 0 would add row after row
+instead.  So every column has the bits of its own drive, and a scalar
+drive is the stack of one.  A drive with a vector factor keeps its (n, d)
+layout and sum order.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,9 +139,14 @@ def _require_existence(f, mu):
     return np.array(tm)
 
 
-def _default_seminorms(f, mu):
-    dim = f.dim or mu.dim or 1
+@functools.cache
+def _max_abs(dim):
     return (Seminorm.weighted_sup(np.ones(dim)),)
+
+
+def _default_seminorms(f, mu):
+    # one tuple per dimension, so that the envelope cache keyed by it hits
+    return _max_abs(f.dim or mu.dim or 1)
 
 
 def _sem_values(seminorms, v):
@@ -137,17 +158,81 @@ def _envelopes(func, seminorms):
 
     Scalar pieces use the exact polynomial sup of \\|q'\\| and \\|q''\\|;
     vector pieces use the triangle-inequality envelope
-    sum_k p(c_k) h^k, which upper-bounds sup p over the piece.
+    sum_k p(c_k) h^k, which upper-bounds sup p over the piece.  The
+    read-only result is cached on ``func`` per seminorm tuple; seminorms
+    hash by identity, and the key keeps them alive, so no id is reused.
     """
+    key = tuple(seminorms)
+    envs = func._envelope_cache.get(key)
+    if envs is not None:
+        return envs
     if func.dim is None:
-        return tuple(np.outer(sups, np.ones(len(seminorms)))
+        envs = tuple(np.outer(sups, np.ones(len(key)))
                      for sups in func._derivative_sups)
-    widths = np.diff(func.breakpoints)
-    first = _polyder(func.coeffs)
-    return tuple(np.array([[p.eval_many(c) @ h ** np.arange(c.shape[0])
-                            for p in seminorms]
-                           for c, h in zip(der, widths)])
-                 for der in (first, _polyder(first)))
+    else:
+        widths = np.diff(func.breakpoints)
+        first = _polyder(func.coeffs)
+        envs = tuple(np.array([[p.eval_many(c) @ h ** np.arange(c.shape[0])
+                                for p in key]
+                               for c, h in zip(der, widths)])
+                     for der in (first, _polyder(first)))
+    for env in envs:
+        env.flags.writeable = False
+    func._envelope_cache[key] = envs
+    return envs
+
+
+class _Columns:
+    """k scalar integrators on one breakpoint grid, evaluated as a stack.
+
+    Values come out as C-ordered (k, m) arrays, one row per integrator, so
+    each row's sum runs over contiguous memory in the 1-d pairwise order
+    of a drive against that integrator alone, and each row is evaluated
+    with the operations of :meth:`PiecewiseFunction._values_in`.
+    """
+
+    def __init__(self, mus):
+        self.mus = tuple(mus)
+        first = self.mus[0]
+        for mu in self.mus[1:]:
+            if not (np.array_equal(mu.breakpoints, first.breakpoints)
+                    and mu.coeffs.shape == first.coeffs.shape
+                    and mu.coeffs.dtype == first.coeffs.dtype):
+                raise ArgumentError("stacked integrators must share their "
+                                    "breakpoints and coefficient layout")
+        self.breakpoints, self.b = first.breakpoints, first.b
+        self.piece_count = first.piece_count
+        coeffs = np.stack([mu.coeffs for mu in self.mus])
+        self._planes = [np.ascontiguousarray(coeffs[:, :, k])
+                        for k in range(coeffs.shape[2])]
+        self._ends = np.array([mu.values[-1] for mu in self.mus])
+        self.envelopes = tuple(np.array(sups) for sups in zip(
+            *(mu._derivative_sups for mu in self.mus)))
+
+    _piece_at = PiecewiseFunction._piece_at
+
+    def __len__(self):
+        return len(self.mus)
+
+    def take(self, keep):
+        return _Columns(mu for mu, k in zip(self.mus, keep) if k)
+
+    def values_at(self, ts):
+        """Values at points of the domain; t = b gets each end value."""
+        out = self._values_in(self._piece_at(ts), ts)
+        out[:, ts == self.b] = self._ends[:, np.newaxis]
+        return out
+
+    def _values_in(self, idx, ts):
+        tau = ts - self.breakpoints.take(idx)
+        out = self._planes[-1].take(idx, axis=1)
+        for plane in self._planes[-2::-1]:
+            out = out * tau + plane.take(idx, axis=1)
+        return out
+
+
+def _cell_axis(mu):
+    return 1 if isinstance(mu, _Columns) else 0
 
 
 def _product_sum(fv, dmu):
@@ -159,90 +244,184 @@ def _product_sum(fv, dmu):
     return (fv * dmu).sum(axis=0)
 
 
-def _cells(f, mu, points, jump_ts):
-    """Per-cell piece indices of f and mu, mu at the points, and the mask
-    of cells that end at a jump of mu, looked up from scratch."""
+def _smooth_products(i, j, envs, axis):
+    """Per-cell envelope factor d1f d2m + d2f d1m / 2 of the error of a
+    cell that does not end at a jump."""
+    D1f, D2f, D1m, D2m = envs
+    d1f, d2f = D1f.take(i, axis=0), D2f.take(i, axis=0)
+    d1m, d2m = D1m.take(j, axis=axis), D2m.take(j, axis=axis)
+    return d1f * d2m + 0.5 * d2f * d1m
+
+
+def _cells(f, mu, points, jump_ts, envs):
+    """Per-cell piece indices of f and mu, mu at the points, the cells that
+    end at a jump of each column's integrator (``jump_ts`` holds one array
+    of jump times per column), and the smooth envelope products, looked up
+    from scratch.  The jump-end cells are an index into the per-cell
+    arrays: ``(cells,)`` for one integrator, ``(rows, cells)`` for a
+    stack."""
     lefts = points[:-1]
-    return (f._piece_at(lefts), mu._piece_at(lefts), mu.values_at(points),
-            np.isin(points[1:], jump_ts))
+    i, j = f._piece_at(lefts), mu._piece_at(lefts)
+    ends = [np.flatnonzero(np.isin(points[1:], ts)) for ts in jump_ts]
+    if isinstance(mu, _Columns):
+        at_jumps = (np.repeat(np.arange(len(ends)), [e.size for e in ends]),
+                    np.concatenate(ends))
+    else:
+        at_jumps = (ends[0],)
+    return (i, j, mu.values_at(points), at_jumps,
+            _smooth_products(i, j, envs, _cell_axis(mu)))
 
 
 def _bisected_cells(mu, cells, mids):
     """The cells after bisection at midpoints strictly inside each cell:
-    both children inherit the piece indices, mu is evaluated only at the
-    midpoints, and only right children can end at a jump."""
-    i, j, mu_vals, jump_end = cells
+    both children inherit the piece indices and envelope products, mu is
+    evaluated only at the midpoints, and only right children can end at a
+    jump."""
+    i, j, mu_vals, at_jumps, smooth = cells
+    axis = _cell_axis(mu)
     return (np.repeat(i, 2), np.repeat(j, 2),
-            _interleave(mu_vals, mu._values_in(j, mids)),
-            _interleave(np.zeros_like(jump_end), jump_end))
+            _interleave(mu_vals, mu._values_in(j, mids), axis),
+            at_jumps[:-1] + (2 * at_jumps[-1] + 1,),
+            np.repeat(smooth, 2, axis=axis))
 
 
-def _level_sum(f, rights, h, mids, inside, cells, envs):
-    """The tagged sum and per-seminorm error estimate of one level whose
+def _kept_columns(cells, keep):
+    """The cells of a stack without the rows that ``keep`` drops."""
+    i, j, mu_vals, (rows, ends), smooth = cells
+    kept = keep.take(rows)
+    renumber = np.cumsum(keep) - 1
+    return (i, j, mu_vals[keep], (renumber.take(rows[kept]), ends[kept]),
+            smooth[keep])
+
+
+def _level_sum(f, mu, rights, h, mids, inside, cells, envs):
+    """The tagged sums and per-seminorm error estimates of one level whose
     cells have right ends ``rights``, widths ``h`` and midpoints ``mids``;
-    ``inside`` says that every midpoint lies strictly inside its cell."""
-    D1f, D2f, D1m, D2m = envs
-    i, j, mu_vals, jump_end = cells
-    if inside:
-        fv = f._values_in(i, mids)
-        fv[jump_end] = f.values_at(rights[jump_end])
-    else:
-        fv = f.values_at(np.where(jump_end, rights, mids))
-    value = _product_sum(fv, np.diff(mu_vals, axis=0))
+    ``inside`` says that every midpoint lies strictly inside its cell.
+    Both come out with one row per column."""
+    i, j, mu_vals, at_jumps, smooth = cells
+    columns = isinstance(mu, _Columns)
+    ends = at_jumps[-1]
+    fv = f._values_in(i, mids) if inside else f.values_at(mids)
+    h3 = h ** 3 / 12.0
+    est = smooth * (h3 if columns else h3[:, np.newaxis])
+    if ends.size:
+        D1f, _, D1m, _ = envs
+        d1f, h2 = D1f.take(i.take(ends), axis=0), h.take(ends) ** 2
+        if columns:
+            fv = np.repeat(fv[np.newaxis], len(mu), axis=0)
+            d1m = D1m[at_jumps[0], j.take(ends)]
+        else:
+            d1m, h2 = D1m.take(j.take(ends), axis=0), h2[:, np.newaxis]
+        fv[at_jumps] = f.values_at(rights.take(ends))
+        est[at_jumps] = (d1f * d1m) * h2
+    dmu = np.diff(mu_vals, axis=_cell_axis(mu))
+    if columns:
+        return (fv * dmu).sum(axis=1), est.sum(axis=1)[:, np.newaxis]
+    return _product_sum(fv, dmu)[np.newaxis], est.sum(axis=0)[np.newaxis]
 
-    d1f, d2f = D1f.take(i, axis=0), D2f.take(i, axis=0)
-    d1m, d2m = D1m.take(j, axis=0), D2m.take(j, axis=0)
-    smooth = (d1f * d2m + 0.5 * d2f * d1m) * (h ** 3 / 12.0)[:, np.newaxis]
-    atjump = (d1f * d1m) * (h ** 2)[:, np.newaxis]
-    est = np.sum(np.where(jump_end[:, np.newaxis], atjump, smooth), axis=0)
-    return value, est
 
-
-def _drive(f, mu, seminorms, tol, max_levels):
-    _ensure_compatible(f, mu)
-    jump_ts = _require_existence(f, mu)
-    if tol <= 0:
-        raise ArgumentError("tol must be positive")
-    if max_levels < 2:
-        raise ArgumentError("need at least two refinement levels")
-    seminorms = tuple(seminorms) if seminorms is not None \
-        else _default_seminorms(f, mu)
-    dim = f.dim or mu.dim
-    for p in seminorms:
-        if p.dimension != (dim or 1):
-            raise ArgumentError("seminorm dimension does not match the "
-                                "vector-valued factor")
+def _refine(f, mu, jump_ts, seminorms, tol, max_levels):
+    """The refinement loop of every drive.  ``mu`` is one integrator, whose
+    cells run along axis 0 of the per-cell arrays, or a :class:`_Columns`
+    stack, whose cells run along axis 1.  A column stops at its own level
+    and leaves the stack; returns one IntegralResult per column."""
+    columns = isinstance(mu, _Columns)
+    scalar = columns or (f.dim or mu.dim) is None
     a, b = f.domain
     points = np.unique(np.concatenate(
         [f.breakpoints, mu.breakpoints,
          np.linspace(a, b, _INITIAL_UNIFORM_CELLS + 1)]))
-    envs = _envelopes(f, seminorms) + _envelopes(mu, seminorms)
-    cells = _cells(f, mu, points, jump_ts)
-    trace = []
+    envs = (f._derivative_sups + mu.envelopes if columns
+            else _envelopes(f, seminorms) + _envelopes(mu, seminorms))
+    cells = _cells(f, mu, points, jump_ts, envs)
+    active = list(range(len(jump_ts)))
+    traces = [[] for _ in active]
+    results = [None] * len(active)
     prev = None
-    converged = False
     for level in range(max_levels):
         lefts, rights = points[:-1], points[1:]
         h = rights - lefts
         mids = 0.5 * (lefts + rights)
         inside = bool(np.all(lefts < mids) and np.all(mids < rights))
-        value, est = _level_sum(f, rights, h, mids, inside, cells, envs)
-        trace.append(LevelRecord(level, float(np.max(h)), value, est))
+        values, ests = _level_sum(f, mu, rights, h, mids, inside, cells,
+                                  envs)
+        mesh = float(np.max(h))
+        for r, c in enumerate(active):
+            traces[c].append(LevelRecord(level, mesh, values[r], ests[r]))
+        stop = np.zeros(len(active), dtype=bool)
         if prev is not None:
-            diffs = _sem_values(seminorms, value - prev)
-            if np.all(est < tol) and np.all(diffs < tol):
-                converged = True
-                break
-        prev = value
-        if level < max_levels - 1:
-            points = _interleave(points, mids)
-            cells = (_bisected_cells(mu, cells, mids) if inside
-                     else _cells(f, mu, points, jump_ts))
-    if dim is None:
-        value = complex(value) if np.iscomplexobj(value) else float(value)
-    return IntegralResult(value=value, error_estimates=est,
-                          levels=len(trace), converged=converged,
-                          trace=trace)
+            steps = (values - prev).reshape(len(active), -1)
+            diffs = np.stack([p.eval_many(steps) for p in seminorms], axis=1)
+            stop = np.all(ests < tol, axis=1) & np.all(diffs < tol, axis=1)
+        last = level == max_levels - 1
+        for r in range(len(active)) if last else np.flatnonzero(stop):
+            c, value = active[r], values[r]
+            if scalar:
+                value = complex(value) if np.iscomplexobj(value) \
+                    else float(value)
+            results[c] = IntegralResult(value=value, error_estimates=ests[r],
+                                        levels=level + 1,
+                                        converged=bool(stop[r]),
+                                        trace=traces[c])
+        if last or stop.all():
+            break
+        if stop.any():
+            keep = ~stop
+            active = [c for c, k in zip(active, keep) if k]
+            jump_ts = [ts for ts, k in zip(jump_ts, keep) if k]
+            mu = mu.take(keep)
+            envs = envs[:2] + mu.envelopes
+            cells = _kept_columns(cells, keep)
+            values = values[keep]
+        prev = values
+        points = _interleave(points, mids)
+        cells = (_bisected_cells(mu, cells, mids) if inside
+                 else _cells(f, mu, points, jump_ts, envs))
+    return results
+
+
+def _checked(f, mus, seminorms, tol, max_levels):
+    """Validate drives of f against each of ``mus``; return the jump times
+    of each and the seminorm tuple."""
+    jump_ts = []
+    for mu in mus:
+        _ensure_compatible(f, mu)
+        jump_ts.append(_require_existence(f, mu))
+    if tol <= 0:
+        raise ArgumentError("tol must be positive")
+    if max_levels < 2:
+        raise ArgumentError("need at least two refinement levels")
+    seminorms = tuple(seminorms) if seminorms is not None \
+        else _default_seminorms(f, mus[0])
+    dim = f.dim or mus[0].dim
+    for p in seminorms:
+        if p.dimension != (dim or 1):
+            raise ArgumentError("seminorm dimension does not match the "
+                                "vector-valued factor")
+    return jump_ts, seminorms
+
+
+def _drive(f, mu, seminorms, tol, max_levels):
+    jump_ts, seminorms = _checked(f, (mu,), seminorms, tol, max_levels)
+    # under several seminorms the estimates are (n, s) and sum row after
+    # row; only one seminorm gives a scalar pair the stack's sum order
+    if f.dim is None and mu.dim is None and len(seminorms) == 1:
+        mu = _Columns((mu,))
+    return _refine(f, mu, jump_ts, seminorms, tol, max_levels)[0]
+
+
+def _drive_columns(f, mus, tol, max_levels=20):
+    """Drives of the scalar f against each scalar integrator of ``mus``
+    under the max-abs seminorm, in one refinement loop over the
+    breakpoints the integrators share.  Result c has the bits of
+    ``integrate_g_dx(f, mus[c], tol=tol, max_levels=max_levels)``."""
+    if f.dim is not None or any(mu.dim is not None for mu in mus):
+        raise ArgumentError("stacked drives take scalar factors")
+    if not mus:
+        return []
+    jump_ts, seminorms = _checked(f, mus, None, tol, max_levels)
+    return _refine(f, _Columns(mus), jump_ts, seminorms, tol, max_levels)
 
 
 def _plain_sum(f, mu, partition):

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ArgumentError, EnumerationLimitError
 from .functions import (PiecewiseFunction, _horner, _shift_poly,
                         _split_points, dual_compose, random_spline)
-from .integrals import integrate_g_dx
+from .integrals import _drive_columns, integrate_g_dx
 from .semivariation import e_set, wcs_check
 from .spaces import Seminorm, SpaceModel, pair, sample_dual_ball
 
@@ -458,15 +458,15 @@ def roundtrip(x, probe_count=20, tol=1e-8, dual_count=20, function_count=20,
     gs = [random_spline(x.domain, rng, complex_field=(field == "complex"))
           for _ in range(function_count)]
     # each composed integrator is built once, so its cached jump times and
-    # derivative sups serve every g
+    # derivative sups serve every g; one stacked drive per g gives every
+    # dual the bits of its own integrate_g_dx(g, yd, tol=tol)
     composed = [dual_compose(y, np.asarray(d)) for d in duals]
     pairing_gap, worst = 0.0, None
     for j, g in enumerate(gs):
         tg = apply(T, g, tol=tol)
-        for i, (d, yd) in enumerate(zip(duals, composed)):
-            lhs = pair(np.asarray(d), tg)
-            rhs = integrate_g_dx(g, yd, tol=tol).value
-            gap = abs(lhs - rhs)
+        drives = _drive_columns(g, composed, tol)
+        for i, (d, rhs) in enumerate(zip(duals, drives)):
+            gap = abs(pair(np.asarray(d), tg) - rhs.value)
             if gap > pairing_gap:
                 pairing_gap, worst = float(gap), (i, j)
     return RoundtripReport(identity_gap=identity_gap,

@@ -8,9 +8,10 @@ from numpy.polynomial import polynomial as npoly
 
 from stieltjes.errors import ArgumentError, ExistenceError
 from stieltjes.functions import (PiecewiseFunction, TaggedPartition, _horner,
-                                 bisect, product_integral, random_spline,
-                                 uniform_tagged_partition)
-from stieltjes.integrals import (_INITIAL_UNIFORM_CELLS, _drive, _envelopes,
+                                 bisect, dual_compose, product_integral,
+                                 random_spline, uniform_tagged_partition)
+from stieltjes.integrals import (_INITIAL_UNIFORM_CELLS, _drive,
+                                 _drive_columns, _envelopes,
                                  _require_existence, _sem_values,
                                  exact_step_integral, integrate_g_dx,
                                  integrate_x_dg, per_partes, rs_sum_S,
@@ -510,7 +511,10 @@ def test_incremental_drive_matches_a_from_scratch_loop(pair, tol, levels):
         with pytest.raises(ExistenceError):
             _drive(f, mu, None, tol, levels)
         return
-    got = _drive(f, mu, None, tol, levels)
+    assert_matches_reference(_drive(f, mu, None, tol, levels), expected)
+
+
+def assert_matches_reference(got, expected):
     value, est, n, converged, records = expected
     assert np.array_equal(got.value, value)
     assert np.array_equal(got.error_estimates, est)
@@ -538,3 +542,130 @@ def test_drive_with_cells_narrower_than_float_resolution():
         for rec, (_, _, v, e) in zip(got.trace, records, strict=True):
             assert np.array_equal(rec.value, v)
             assert np.array_equal(rec.estimates, e)
+
+
+# -- a stacked drive against one drive per column ------------------------------
+
+
+def same_bits(a, b):
+    """Equal type, dtype, shape and bytes: signed zeros must match too."""
+    if type(a) is not type(b):
+        return False
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+def assert_same_drive(got, expected):
+    assert same_bits(got.value, expected.value)
+    assert same_bits(got.error_estimates, expected.error_estimates)
+    assert (got.levels, got.converged) == (expected.levels, expected.converged)
+    for rec, ref in zip(got.trace, expected.trace, strict=True):
+        assert (rec.level, rec.mesh) == (ref.level, ref.mesh)
+        assert same_bits(rec.value, ref.value)
+        assert same_bits(rec.estimates, ref.estimates)
+
+
+def assert_columns_match_single_drives(f, columns, tol, levels):
+    """The stacked drive gives every column the bits of its own drive, or
+    refuses the pair as that drive does, and each column agrees with the
+    from-scratch loop; returns the single drives."""
+    try:
+        expected = [_drive(f, mu, None, tol, levels) for mu in columns]
+    except ExistenceError:
+        with pytest.raises(ExistenceError):
+            _drive_columns(f, columns, tol, levels)
+        return None
+    got = _drive_columns(f, columns, tol, levels)
+    for g, e, mu in zip(got, expected, columns, strict=True):
+        assert_same_drive(g, e)
+        assert_matches_reference(g, drive_reference(f, mu, None, tol, levels))
+    return expected
+
+
+# two cells one ulp wide around t = 1/2: their midpoints fall on an end
+ULP_GRID = np.array([0.0, np.nextafter(0.5, 0.0), 0.5,
+                     np.nextafter(0.5, 1.0), 1.0])
+
+
+def orthogonal_dual(jump):
+    """A dual d with <d, jump> = 0 in two dimensions."""
+    return np.conj([jump[1], -jump[0]])
+
+
+@st.composite
+def column_drives(draw):
+    """(f, columns): a scalar f and the compositions dual_compose(y, d) of
+    one vector y with 1-5 duals, as in the roundtrip pairing loop.  y is a
+    step, a spline plus steps, or continuous pieces with cells one ulp
+    wide; one dual may be orthogonal to a jump of y, so that the columns'
+    jump sets differ, and dual scales from 1e-3 to 1e2 spread the
+    columns' stop levels."""
+    complex_field = draw(st.booleans())
+    kind = draw(st.sampled_from(["step", "spline", "ulp"]))
+    rng = np.random.default_rng(draw(SEEDS))
+    unit = 1 + 1j * complex_field
+    if kind == "ulp":
+        y = continuous_pieces(draw, ULP_GRID, 2, complex_field)
+    else:
+        times = draw(STEP_TIMES)
+        jumps = rng.normal(size=(len(times), 2)) * unit
+        y = PiecewiseFunction.step((0.0, 1.0), times, jumps, np.zeros(2))
+        if kind == "spline":
+            s = random_spline((0.0, 1.0), rng, complex_field=complex_field)
+            y = y + PiecewiseFunction(
+                s.breakpoints, np.stack([s.coeffs, -2 * s.coeffs], axis=2))
+    k = draw(st.integers(1, 5))
+    duals = rng.normal(size=(k, 2)) * unit \
+        * 10.0 ** rng.integers(-3, 3, (k, 1))
+    if kind != "ulp" and draw(st.booleans()):
+        duals[rng.integers(k)] = orthogonal_dual(jumps[0])
+    columns = [dual_compose(y, d) for d in duals]
+    f_kind = draw(st.sampled_from(["spline", "poly", "step"]))
+    if f_kind == "spline":
+        f = random_spline((0.0, 1.0), rng, complex_field=complex_field)
+    elif f_kind == "poly":
+        bps = np.unique(np.concatenate([y.breakpoints, draw(TIMES)]))
+        f = continuous_pieces(draw, bps, None, complex_field)
+    else:
+        times = draw(STEP_TIMES)
+        f = PiecewiseFunction.step((0.0, 1.0), times,
+                                   rng.normal(size=len(times)) * unit, 1.0)
+    return f, columns
+
+
+@settings(max_examples=200)
+@given(column_drives(), st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12]),
+       st.integers(2, 10))
+def test_stacked_drive_matches_one_drive_per_column(case, tol, levels):
+    f, columns = case
+    assert_columns_match_single_drives(f, columns, tol, levels)
+
+
+def test_stacked_drive_examples_cover_each_column_path():
+    # one example of each path the columns of a stack can take apart from
+    # each other: a jump set without one jump, stops at different levels,
+    # a column that runs out of levels, cells one ulp wide
+    jumps = np.array([[1.0, -2.0], [0.5, 0.25]])
+    s = random_spline((0.0, 1.0), np.random.default_rng(3))
+    y = PiecewiseFunction.step((0.0, 1.0), [0.3, 0.7], jumps, np.zeros(2)) \
+        + PiecewiseFunction(s.breakpoints,
+                            np.stack([s.coeffs, 3 * s.coeffs], axis=2))
+    duals = [np.array([1.0, 0.25]), orthogonal_dual(jumps[0]),
+             np.array([1e-3, 0.0]), np.array([50.0, -20.0])]
+    columns = [dual_compose(y, d) for d in duals]
+    assert len(columns[0]._jump_times) == 2
+    assert columns[1]._jump_times == (0.7,)
+    g = random_spline((0.0, 1.0), np.random.default_rng(4),
+                      complex_field=True)
+    for k in (1, 4):
+        single = assert_columns_match_single_drives(g, columns[:k], 1e-5, 10)
+    assert len({r.levels for r in single}) > 1
+    assert not all(r.converged for r in single)
+    assert any(r.converged for r in single)
+
+    u = PiecewiseFunction(ULP_GRID,
+                          np.random.default_rng(5).normal(size=(4, 2, 2)))
+    columns = [dual_compose(u, d) for d in duals]
+    single = assert_columns_match_single_drives(g, columns, 1e-300, 4)
+    assert all(r.levels == 4 and not r.converged for r in single)

@@ -16,10 +16,11 @@ from numpy.polynomial import polynomial as npoly
 from scipy.interpolate import CubicSpline
 
 from stieltjes.functions import (PiecewiseFunction, _horner, _horner_at,
-                                 _natural_spline, _poly_sup_abs, _shift_poly,
+                                 _natural_spline, _poly_extreme_values,
+                                 _poly_sup_abs, _shift_poly,
                                  bisect, definite_integral, dual_compose,
                                  product_integral, random_spline)
-from stieltjes.integrals import _bisected_cells, _cells, _envelopes
+from stieltjes.integrals import _bisected_cells, _cells, _Columns, _envelopes
 from stieltjes.semivariation import _CHUNK, _aligning, _digit_chunks
 from stieltjes.spaces import Seminorm
 
@@ -290,26 +291,87 @@ def test_aligning_is_the_conjugate_over_the_modulus(case):
     assert same_bits(_aligning(z, fallback), expected)
 
 
+@given(st.integers(1, 7), st.booleans(), st.sampled_from([0.0, -0.0]),
+       st.floats(1e-6, 10.0))
+def test_sup_of_a_zero_polynomial_matches_the_root_path(k, cplx, zero, h):
+    # the zero derivatives of step pieces skip root finding, with the
+    # bits the root path gives
+    c = np.full(k, zero) * (1 + 0j if cplx else 1)
+    values = _poly_extreme_values(npoly.polymul(c, c.conj()).real if cplx
+                                  else c, h)
+    expected = np.sqrt(np.max(values)) if cplx else np.max(np.abs(values))
+    assert same_bits(_poly_sup_abs(c, h), float(expected))
+
+
+def cell_arrays(cells):
+    """The per-cell arrays of a cell state, the jump-end index unpacked."""
+    i, j, mu_vals, at_jumps, smooth = cells
+    return (i, j, mu_vals) + at_jumps + (smooth,)
+
+
 @settings(max_examples=100)
 @given(piecewise(), piecewise(dims=(None,)), st.integers(0, 6))
 def test_inherited_cells_match_a_fresh_lookup(f, mu, k):
     # each cell lies inside one piece of f and of mu, so bisection keeps
-    # every piece index, mu value and jump-end flag a fresh lookup gives
+    # every piece index, mu value, jump-end cell and envelope product a
+    # fresh lookup gives, for one integrator and, when f is scalar, for a
+    # stack of integrators on one grid
     scaled = mu.breakpoints * (f.b / mu.b)
     scaled[-1] = f.b
     mu = PiecewiseFunction(scaled, mu.coeffs)
-    bps = np.unique(np.concatenate([f.breakpoints, mu.breakpoints]))
-    jump_ts = np.array(mu._jump_times)
-    cells = _cells(f, mu, bps, jump_ts)
-    for _ in range(k):
-        mids = 0.5 * (bps[:-1] + bps[1:])
-        if not (np.all(bps[:-1] < mids) and np.all(mids < bps[1:])):
-            break
-        cells = _bisected_cells(mu, cells, mids)
-        bps = bisect(bps)
-    expected = _cells(f, mu, bps, jump_ts)
-    assert all(same_bits(a, b) for a, b in zip(cells, expected))
-    assert np.array_equal(cells[0], f._piece_at(bps[:-1]))
+    sems = (Seminorm.weighted_sup(np.ones(f.dim or 1)),)
+    layouts = [(mu, [np.array(mu._jump_times)],
+                _envelopes(f, sems) + _envelopes(mu, sems))]
+    if f.dim is None:
+        stack = _Columns([mu, mu * -0.5, mu * 0.0])
+        layouts.append((stack, [np.array(c._jump_times) for c in stack.mus],
+                        f._derivative_sups + stack.envelopes))
+    for integrator, jump_ts, envs in layouts:
+        bps = np.unique(np.concatenate([f.breakpoints, mu.breakpoints]))
+        cells = _cells(f, integrator, bps, jump_ts, envs)
+        for _ in range(k):
+            mids = 0.5 * (bps[:-1] + bps[1:])
+            if not (np.all(bps[:-1] < mids) and np.all(mids < bps[1:])):
+                break
+            cells = _bisected_cells(integrator, cells, mids)
+            bps = bisect(bps)
+        expected = _cells(f, integrator, bps, jump_ts, envs)
+        assert all(same_bits(a, b) for a, b in
+                   zip(cell_arrays(cells), cell_arrays(expected), strict=True))
+        assert np.array_equal(cells[0], f._piece_at(bps[:-1]))
+
+
+@settings(max_examples=100)
+@given(piecewise(dims=(None,)), st.integers(0, 2 ** 32 - 1))
+def test_stacked_values_match_each_integrator(mu, seed):
+    # a stack of integrators on one grid evaluates each row with the
+    # operations of the integrator alone, end value at b included
+    scales = np.random.default_rng(seed).normal(size=3)
+    mus = [mu * s for s in scales]
+    stack = _Columns(mus)
+    ts = np.concatenate([mu.breakpoints, np.linspace(mu.a, mu.b, 17)])
+    idx = mu._piece_at(ts)
+    assert same_bits(stack.values_at(ts),
+                     np.array([m.values_at(ts) for m in mus]))
+    assert same_bits(stack._values_in(idx, ts),
+                     np.array([m._values_in(idx, ts) for m in mus]))
+
+
+# n around the blocks of numpy's pairwise sum (8 partial sums, leaves of
+# 128 elements) and of a reduction's 8192-element buffer, and one far past
+SUM_LENGTHS = list(range(1, 201)) + [8191, 8192, 8193, 131072]
+
+
+def test_row_sums_of_a_stack_follow_each_row_alone():
+    # the stacked drive sums each column along axis 1 of a C-ordered
+    # (k, n) array and relies on getting each row's 1-d pairwise sum
+    rng = np.random.default_rng(20)
+    for n in SUM_LENGTHS:
+        rows = rng.normal(size=(3, n)) * 10.0 ** rng.integers(-8, 9, (3, n))
+        for a in (rows, rows + 1j * rows[::-1]):
+            a = np.ascontiguousarray(a)
+            expected = np.array([row.sum() for row in a])
+            assert same_bits(a.sum(axis=1), expected), n
 
 
 def public_copy(bps, coeffs, values):

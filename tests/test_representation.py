@@ -17,7 +17,7 @@ from stieltjes.representation import (IntervalMeasure, StieltjesOperator,
                                       measure_of_interval, roundtrip,
                                       weakly_compact_image_check)
 from stieltjes.semivariation import e_set
-from stieltjes.spaces import Seminorm, SpaceModel, pair
+from stieltjes.spaces import Seminorm, SpaceModel, pair, sample_dual_ball
 
 
 def single_jump():
@@ -382,3 +382,54 @@ def test_roundtrip_constant_integrator():
                        seed=5)
     assert report.identity_gap == 0.0
     assert report.pairing_gap == 0.0
+
+
+def pairing_by_single_drives(x, tol, dual_count, function_count, seed):
+    """roundtrip's (pairing_gap, worst_pair) from one integrate_g_dx per
+    (dual, g), drawing the duals and the g as roundtrip does."""
+    field = "complex" if np.iscomplexobj(x.coeffs) else "real"
+    space = SpaceModel(x.dim, field, (Seminorm.weighted_sup(np.ones(x.dim)),))
+    T = StieltjesOperator(space, x)
+    y = measure_from_function(x).cumulative
+    rng = np.random.default_rng(seed)
+    duals = sample_dual_ball(np.eye(x.dim), dual_count, seed=seed)
+    gs = [random_spline(x.domain, rng, complex_field=(field == "complex"))
+          for _ in range(function_count)]
+    gap, worst = 0.0, None
+    for j, g in enumerate(gs):
+        tg = apply(T, g, tol=tol)
+        for i, d in enumerate(duals):
+            d = np.asarray(d)
+            rhs = integrate_g_dx(g, dual_compose(y, d), tol=tol).value
+            if abs(pair(d, tg) - rhs) > gap:
+                gap, worst = float(abs(pair(d, tg) - rhs)), (i, j)
+    return gap, worst
+
+
+def spline_plus_steps(seed, dim, complex_field):
+    rng = np.random.default_rng(seed)
+    s = random_spline((0.0, 1.0), rng, complex_field=complex_field)
+    jumps = rng.normal(size=(3, dim)) * (1 + 1j * complex_field)
+    return PiecewiseFunction.step((0.0, 1.0), [0.2, 0.5, 0.9], jumps,
+                                  np.zeros(dim)) \
+        + PiecewiseFunction(s.breakpoints,
+                            np.stack([s.coeffs * (k + 1) for k in range(dim)],
+                                     axis=2))
+
+
+@pytest.mark.parametrize("x,tol", [
+    (single_jump(), 1e-8),
+    (spline_plus_steps(1, 2, False), 1e-7),
+    (spline_plus_steps(2, 3, True), 1e-6),
+    (PiecewiseFunction.step((0.0, 1.0), [0.25, 0.5, 0.75],
+                            [[1.0, 0.0], [0.0, 1j], [2.0, -1.0]],
+                            [0.0, 0.0]), 1e-8),
+])
+def test_roundtrip_pairing_matches_single_drives(x, tol):
+    # the stacked drive per g must reproduce the pairing loop with one
+    # scalar drive per dual to the last bit, worst pair included
+    report = roundtrip(x, probe_count=10, tol=tol, dual_count=6,
+                       function_count=3, seed=11)
+    gap, worst = pairing_by_single_drives(x, tol, 6, 3, 11)
+    assert report.pairing_gap == gap and report.worst_pair == worst
+    assert worst is not None
