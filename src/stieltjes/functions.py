@@ -81,34 +81,94 @@ def _horner_at(c, idx, tau):
     return out
 
 
-def _poly_roots(c, h):
-    """Complex roots of a real ascending-coefficient polynomial considered
-    on [0, h].  Leading terms below 1e-9 of the largest term on [0, h] are
-    dropped and the rest scaled by a power of two (exactly), so the
-    companion matrix gets no huge or, from subnormals, infinite entries.
-    A root of multiplicity k comes back with an imaginary part of order
-    eps**(1/k), so callers use the real parts of all roots."""
+def _kept_terms(c, h):
+    """Sizes \\|c_ik\\| h_i^k (m, K) of the terms of the rows of ``c`` on
+    [0, h_i], and the number of terms (m,) each row keeps once its leading
+    terms below 1e-9 of its largest are dropped.  The powers are scalar
+    powers h_i ** k: numpy's array power can differ from them in the last
+    bit and flip a decision."""
+    m, K = c.shape
+    powers = [[s ** k for k in range(K)] for s in np.ravel(h).tolist()]
+    size = np.abs(c) * np.array(powers).reshape(m, K)
+    big = size > 1e-9 * size.max(axis=1, keepdims=True)
+    return size, (big * np.arange(1, K + 1)).max(axis=1)
+
+
+def _root_rows(c, h):
+    """Complex roots of the real ascending-coefficient rows of ``c`` (m, K),
+    row i considered on [0, h_i]: (m, R) rows whose first ``count_i``
+    entries are that row's roots in ascending order (the rest NaN), and
+    ``count`` (m,).
+
+    Leading terms below 1e-9 of a row's largest term on [0, h_i] are
+    dropped (:func:`_kept_terms`) and the rest scaled by a power of two
+    (exactly), so no companion matrix gets huge or, from subnormals,
+    infinite entries.  Rows of one trimmed degree share one stacked
+    eigenvalue call.  A root of multiplicity k comes back with an
+    imaginary part of order eps**(1/k), so callers use the real parts of
+    all roots.
+    """
     c = np.asarray(c, dtype=float)
-    s = np.float64(h)
-    size = [abs(v) * s ** k for k, v in enumerate(c.tolist())]
-    top = 1e-9 * max(size)
-    n = max((k + 1 for k, v in enumerate(size) if v > top), default=0)
-    if n <= 1:
-        return np.array([], dtype=complex)
-    scale = np.frexp(max(abs(v) for v in c[:n].tolist()))[1]
-    return npoly.polyroots(np.ldexp(c[:n], -scale).astype(complex))
+    n = _kept_terms(c, h)[1]
+    count = np.maximum(n - 1, 0)
+    lead = np.where(np.arange(c.shape[1]) < n[:, np.newaxis], np.abs(c), 0.0)
+    scaled = np.ldexp(c, -np.frexp(lead.max(axis=1))[1][:, np.newaxis])
+    scaled = scaled.astype(complex)
+    roots = np.full((c.shape[0], count.max(initial=0)), np.nan, dtype=complex)
+    for d in sorted(set(count.tolist()) - {0}):
+        rows = np.flatnonzero(count == d)
+        cs = scaled[rows, :d + 1]
+        if d == 1:
+            roots[rows, :1] = -cs[:, :1] / cs[:, 1:]
+            continue
+        # np.polynomial.polynomial.polycompanion, one per row
+        comp = np.zeros((rows.size, d, d), dtype=complex)
+        comp.reshape(rows.size, -1)[:, d::d + 1] = 1
+        comp[:, :, -1] -= cs[:, :-1] / cs[:, -1:]
+        roots[rows, :d] = np.sort(np.linalg.eigvals(comp), axis=1)
+    return roots, count
 
 
-def _split_points(c, h):
-    """Sorted real parts, at least eps apart, of the roots of a real
-    polynomial that lie strictly inside (0, h): every point where it can
-    change sign.  Real parts of complex roots add harmless extra splits."""
-    eps = 1e-13 * max(1.0, h)
-    roots = np.sort(_poly_roots(c, h).real)
-    roots = roots[(roots > eps) & (roots < h - eps)]
-    if roots.size == 0:
-        return roots
-    return roots[np.concatenate([[True], np.diff(roots) > eps])]
+# A k-fold real root comes back spread over a circle of radius about
+# delta**(1/k) times the piece width, where delta is the relative size of
+# the perturbation: rounding, or the leading terms dropped before root
+# finding.  Roots further than this many such radii off the real axis,
+# for k up to the trimmed degree, are complex pairs where a real
+# polynomial cannot change sign.  Perturbed multiple real roots have
+# been seen at up to 2.6 radii.
+_ROOT_SPREAD = 16.0
+
+
+def _split_rows(c, h, sign_changes=False):
+    """For each real polynomial row of ``c`` (m, K) on [0, h_i], the sorted
+    real parts, at least eps apart, of its roots strictly inside (0, h_i).
+
+    With ``sign_changes`` only roots close enough to the real axis to be
+    a perturbed real root count: every point where the polynomial can
+    change sign.  Without it, the real parts of complex pairs near the
+    axis also mark where a modulus such as \\|p'\\| bends sharply.
+    """
+    c = np.asarray(c, dtype=float)
+    h = np.asarray(h, dtype=float)
+    roots, count = _root_rows(c, h)
+    eps = 1e-13 * np.maximum(1.0, h)
+    keep = (roots.real > eps[:, np.newaxis]) \
+        & (roots.real < (h - eps)[:, np.newaxis])
+    if sign_changes:
+        size, n = _kept_terms(c, h)
+        top = size.max(axis=1)
+        dropped = np.where(np.arange(c.shape[1]) < n[:, np.newaxis], 0.0,
+                           size).max(axis=1)
+        delta = np.maximum(np.finfo(float).eps,
+                           dropped / np.where(top > 0.0, top, 1.0))
+        spread = _ROOT_SPREAD * h * delta ** (1.0 / np.maximum(count, 1))
+        keep &= np.abs(roots.imag) <= spread[:, np.newaxis]
+    splits = []
+    for r, k, e in zip(roots.real, keep, eps.tolist()):
+        r = np.sort(r[k])
+        splits.append(r[np.concatenate([[True], np.diff(r) > e])]
+                      if r.size else r)
+    return splits
 
 
 def _polyder(c):
@@ -117,40 +177,75 @@ def _polyder(c):
     return npoly.polyder(c, axis=1) if c.shape[1] > 1 else np.zeros_like(c)
 
 
-def _poly_extreme_values(c, h):
-    """Values of a real polynomial at 0, at the clipped real parts of all
-    roots of its derivative, in ascending order, and at h: its extreme
-    values over [0, h] are among them."""
+def _extreme_rows(c, h):
+    """Values of each real polynomial row of ``c`` (m, K) at 0, at the
+    clipped real parts of all roots of its derivative in ascending order,
+    and at h_i: its extreme values over [0, h_i] are among them.  Returns
+    (m, L) rows padded with further values at h_i, and the number of
+    candidates per row.
+
+    The values are np.polynomial.polyval's, in its operation order; a
+    trailing zero coefficient leaves them unchanged, so rows may be padded
+    with zeros.
+    """
     c = np.asarray(c, dtype=float)
-    crit = np.sort(np.clip(_poly_roots(npoly.polyder(c), h).real, 0.0, h))
-    return npoly.polyval(np.concatenate([[0.0], crit, [h]]), c)
+    h = np.asarray(h, dtype=float)
+    # np.polynomial.polynomial.polyder's products j * c_j, for all rows
+    der = c[:, 1:] * np.arange(1.0, c.shape[1]) if c.shape[1] > 1 \
+        else np.zeros_like(c)
+    roots, count = _root_rows(der, h)
+    x = np.repeat(h[:, np.newaxis], roots.shape[1] + 2, axis=1)
+    x[:, 0] = 0.0
+    for d in sorted(set(count.tolist()) - {0}):
+        rows = np.flatnonzero(count == d)
+        x[rows, 1:d + 1] = np.sort(np.clip(roots[rows, :d].real, 0.0,
+                                           h[rows, np.newaxis]), axis=1)
+    vals = c[:, -1:] + x * 0
+    for k in range(c.shape[1] - 2, -1, -1):
+        vals = c[:, k:k + 1] + vals * x
+    return vals, count + 2
+
+
+def _sup_abs_rows(c, h):
+    """Exact sup of \\|p(tau)\\| over [0, h_i] for each row p of ``c``
+    (m, K); supports complex coefficients."""
+    c = np.asarray(c)
+    h = np.asarray(h, dtype=float)
+    sups = np.zeros(c.shape[0])
+    live = np.flatnonzero(np.any(c, axis=1))  # 0.0 is the root path's sup
+    if live.size == 0:
+        return sups
+    if not np.iscomplexobj(c):
+        vals, _ = _extreme_rows(c[live], h[live])
+        sups[live] = np.max(np.abs(vals), axis=1)
+        return sups
+    vals, _ = _extreme_rows(_abs_squared(c[live]), h[live])
+    sups[live] = np.sqrt(np.max(vals, axis=1))
+    return sups
+
+
+def _abs_squared(c):
+    """Coefficients of the real polynomials \\|p\\|^2 for the complex rows
+    p of ``c`` (m, K), zero-padded to one length.  np.polynomial.polymul
+    multiplies through BLAS, whose summation order an array expression
+    would not reproduce, so it runs row by row."""
+    sq = [npoly.polymul(p, p.conj()).real for p in c]
+    out = np.zeros((len(sq), max(s.size for s in sq)))
+    for row, s in zip(out, sq):
+        row[:s.size] = s
+    return out
+
+
+def _poly_extreme_values(c, h):
+    """The candidate values of :func:`_extreme_rows` for one real
+    polynomial ``c`` on [0, h]."""
+    vals, count = _extreme_rows(np.asarray(c, dtype=float)[np.newaxis], [h])
+    return vals[0, :count[0]]
 
 
 def _poly_sup_abs(c, h):
     """Exact sup of \\|p(tau)\\| over [0, h]; supports complex coefficients."""
-    if not np.any(c):
-        return 0.0  # what the root path gives the zero polynomial
-    if not np.iscomplexobj(c):
-        return float(np.max(np.abs(_poly_extreme_values(c, h))))
-    sq = npoly.polymul(c, c.conj()).real  # \|p\|^2 is a real polynomial
-    return float(np.sqrt(np.max(_poly_extreme_values(sq, h))))
-
-
-def _poly_variation(c, h):
-    """Total variation of the polynomial path p: [0, h] -> scalar."""
-    if not np.iscomplexobj(c):
-        return float(np.sum(np.abs(np.diff(_poly_extreme_values(c, h)))))
-    # complex path: integrate \|p'\| between zeros of \|p'\|^2
-    der = npoly.polyder(c)
-    sq = npoly.polymul(der, der.conj()).real
-    splits = np.concatenate([[0.0], _split_points(sq, h), [h]])
-    nodes, wts = np.polynomial.legendre.leggauss(64)
-    total = 0.0
-    for lo, hi in zip(splits[:-1], splits[1:]):
-        half = 0.5 * (hi - lo)
-        taus = lo + half * (nodes + 1.0)
-        total += half * float(np.sum(wts * np.abs(npoly.polyval(taus, der))))
-    return total
+    return float(_sup_abs_rows(np.asarray(c)[np.newaxis], [h])[0])
 
 
 class PiecewiseFunction:
@@ -382,9 +477,11 @@ class PiecewiseFunction:
         """Per-piece sups of \\|q'\\| and of \\|q''\\| (scalar functions)."""
         widths = np.diff(self.breakpoints)
         first = _polyder(self.coeffs)
-        return tuple(
-            np.array([_poly_sup_abs(c, h) for c, h in zip(der, widths)])
-            for der in (first, _polyder(first)))
+        second = np.zeros_like(first)  # zero-padded to first's length
+        second[:, :max(first.shape[1] - 1, 1)] = _polyder(first)
+        sups = _sup_abs_rows(np.concatenate([first, second]),
+                             np.concatenate([widths, widths]))
+        return tuple(sups.reshape(2, -1))
 
     # -- calculus ----------------------------------------------------------
 
@@ -462,20 +559,21 @@ class PiecewiseFunction:
 
     def sup_abs(self):
         """Exact sup of \\|f\\| (scalar) or max-abs over coordinates (vector)."""
-        widths = np.diff(self.breakpoints)
         c = self.coeffs.reshape(self.coeffs.shape[:2] + (-1,))
-        sups = [_poly_sup_abs(q, h) for ci, h in zip(c, widths) for q in ci.T]
+        rows = c.transpose(0, 2, 1).reshape(-1, c.shape[1])  # piece-major
+        sups = _sup_abs_rows(rows, np.repeat(np.diff(self.breakpoints),
+                                             c.shape[2]))
         end = float(np.max(np.abs(np.atleast_1d(self.values[-1]))))
-        return max(max(sups), end)
+        return max(max(sups.tolist()), end)
 
     def range_bounds(self):
         """Exact (min, max) over [a, b]; real scalar functions only."""
         if self.dim is not None or np.iscomplexobj(self.coeffs):
             raise ArgumentError("range_bounds needs a real scalar function")
-        widths = np.diff(self.breakpoints)
+        vals, count = _extreme_rows(self.coeffs, np.diff(self.breakpoints))
         vals = np.concatenate(
-            [_poly_extreme_values(c, h) for c, h in zip(self.coeffs, widths)]
-            + [self.values[-1:]])
+            [vals[np.arange(vals.shape[1]) < count[:, np.newaxis]],
+             self.values[-1:]])
         return float(np.min(vals)), float(np.max(vals))
 
 
@@ -579,10 +677,34 @@ def scalar_variation(f):
     """
     if f.dim is not None:
         raise ArgumentError("scalar_variation expects a scalar function")
-    total = sum(_poly_variation(c, h)
-                for c, h in zip(f.coeffs, np.diff(f.breakpoints)))
+    widths = np.diff(f.breakpoints)
+    if np.iscomplexobj(f.coeffs):
+        total = sum(_path_lengths(f.coeffs, widths))
+    else:
+        # padded candidates add zero steps at the end of each row
+        vals, _ = _extreme_rows(f.coeffs, widths)
+        total = sum(np.sum(np.abs(np.diff(vals, axis=1)), axis=1).tolist())
     total += sum(abs(jump) for _, jump in f.jump_points(atol=0.0))
     return float(total)
+
+
+def _path_lengths(c, h):
+    """Lengths of the complex polynomial paths p_i: [0, h_i] -> C of the
+    rows of ``c`` (m, K): \\|p_i'\\| integrated by Gauss-Legendre between
+    the zeros of \\|p_i'\\|^2, where it can have kinks."""
+    der = _polyder(c)
+    nodes, wts = np.polynomial.legendre.leggauss(64)
+    lengths = []
+    for p, hi, splits in zip(der, h.tolist(),
+                             _split_rows(_abs_squared(der), h)):
+        edges = np.concatenate([[0.0], splits, [hi]])
+        total = 0.0
+        for lo, up in zip(edges[:-1], edges[1:]):
+            half = 0.5 * (up - lo)
+            taus = lo + half * (nodes + 1.0)
+            total += half * float(np.sum(wts * np.abs(npoly.polyval(taus, p))))
+        lengths.append(total)
+    return lengths
 
 
 def dual_compose(x, dual):

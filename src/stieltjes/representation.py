@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ArgumentError, EnumerationLimitError
 from .functions import (PiecewiseFunction, _horner, _shift_poly,
-                        _split_points, dual_compose, random_spline)
+                        _split_rows, dual_compose, random_spline)
 from .integrals import _drive_columns, integrate_g_dx
 from .semivariation import e_set, wcs_check
 from .spaces import Seminorm, SpaceModel, pair, sample_dual_ball
@@ -96,11 +96,10 @@ def _positive_part(f):
     widths = np.diff(f.breakpoints)
     bps = [f.a]
     coeffs = []
-    for i in range(f.piece_count):
+    for i, splits in enumerate(_split_rows(f.coeffs, widths,
+                                                sign_changes=True)):
         c = f.coeffs[i]
-        h = widths[i]
-        splits = _split_points(c, h)
-        edges = np.concatenate([[0.0], splits, [h]])
+        edges = np.concatenate([[0.0], splits, [widths[i]]])
         shifted = _shift_poly(np.broadcast_to(c, (edges.size - 1,) + c.shape),
                               edges[:-1])
         keep = _horner(shifted, 0.5 * np.diff(edges)) > 0.0

@@ -15,11 +15,13 @@ from hypothesis.extra import numpy as hnp
 from numpy.polynomial import polynomial as npoly
 from scipy.interpolate import CubicSpline
 
-from stieltjes.functions import (PiecewiseFunction, _horner, _horner_at,
-                                 _natural_spline, _poly_extreme_values,
-                                 _poly_sup_abs, _shift_poly,
-                                 bisect, definite_integral, dual_compose,
-                                 product_integral, random_spline)
+from stieltjes.functions import (PiecewiseFunction, _extreme_rows, _horner,
+                                 _horner_at, _natural_spline,
+                                 _poly_extreme_values, _poly_sup_abs,
+                                 _root_rows, _shift_poly, _split_rows,
+                                 _sup_abs_rows, bisect, definite_integral,
+                                 dual_compose, product_integral,
+                                 random_spline, scalar_variation)
 from stieltjes.integrals import _bisected_cells, _cells, _Columns, _envelopes
 from stieltjes.semivariation import _CHUNK, _aligning, _digit_chunks
 from stieltjes.spaces import Seminorm
@@ -460,3 +462,263 @@ def test_random_spline_matches_the_scipy_construction(seed, knots, a, width,
                                    knots, bound, complex_field)
     for name in ("breakpoints", "coeffs", "values"):
         assert same_bits(getattr(got, name), getattr(expected, name))
+
+
+# -- the batched extreme-value kernel against the per-piece code it replaced --
+#
+# poly_roots, split_points, poly_extreme_values, poly_sup_abs and
+# poly_variation are the per-piece functions the library ran before its
+# extreme values were batched per function, kept unchanged as the
+# reference.
+
+
+def poly_roots(c, h):
+    """Complex roots of a real ascending-coefficient polynomial considered
+    on [0, h].  Leading terms below 1e-9 of the largest term on [0, h] are
+    dropped and the rest scaled by a power of two (exactly), so the
+    companion matrix gets no huge or, from subnormals, infinite entries.
+    A root of multiplicity k comes back with an imaginary part of order
+    eps**(1/k), so callers use the real parts of all roots."""
+    c = np.asarray(c, dtype=float)
+    s = np.float64(h)
+    size = [abs(v) * s ** k for k, v in enumerate(c.tolist())]
+    top = 1e-9 * max(size)
+    n = max((k + 1 for k, v in enumerate(size) if v > top), default=0)
+    if n <= 1:
+        return np.array([], dtype=complex)
+    scale = np.frexp(max(abs(v) for v in c[:n].tolist()))[1]
+    return npoly.polyroots(np.ldexp(c[:n], -scale).astype(complex))
+
+
+def split_points(c, h):
+    """Sorted real parts, at least eps apart, of the roots of a real
+    polynomial that lie strictly inside (0, h): every point where it can
+    change sign.  Real parts of complex roots add harmless extra splits."""
+    eps = 1e-13 * max(1.0, h)
+    roots = np.sort(poly_roots(c, h).real)
+    roots = roots[(roots > eps) & (roots < h - eps)]
+    if roots.size == 0:
+        return roots
+    return roots[np.concatenate([[True], np.diff(roots) > eps])]
+
+
+def poly_extreme_values(c, h):
+    """Values of a real polynomial at 0, at the clipped real parts of all
+    roots of its derivative, in ascending order, and at h: its extreme
+    values over [0, h] are among them."""
+    c = np.asarray(c, dtype=float)
+    crit = np.sort(np.clip(poly_roots(npoly.polyder(c), h).real, 0.0, h))
+    return npoly.polyval(np.concatenate([[0.0], crit, [h]]), c)
+
+
+def poly_sup_abs(c, h):
+    """Exact sup of \\|p(tau)\\| over [0, h]; supports complex coefficients."""
+    if not np.any(c):
+        return 0.0  # what the root path gives the zero polynomial
+    if not np.iscomplexobj(c):
+        return float(np.max(np.abs(poly_extreme_values(c, h))))
+    sq = npoly.polymul(c, c.conj()).real  # \|p\|^2 is a real polynomial
+    return float(np.sqrt(np.max(poly_extreme_values(sq, h))))
+
+
+def poly_variation(c, h):
+    """Total variation of the polynomial path p: [0, h] -> scalar."""
+    if not np.iscomplexobj(c):
+        return float(np.sum(np.abs(np.diff(poly_extreme_values(c, h)))))
+    # complex path: integrate \|p'\| between zeros of \|p'\|^2
+    der = npoly.polyder(c)
+    sq = npoly.polymul(der, der.conj()).real
+    splits = np.concatenate([[0.0], split_points(sq, h), [h]])
+    nodes, wts = np.polynomial.legendre.leggauss(64)
+    total = 0.0
+    for lo, hi in zip(splits[:-1], splits[1:]):
+        half = 0.5 * (hi - lo)
+        taus = lo + half * (nodes + 1.0)
+        total += half * float(np.sum(wts * np.abs(npoly.polyval(taus, der))))
+    return total
+
+
+WIDTHS = st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 9.99),
+                   st.integers(-6, 3))
+
+
+@st.composite
+def kernel_row(draw, K, h):
+    """One row of K ascending coefficients: random, all (signed) zeros,
+    with roots of multiplicity 1..4 inside [0, h], or with its leading
+    term sized around the 1e-9 trimming threshold."""
+    kind = draw(st.sampled_from(["random", "zero", "rooted", "threshold"]))
+    if kind == "zero":
+        return draw(hnp.arrays(float, (K,),
+                               elements=st.sampled_from([0.0, -0.0])))
+    if kind == "rooted":
+        c = np.array([draw(st.sampled_from([1.0, -1.0, 3.0, -0.5]))])
+        for m in draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)):
+            if c.size + m > K:
+                break
+            r = draw(st.floats(0.0, 1.0)) * h
+            c = npoly.polymul(c, npoly.polypow([-r, 1.0], m))
+        return np.pad(c, (0, K - c.size))
+    c = draw(hnp.arrays(float, (K,), elements=FINITE))
+    if kind == "threshold" and K > 1:
+        # the leading term's size |c_K-1| h^(K-1) is t times 1e-9 of the
+        # largest other term's
+        t = draw(st.sampled_from([0.5, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 2.0]))
+        top = max(abs(v) * h ** k for k, v in enumerate(c[:-1].tolist()))
+        c[-1] = draw(st.sampled_from([1.0, -1.0])) * t * 1e-9 * top \
+            / h ** (K - 1)
+    return c
+
+
+@st.composite
+def kernel_rows(draw, complex_field=False):
+    """(coefficient rows (m, K), widths (m,)) for degrees 0..5."""
+    m = draw(st.integers(1, 6))
+    K = draw(st.integers(1, 6))
+    h = np.array([draw(WIDTHS) for _ in range(m)])
+    c = np.array([draw(kernel_row(K, w)) for w in h]).reshape(m, K)
+    if complex_field:
+        c = c + 1j * np.array([draw(kernel_row(K, w)) for w in h]).reshape(
+            m, K)
+    return c, h
+
+
+@settings(max_examples=300)
+@given(kernel_rows())
+def test_batched_roots_and_extremes_match_per_piece(case):
+    c, h = case
+    roots, count = _root_rows(c, h)
+    vals, n = _extreme_rows(c, h)
+    splits = _split_rows(c, h)
+    for i in range(c.shape[0]):
+        assert same_bits(roots[i, :count[i]], poly_roots(c[i], h[i]))
+        assert np.all(np.isnan(roots[i, count[i]:]))
+        expected = poly_extreme_values(c[i], h[i])
+        assert same_bits(vals[i, :n[i]], expected)
+        assert same_bits(vals[i, n[i]:], np.full(vals.shape[1] - n[i],
+                                                 expected[-1]))
+        assert same_bits(_poly_extreme_values(c[i], h[i]), expected)
+        assert same_bits(splits[i], split_points(c[i], h[i]))
+
+
+@settings(max_examples=300)
+@given(st.booleans().flatmap(kernel_rows))
+def test_batched_sups_match_per_piece(case):
+    c, h = case
+    sups = _sup_abs_rows(c, h)
+    for i in range(c.shape[0]):
+        expected = poly_sup_abs(c[i], h[i])
+        assert same_bits(sups[i], np.float64(expected))
+        assert same_bits(_poly_sup_abs(c[i], h[i]), expected)
+
+
+def sup_abs_per_piece(f):
+    widths = np.diff(f.breakpoints)
+    c = f.coeffs.reshape(f.coeffs.shape[:2] + (-1,))
+    sups = [poly_sup_abs(q, h) for ci, h in zip(c, widths) for q in ci.T]
+    end = float(np.max(np.abs(np.atleast_1d(f.values[-1]))))
+    return max(max(sups), end)
+
+
+def range_bounds_per_piece(f):
+    widths = np.diff(f.breakpoints)
+    vals = np.concatenate(
+        [poly_extreme_values(c, h) for c, h in zip(f.coeffs, widths)]
+        + [f.values[-1:]])
+    return float(np.min(vals)), float(np.max(vals))
+
+
+def derivative_sups_per_piece(f):
+    widths = np.diff(f.breakpoints)
+    first = (npoly.polyder(f.coeffs, axis=1) if f.coeffs.shape[1] > 1
+             else np.zeros_like(f.coeffs))
+    second = (npoly.polyder(first, axis=1) if first.shape[1] > 1
+              else np.zeros_like(first))
+    return tuple(np.array([poly_sup_abs(c, h) for c, h in zip(der, widths)])
+                 for der in (first, second))
+
+
+def variation_per_piece(f):
+    total = sum(poly_variation(c, h)
+                for c, h in zip(f.coeffs, np.diff(f.breakpoints)))
+    total += sum(abs(jump) for _, jump in f.jump_points(atol=0.0))
+    return float(total)
+
+
+@st.composite
+def kernel_functions(draw):
+    """Random splines, steps and piecewise polynomials, scalar or vector,
+    real or complex."""
+    kind = draw(st.sampled_from(["spline", "step", "poly"]))
+    complex_field = draw(st.booleans())
+    if kind == "spline":
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        return random_spline((0.0, draw(st.floats(0.01, 100.0))), rng,
+                             draw(st.integers(4, 12)),
+                             draw(st.sampled_from([1.0, 1e-6, 1e4])),
+                             complex_field)
+    if kind == "step":
+        n = draw(st.integers(1, 6))
+        jumps = draw(hnp.arrays(float, (n,), elements=FINITE))
+        start = 0.0
+        if complex_field:
+            jumps = jumps + 1j * draw(hnp.arrays(float, (n,),
+                                                 elements=FINITE))
+            start = 0j
+        times = (np.arange(n) + 1.0) / (n + 1)
+        return PiecewiseFunction.step((0.0, 1.0), times, jumps, start)
+    return draw(piecewise(fields=(complex_field,)))
+
+
+@settings(max_examples=200)
+@given(kernel_functions())
+def test_function_extremes_match_per_piece_loops(f):
+    assert same_bits(f.sup_abs(), sup_abs_per_piece(f))
+    if f.dim is not None:
+        return
+    assert all(same_bits(a, b) for a, b in
+               zip(f._derivative_sups, derivative_sups_per_piece(f),
+                   strict=True))
+    assert same_bits(scalar_variation(f), variation_per_piece(f))
+    if not np.iscomplexobj(f.coeffs):
+        assert same_bits(f.range_bounds(), range_bounds_per_piece(f))
+
+
+def rooted_coefficients(rng, d):
+    """Random degree-d polynomial, with one root of multiplicity 2..d
+    about half of the time."""
+    c = rng.normal(size=d + 1) * 10.0 ** rng.integers(-3, 4)
+    if rng.random() < 0.5:
+        k = int(rng.integers(2, d + 1))
+        rest = rng.normal(size=d - k + 1)
+        c = npoly.polymul(npoly.polypow([-rng.uniform(), 1.0], k), rest)
+    return c
+
+
+def test_stacked_eigvals_match_one_matrix_at_a_time():
+    # the kernel finds all roots of one degree with one stacked eigvals
+    # call and relies on getting each matrix's own eigvals bits
+    rng = np.random.default_rng(41)
+    for d in range(2, 6):
+        mats = np.array([npoly.polycompanion(
+            rooted_coefficients(rng, d).astype(complex)) for _ in range(500)])
+        expected = np.array([np.linalg.eigvals(m) for m in mats])
+        assert same_bits(np.linalg.eigvals(mats), expected), d
+
+
+def test_trimming_uses_scalar_powers():
+    # np.power(h, k) on an array can be an ulp off h ** k; near the 1e-9
+    # trimming threshold that would flip the trimmed degree
+    rng = np.random.default_rng(42)
+    hs = rng.uniform(1e-3, 1e3, 2000)
+    for k in range(2, 7):
+        scalar = np.array([h ** k for h in hs.tolist()])
+        for h, p in zip(hs[np.power(hs, k) != scalar][:20],
+                        scalar[np.power(hs, k) != scalar][:20]):
+            c = np.zeros(k + 1)
+            c[0] = 1.0
+            lead = 1e-9 / p
+            for step in range(-3, 4):
+                c[k] = lead + step * np.spacing(lead)
+                _, count = _root_rows(c[np.newaxis], [h])
+                assert count[0] == poly_roots(c, h).size, (h, k, c[k])

@@ -139,6 +139,15 @@ def test_decompose_splits_at_a_triple_root():
     assert gap <= 1e-15
 
 
+def test_decompose_does_not_split_at_complex_roots():
+    # (t - 1/2)^2 + 1/100 has the roots 1/2 +- i/10 and no sign change,
+    # so no part needs a breakpoint at 1/2
+    g = PiecewiseFunction.from_global_polynomial([0.26, -1.0, 1.0],
+                                                 (0.0, 1.0))
+    for part in decompose(g):
+        assert part.piece_count == 1
+
+
 @st.composite
 def rooted_piece(draw, h):
     """s * prod_j (tau - r_j)^m_j on [0, h], multiplicities m_j in 1..4
