@@ -1,9 +1,11 @@
 """Semivariation, the increment-sum set, and the duality sandwich.
 
 Semivariation measures the largest seminorm value reachable by signed sums
-of increments.  For step functions the computation is an exact sign
-enumeration; for smooth curves a refinement drive converges from below.
-The increment-sum set and dual variations sandwich the same quantity.
+of increments.  It is also the largest variation of <u, x(.)> over the
+polar ball of the seminorm, so for weighted-sup and weighted-one seminorms
+it is the largest exact variation over the ball's finitely many vertices,
+for steps and smooth curves alike.  The increment-sum set and dual
+variations sandwich the same quantity.
 """
 
 import numpy as np
@@ -45,6 +47,6 @@ print(f"  best dual variation {bound} <= semivariation {rep.value}")
 print()
 smooth = PiecewiseFunction(np.array([0.0, 1.0]),
                            np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]]))
-rep = semivariation(smooth, first, tol=1e-10)
-print("smooth curve (t, t^2) under |v_1|: refinement approaches the")
-print(f"  variation of t, giving {rep.value:.12f} after {rep.levels} levels")
+rep = semivariation(smooth, first)
+print("smooth curve (t, t^2) under |v_1|: the vertex e_1 of the polar ball")
+print(f"  gives the variation of t, {rep.value:.12f} (exact={rep.exact})")

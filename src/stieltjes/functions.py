@@ -236,18 +236,6 @@ def _abs_squared(c):
     return out
 
 
-def _poly_extreme_values(c, h):
-    """The candidate values of :func:`_extreme_rows` for one real
-    polynomial ``c`` on [0, h]."""
-    vals, count = _extreme_rows(np.asarray(c, dtype=float)[np.newaxis], [h])
-    return vals[0, :count[0]]
-
-
-def _poly_sup_abs(c, h):
-    """Exact sup of \\|p(tau)\\| over [0, h]; supports complex coefficients."""
-    return float(_sup_abs_rows(np.asarray(c)[np.newaxis], [h])[0])
-
-
 class PiecewiseFunction:
     """Right-continuous piecewise polynomial on [a, b].
 
@@ -411,7 +399,7 @@ class PiecewiseFunction:
         """Index of the piece whose span [b_i, b_{i+1}) holds each t; the
         last piece for t = b."""
         idx = np.searchsorted(self.breakpoints, ts, side="right") - 1
-        return np.clip(idx, 0, self.piece_count - 1)
+        return np.minimum(np.maximum(idx, 0), self.piece_count - 1)
 
     def values_at(self, ts):
         """Vectorized evaluation at an array of points inside [a, b]."""

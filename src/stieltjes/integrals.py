@@ -334,6 +334,9 @@ def _refine(f, mu, jump_ts, seminorms, tol, max_levels):
          np.linspace(a, b, _INITIAL_UNIFORM_CELLS + 1)]))
     envs = (f._derivative_sups + mu.envelopes if columns
             else _envelopes(f, seminorms) + _envelopes(mu, seminorms))
+    # a scalar pair's envelopes bound the modulus of its error e, and
+    # p(e) = |e| p(1); a vector drive's envelopes already carry p
+    scale = np.array([p(np.ones(1)) for p in seminorms]) if scalar else 1.0
     cells = _cells(f, mu, points, jump_ts, envs)
     active = list(range(len(jump_ts)))
     traces = [[] for _ in active]
@@ -346,6 +349,7 @@ def _refine(f, mu, jump_ts, seminorms, tol, max_levels):
         inside = bool(np.all(lefts < mids) and np.all(mids < rights))
         values, ests = _level_sum(f, mu, rights, h, mids, inside, cells,
                                   envs)
+        ests = ests * scale
         mesh = float(np.max(h))
         for r, c in enumerate(active):
             traces[c].append(LevelRecord(level, mesh, values[r], ests[r]))

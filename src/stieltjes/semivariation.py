@@ -9,9 +9,14 @@ over all finite partitions and all coefficient choices with |alpha_j| <= 1
 semivariation certifies that the increment-sum set E(a, b) of the function
 is bounded, which in this finite-dimensional model is exactly the weak
 compactness property that the operator representation relies on.
+
+By duality it is also the sup of Var<u, x(.)> over the polar ball of p
+(Diestel & Uhl, *Vector Measures*, §I.1), which for weighted-sup and real
+weighted-one seminorms, and their maxima, is a maximum over the ball's
+finitely many extreme points.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,7 +37,7 @@ __all__ = [
 MAX_ENUM_INCREMENTS = 20
 # combined cap on phase-grid combinations
 MAX_COMBINATIONS = 1 << 20
-# sign patterns for the weighted-one closed form are enumerated up to here
+# the sign vertices of a real weighted-one polar ball are listed up to here
 _MAX_VERTEX_DIM = 16
 
 _CHUNK = 1 << 16
@@ -40,14 +45,15 @@ _CHUNK = 1 << 16
 
 @dataclass
 class SemivariationReport:
-    """Result of the semivariation refinement driver.
+    """Result of :func:`semivariation`.
 
     ``value`` is exact when ``exact`` is set; ``lower_bound_only`` marks
     values obtained from a phase grid or a local search, which can only
     certify a lower bound.  ``trace`` records the (nondecreasing) partition
     values per refinement level and ``partition_points`` /
     ``coefficients`` describe the attaining configuration of the last
-    level.
+    level; both are None for a non-step x under a polyhedral seminorm,
+    whose value comes from no partition.
     """
 
     value: float
@@ -172,30 +178,6 @@ def _alternating_max(deltas, p, complex_field, starts, iters=80):
     return best_val, best_alpha
 
 
-def _weighted_sup_exact(deltas, p, complex_field):
-    """Closed form: coordinates decouple, each maximised independently."""
-    scores = p.weights * np.sum(np.abs(deltas), axis=0)
-    i = int(np.argmax(scores))
-    alpha = _aligning(deltas[:, i])
-    if not complex_field:
-        alpha = alpha.real
-    return float(scores[i]), alpha
-
-
-def _weighted_one_exact(deltas, p):
-    """Real closed form via the 2^dim sign vertices of the dual box."""
-    best_val, best_alpha = -1.0, None
-    for signs in _pattern_rows(_SIGNS, deltas.shape[1]):
-        inner = deltas @ (signs * p.weights).T  # (n, patterns)
-        vals = np.sum(np.abs(inner), axis=0)
-        k = int(np.argmax(vals))
-        if vals[k] > best_val:
-            best_val = float(vals[k])
-            best_alpha = np.sign(inner[:, k])
-            best_alpha[best_alpha == 0] = 1.0
-    return best_val, best_alpha
-
-
 def _starts_for(deltas, complex_field, warm):
     starts = [np.ones(deltas.shape[0], dtype=complex if complex_field
                       else float)]
@@ -206,33 +188,18 @@ def _starts_for(deltas, complex_field, warm):
 
 
 def _partition_best(deltas, p, complex_field, phase_count, warm=None):
-    """Best coefficients for fixed increments.
+    """Best coefficients for fixed increments under a quadratic or a
+    weighted-one seminorm whose polar ball has no vertex rows.
 
     Returns (value, coefficients, exact, lower_bound_only) where the
     coefficients cover every increment row of ``deltas``.
     """
-    if p.kind == "max":
-        best = (-1.0, None, True, False)
-        for part in p.parts:
-            cand = _partition_best(deltas, part, complex_field, phase_count,
-                                   warm)
-            if cand[0] > best[0]:
-                best = cand
-        return best
-
     active, nonzero, expand = _nonzero_rows(deltas)
     if active.shape[0] == 0:
         return (0.0, expand(np.ones(0, dtype=complex if complex_field
                                     else float)), True, False)
 
-    if p.kind == "weighted-sup":
-        val, alpha = _weighted_sup_exact(active, p, complex_field)
-        return val, expand(alpha), True, False
-
     if not complex_field:
-        if p.kind == "weighted-one" and deltas.shape[1] <= _MAX_VERTEX_DIM:
-            val, alpha = _weighted_one_exact(active, p)
-            return val, expand(alpha), True, False
         if active.shape[0] <= MAX_ENUM_INCREMENTS:
             val, alpha = _pattern_enumeration(active, p, _SIGNS)
             return val, expand(alpha), True, False
@@ -245,6 +212,35 @@ def _partition_best(deltas, p, complex_field, phase_count, warm=None):
     starts = _starts_for(active, complex_field, warm_active)
     val, alpha = _alternating_max(active, p, complex_field, starts)
     return val, expand(alpha), False, True
+
+
+def _vertex_rows(p, complex_field):
+    """The extreme points of the polar ball of p, up to phase, as rows:
+    w_i e_i for weighted-sup, the sign vectors times w for a real
+    weighted-one seminorm of dimension up to _MAX_VERTEX_DIM; None for
+    the other kinds."""
+    if p.kind == "weighted-sup":
+        return np.diag(p.weights)
+    if p.kind == "weighted-one" and not complex_field \
+            and p.dimension <= _MAX_VERTEX_DIM:
+        return np.concatenate(list(_pattern_rows(_SIGNS, p.dimension))) \
+            * p.weights
+    return None
+
+
+def _vertex_variation(x, rows):
+    """max over the rows u of ``rows`` of Var<u, x(.)>, and the index of a
+    best row.  A step function's variation is the sum of its jump moduli,
+    so one product with its increments covers every row."""
+    if x.is_step:
+        deltas = _increment_rows(x, x.breakpoints)
+        variations = np.sum(np.abs(deltas @ rows.conj().T), axis=0)
+    elif x.dim is None:
+        variations = [scalar_variation(x * np.conj(u[0])) for u in rows]
+    else:
+        variations = [scalar_variation(dual_compose(x, u)) for u in rows]
+    k = int(np.argmax(variations))
+    return float(variations[k]), k
 
 
 def semivariation_on_partition(x, partition, p, phase_count=16):
@@ -282,16 +278,30 @@ def semivariation_on_partition(x, partition, p, phase_count=16):
 
 
 def semivariation(x, p, tol=1e-8, max_levels=20, phase_count=16):
-    """Semivariation of x relative to p by partition refinement.
+    """Semivariation of x relative to p.
 
-    Pure step functions are handled in a single exact step on the
-    breakpoint partition (each jump isolated in its own cell).  Otherwise
-    the breakpoint partition is bisected until two consecutive levels agree
-    within ``tol``; values are nondecreasing across levels.
+    Under a weighted-sup seminorm, or a real weighted-one seminorm of
+    dimension up to 16, it is the largest exact variation of <u, x(.)>
+    over the extreme points u of the polar ball, in one level; a complex
+    non-step x has its arcs integrated by quadrature and is not flagged
+    exact.  A ``max`` seminorm reports its best part, exact only when
+    every part is.  Otherwise pure step functions are handled in a single
+    step on the breakpoint partition (each jump isolated in its own
+    cell), and the breakpoint partition of any other x is bisected until
+    two consecutive levels agree within ``tol``.  Step functions with
+    more than 20 jumps are refused.
     """
     _check_pair(x, p)
     if tol <= 0:
         raise ArgumentError("tol must be positive")
+    if p.kind == "max":
+        reports = [semivariation(x, part, tol, max_levels, phase_count)
+                   for part in p.parts]
+        return replace(
+            max(reports, key=lambda r: r.value),
+            exact=all(r.exact for r in reports),
+            lower_bound_only=any(r.lower_bound_only for r in reports),
+            converged=all(r.converged for r in reports))
     complex_field = np.iscomplexobj(x.coeffs) or np.iscomplexobj(x.values)
     pts = x.breakpoints.copy()
     if x.is_step:
@@ -301,6 +311,17 @@ def semivariation(x, p, tol=1e-8, max_levels=20, phase_count=16):
             raise EnumerationLimitError(
                 f"step function has more than {MAX_ENUM_INCREMENTS} jumps"
             )
+    rows = _vertex_rows(p, complex_field)
+    if rows is not None:
+        val, k = _vertex_variation(x, rows)
+        step = x.is_step
+        return SemivariationReport(
+            value=val, exact=step or not complex_field,
+            lower_bound_only=False, converged=True, levels=1, trace=[val],
+            partition_points=pts if step else None,
+            coefficients=_aligning(deltas @ rows[k].conj()) if step
+            else None)
+    if x.is_step:
         val, alpha, exact, lb = _partition_best(deltas, p, complex_field,
                                                 phase_count)
         return SemivariationReport(
@@ -416,7 +437,6 @@ def dual_variation_bound(x, bounding_set, duals):
     Every dual must satisfy ``polar_gauge(bounding_set, dual) <= 1`` up to
     a 1e-9 slack; a violator is reported by its index and gauge value.
     """
-    best = 0.0
     for i, d in enumerate(duals):
         g = polar_gauge(bounding_set, d)
         if g > 1.0 + 1e-9:
@@ -424,5 +444,4 @@ def dual_variation_bound(x, bounding_set, duals):
                 f"dual {i} violates the polar constraint "
                 f"(gauge {g:.6f} > 1)"
             )
-        best = max(best, scalar_variation(dual_compose(x, np.asarray(d))))
-    return best
+    return _vertex_variation(x, np.asarray(duals))[0] if len(duals) else 0.0

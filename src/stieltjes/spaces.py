@@ -132,38 +132,18 @@ class Seminorm:
     def _dual_at(self, v):
         """A norming dual u at v: Re<u, v> = p(v) and |<u, .>| <= p(.).
 
-        Used as the ascent direction in coordinate-sign maximisation.
-        Returns None when p(v) vanishes.
+        Used as the ascent direction in coordinate-sign maximisation, which
+        runs for the weighted-one and quadratic kinds only.  Returns None
+        when p(v) vanishes.
         """
         v = np.asarray(v)
-        if self.kind == "weighted-sup":
-            scores = np.abs(v) * self.weights
-            i = int(np.argmax(scores))
-            if scores[i] <= 0.0:
-                return None
-            u = np.zeros_like(v)
-            u[i] = self.weights[i] * _phase(v[i])
-            return u
         if self.kind == "weighted-one":
             u = self.weights * _phase_all(v)
             return u if self(v) > 0.0 else None
-        if self.kind == "quadratic":
-            pv = self(v)
-            if pv <= 0.0:
-                return None
-            return self.matrix @ v / pv
-        best, best_val = None, -1.0
-        for p in self.parts:
-            val = p(v)
-            if val > best_val:
-                best, best_val = p, val
-        return best._dual_at(v)
-
-
-def _phase(z):
-    """z/|z| for complex z, sign for real, 1 at zero."""
-    a = abs(z)
-    return z / a if a > 0 else 1.0 + 0.0 * z
+        pv = self(v)
+        if pv <= 0.0:
+            return None
+        return self.matrix @ v / pv
 
 
 def _phase_all(v):

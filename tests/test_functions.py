@@ -8,7 +8,7 @@ from scipy.integrate import simpson
 
 from stieltjes.errors import ArgumentError
 from stieltjes.functions import (PiecewiseFunction, TaggedPartition,
-                                 _poly_sup_abs, definite_integral, dual_compose,
+                                 _sup_abs_rows, definite_integral, dual_compose,
                                  product_integral, random_spline, refine,
                                  scalar_variation, uniform_tagged_partition)
 
@@ -354,7 +354,7 @@ def test_extremes_at_a_triple_critical_point():
     # p = 1 - (t - 1/2)^4: np.polyroots returns the triple root of p' with
     # imaginary parts near 1e-6, and its real parts must still be candidates
     c = [0.9375, 0.5, -1.5, 2.0, -1.0]
-    assert _poly_sup_abs(c, 1.0) == 1.0
+    assert _sup_abs_rows(np.array([c]), [1.0])[0] == 1.0
     f = PiecewiseFunction([0.0, 1.0], [c])
     assert f.range_bounds() == (0.9375, 1.0)
     assert math.isclose(scalar_variation(f), 0.125, rel_tol=1e-12)

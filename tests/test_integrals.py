@@ -351,6 +351,23 @@ def test_custom_seminorms_reported():
     assert rep.max_gap < 1e-10
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_scalar_estimates_bound_the_error_under_scaled_seminorms(seed):
+    # a scalar pair's error e has p(e) = |e| p(1), so the estimates must
+    # carry p(1); under one seminorm the pair runs as a stack of one
+    rng = np.random.default_rng(seed)
+    g, x = random_spline((0.0, 1.0), rng), random_spline((0.0, 1.0), rng)
+    exact = product_integral(g, x.derivative())
+    sems = [Seminorm.weighted_sup([w]) for w in (1e-3, 10.0, 1e3)]
+    runs = [(sems, integrate_g_dx(g, x, seminorms=sems, max_levels=3))]
+    runs += [([p], integrate_g_dx(g, x, seminorms=[p], max_levels=3))
+             for p in sems]
+    for seminorms, res in runs:
+        for rec in res.trace:
+            true = _sem_values(seminorms, rec.value - exact)
+            assert np.all(rec.estimates >= true)
+
+
 SCALES = st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e4, 1e6, 1e8])
 SEEDS = st.integers(0, 2 ** 32 - 1)
 

@@ -16,12 +16,11 @@ from numpy.polynomial import polynomial as npoly
 from scipy.interpolate import CubicSpline
 
 from stieltjes.functions import (PiecewiseFunction, _extreme_rows, _horner,
-                                 _horner_at, _natural_spline,
-                                 _poly_extreme_values, _poly_sup_abs,
-                                 _root_rows, _shift_poly, _split_rows,
-                                 _sup_abs_rows, bisect, definite_integral,
-                                 dual_compose, product_integral,
-                                 random_spline, scalar_variation)
+                                 _horner_at, _natural_spline, _root_rows,
+                                 _shift_poly, _split_rows, _sup_abs_rows,
+                                 bisect, definite_integral, dual_compose,
+                                 product_integral, random_spline,
+                                 scalar_variation)
 from stieltjes.integrals import _bisected_cells, _cells, _Columns, _envelopes
 from stieltjes.semivariation import _CHUNK, _aligning, _digit_chunks
 from stieltjes.spaces import Seminorm
@@ -201,8 +200,8 @@ def envelopes_per_piece(func, seminorms):
         c2 = npoly.polyder(c1, axis=0) if c1.shape[0] > 1 else zero
         for s, p in enumerate(seminorms):
             if func.dim is None:
-                D1[i, s] = _poly_sup_abs(c1, widths[i])
-                D2[i, s] = _poly_sup_abs(c2, widths[i])
+                D1[i, s] = _sup_abs_rows(c1[np.newaxis], [widths[i]])[0]
+                D2[i, s] = _sup_abs_rows(c2[np.newaxis], [widths[i]])[0]
             else:
                 D1[i, s] = p.eval_many(c1) @ widths[i] ** np.arange(len(c1))
                 D2[i, s] = p.eval_many(c2) @ widths[i] ** np.arange(len(c2))
@@ -299,10 +298,11 @@ def test_sup_of_a_zero_polynomial_matches_the_root_path(k, cplx, zero, h):
     # the zero derivatives of step pieces skip root finding, with the
     # bits the root path gives
     c = np.full(k, zero) * (1 + 0j if cplx else 1)
-    values = _poly_extreme_values(npoly.polymul(c, c.conj()).real if cplx
-                                  else c, h)
+    sq = npoly.polymul(c, c.conj()).real if cplx else c
+    values, n = _extreme_rows(sq[np.newaxis], [h])
+    values = values[0, :n[0]]
     expected = np.sqrt(np.max(values)) if cplx else np.max(np.abs(values))
-    assert same_bits(_poly_sup_abs(c, h), float(expected))
+    assert same_bits(_sup_abs_rows(c[np.newaxis], [h])[0], expected)
 
 
 def cell_arrays(cells):
@@ -597,7 +597,8 @@ def test_batched_roots_and_extremes_match_per_piece(case):
         assert same_bits(vals[i, :n[i]], expected)
         assert same_bits(vals[i, n[i]:], np.full(vals.shape[1] - n[i],
                                                  expected[-1]))
-        assert same_bits(_poly_extreme_values(c[i], h[i]), expected)
+        one, k = _extreme_rows(c[i:i + 1], h[i:i + 1])
+        assert same_bits(one[0, :k[0]], expected)
         assert same_bits(splits[i], split_points(c[i], h[i]))
 
 
@@ -609,7 +610,8 @@ def test_batched_sups_match_per_piece(case):
     for i in range(c.shape[0]):
         expected = poly_sup_abs(c[i], h[i])
         assert same_bits(sups[i], np.float64(expected))
-        assert same_bits(_poly_sup_abs(c[i], h[i]), expected)
+        assert same_bits(_sup_abs_rows(c[i:i + 1], h[i:i + 1])[0],
+                         np.float64(expected))
 
 
 def sup_abs_per_piece(f):

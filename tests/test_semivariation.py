@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from stieltjes.errors import ArgumentError, EnumerationLimitError
 from stieltjes.functions import (PiecewiseFunction, TaggedPartition,
-                                 uniform_tagged_partition)
+                                 dual_compose, random_spline,
+                                 scalar_variation, uniform_tagged_partition)
 from stieltjes.semivariation import (dual_variation_bound, e_set,
                                      semivariation,
                                      semivariation_on_partition, wcs_check)
@@ -117,8 +121,34 @@ def test_semivariation_step_exact():
 def test_semivariation_monotone_curve():
     rep = semivariation(monotone_pair(), first_coord())
     assert math.isclose(rep.value, 1.0, abs_tol=1e-8)
-    assert not rep.exact
+    assert rep.exact
     assert rep.converged
+
+
+@pytest.mark.parametrize("p", [Seminorm.weighted_sup([1.0, 0.0]),
+                               Seminorm.weighted_one([1.0, 0.0])])
+def test_semivariation_of_a_turning_curve_is_its_variation(p):
+    # x_1 = 5t - 12t^2 + 8t^3 rises, falls and rises again; its values at
+    # 0, 1/2 and 1 are 0, 1 and 1, so bisecting from the one-piece
+    # partition reads 1.0 twice and must not stop there
+    c = np.zeros((1, 4, 2))
+    c[0, :, 0] = [0.0, 5.0, -12.0, 8.0]
+    x = PiecewiseFunction(np.array([0.0, 1.0]), c)
+    first = PiecewiseFunction(np.array([0.0, 1.0]), c[:, :, 0])
+    rep = semivariation(x, p)
+    assert math.isclose(rep.value, scalar_variation(first), rel_tol=1e-12)
+    assert math.isclose(rep.value, 1.54433105395, rel_tol=1e-11)
+    assert rep.exact and rep.converged
+
+
+def test_max_report_is_exact_only_when_every_part_is():
+    quad = Seminorm.quadratic(np.eye(2))
+    parts = [semivariation(monotone_pair(), q) for q in (first_coord(), quad)]
+    rep = semivariation(monotone_pair(), Seminorm.max_of(first_coord(), quad))
+    assert rep.value == max(r.value for r in parts)
+    assert parts[0].exact and not rep.exact
+    rep = semivariation(single_jump(), Seminorm.max_of(taxicab(), quad))
+    assert rep.value == 3.0 and rep.exact
 
 
 def test_semivariation_constant():
@@ -296,3 +326,80 @@ def test_dual_bound_sandwich():
         duals = rng.uniform(-1.0, 1.0, (15, 2))
         bound = dual_variation_bound(x, np.eye(2), duals)
         assert bound <= rep.value + 1e-9
+
+
+@st.composite
+def real_curves(draw):
+    """Real non-step x on [0, 1] of dimension 2 or 3: a cubic spline per
+    coordinate, such a spline plus a step, or one polynomial piece."""
+    dim = draw(st.integers(2, 3))
+    kind = draw(st.sampled_from(["spline", "spline+step", "polynomial"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "polynomial":
+        coeffs = rng.uniform(-4.0, 4.0, (1, int(rng.integers(2, 6)), dim))
+        return PiecewiseFunction(np.array([0.0, 1.0]), coeffs)
+    splines = [random_spline((0.0, 1.0), rng) for _ in range(dim)]
+    x = PiecewiseFunction(splines[0].breakpoints,
+                          np.stack([g.coeffs for g in splines], axis=2))
+    if kind == "spline+step":
+        times = np.sort(rng.uniform(0.05, 0.95, int(rng.integers(1, 4))))
+        x = x + PiecewiseFunction.step((0.0, 1.0), times,
+                                       rng.standard_normal((times.size,
+                                                            dim)),
+                                       np.zeros(dim))
+    return x
+
+
+@st.composite
+def polyhedral_seminorms(draw, dim):
+    """A weighted-sup, a weighted-one or the max of both, and directions
+    u whose compositions <u, x> are the candidates for the sup: the
+    coordinates, and the sign vectors times the weighted-one weights."""
+    weights = [st.lists(st.floats(0.1, 3.0), min_size=dim, max_size=dim)
+               for _ in range(2)]
+    sup, one = (draw(w) for w in weights)
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=dim)))
+    return draw(st.sampled_from([
+        (Seminorm.weighted_sup(sup), np.eye(dim)),
+        (Seminorm.weighted_one(one), signs * one),
+        (Seminorm.max_of(Seminorm.weighted_sup(sup),
+                         Seminorm.weighted_one(one)),
+         np.vstack([np.eye(dim), signs * one]))]))
+
+
+def turning_points(f):
+    """Interior points where the scalar real f turns, and both sides of
+    each of its jumps."""
+    out = []
+    for b, h, c in zip(f.breakpoints, np.diff(f.breakpoints), f.coeffs):
+        roots = npoly.polyroots(npoly.polyder(c)) if c.size > 2 else []
+        out += [b + r.real for r in np.atleast_1d(roots)
+                if abs(r.imag) < 1e-9 and 0.0 < r.real < h]
+    for t, _ in f.jump_points():
+        out += [t - 1e-7, t]
+    return [t for t in out if 0.0 < t < 1.0]
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_polyhedral_semivariation_bounds_every_partition(data):
+    # the value is a sup over partitions, so no partition's brute-force
+    # value may exceed it, also one through the turning points of a
+    # candidate <u, x>; for weighted-one it is at most the sum of the
+    # weighted coordinate variations
+    x = data.draw(real_curves())
+    p, directions = data.draw(polyhedral_seminorms(x.dim))
+    u = data.draw(st.sampled_from(list(directions)))
+    chosen = data.draw(st.permutations(turning_points(dual_compose(x, u))))
+    inner = chosen[:data.draw(st.integers(0, 11))]
+    inner += data.draw(st.lists(st.floats(0.001, 0.999), unique=True,
+                                max_size=11 - len(inner)))
+    points = np.unique(np.concatenate([[0.0, 1.0], inner]))
+    rep = semivariation(x, p)
+    assert rep.exact and rep.converged
+    lower, _ = semivariation_on_partition(x, points, p)
+    assert rep.value >= lower * (1.0 - 1e-12)
+    if p.kind == "weighted-one":
+        upper = sum(w * scalar_variation(dual_compose(x, e))
+                    for w, e in zip(p.weights, np.eye(x.dim)))
+        assert rep.value <= upper * (1.0 + 1e-12)
