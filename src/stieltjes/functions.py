@@ -665,15 +665,27 @@ def scalar_variation(f):
     """
     if f.dim is not None:
         raise ArgumentError("scalar_variation expects a scalar function")
-    widths = np.diff(f.breakpoints)
-    if np.iscomplexobj(f.coeffs):
-        total = sum(_path_lengths(f.coeffs, widths))
+    return _variations([f])[0]
+
+
+def _variations(fs):
+    """``scalar_variation`` of each scalar function of ``fs``, all real or
+    all complex, with coefficient arrays of one width.  Real arcs go
+    through one extreme-value pass over the pieces of every function, and
+    each function sums its own pieces and then its jumps, so each value
+    has the bits of a pass over that function alone."""
+    widths = [np.diff(f.breakpoints) for f in fs]
+    if np.iscomplexobj(fs[0].coeffs):
+        arcs = [sum(_path_lengths(f.coeffs, h)) for f, h in zip(fs, widths)]
     else:
+        vals, _ = _extreme_rows(np.concatenate([f.coeffs for f in fs]),
+                                np.concatenate(widths))
         # padded candidates add zero steps at the end of each row
-        vals, _ = _extreme_rows(f.coeffs, widths)
-        total = sum(np.sum(np.abs(np.diff(vals, axis=1)), axis=1).tolist())
-    total += sum(abs(jump) for _, jump in f.jump_points(atol=0.0))
-    return float(total)
+        steps = np.sum(np.abs(np.diff(vals, axis=1)), axis=1).tolist()
+        starts = np.cumsum([0] + [h.size for h in widths]).tolist()
+        arcs = [sum(steps[lo:hi]) for lo, hi in zip(starts, starts[1:])]
+    return [float(arc + sum(abs(jump) for _, jump in f.jump_points(atol=0.0)))
+            for arc, f in zip(arcs, fs)]
 
 
 def _path_lengths(c, h):

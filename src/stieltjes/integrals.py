@@ -327,16 +327,15 @@ def _refine(f, mu, jump_ts, seminorms, tol, max_levels):
     stack, whose cells run along axis 1.  A column stops at its own level
     and leaves the stack; returns one IntegralResult per column."""
     columns = isinstance(mu, _Columns)
-    scalar = columns or (f.dim or mu.dim) is None
     a, b = f.domain
     points = np.unique(np.concatenate(
         [f.breakpoints, mu.breakpoints,
          np.linspace(a, b, _INITIAL_UNIFORM_CELLS + 1)]))
     envs = (f._derivative_sups + mu.envelopes if columns
             else _envelopes(f, seminorms) + _envelopes(mu, seminorms))
-    # a scalar pair's envelopes bound the modulus of its error e, and
+    # a stack's envelopes bound the modulus of each scalar error e, and
     # p(e) = |e| p(1); a vector drive's envelopes already carry p
-    scale = np.array([p(np.ones(1)) for p in seminorms]) if scalar else 1.0
+    scale = np.array([p(np.ones(1)) for p in seminorms]) if columns else 1.0
     cells = _cells(f, mu, points, jump_ts, envs)
     active = list(range(len(jump_ts)))
     traces = [[] for _ in active]
@@ -361,7 +360,7 @@ def _refine(f, mu, jump_ts, seminorms, tol, max_levels):
         last = level == max_levels - 1
         for r in range(len(active)) if last else np.flatnonzero(stop):
             c, value = active[r], values[r]
-            if scalar:
+            if columns:
                 value = complex(value) if np.iscomplexobj(value) \
                     else float(value)
             results[c] = IntegralResult(value=value, error_estimates=ests[r],
@@ -408,9 +407,7 @@ def _checked(f, mus, seminorms, tol, max_levels):
 
 def _drive(f, mu, seminorms, tol, max_levels):
     jump_ts, seminorms = _checked(f, (mu,), seminorms, tol, max_levels)
-    # under several seminorms the estimates are (n, s) and sum row after
-    # row; only one seminorm gives a scalar pair the stack's sum order
-    if f.dim is None and mu.dim is None and len(seminorms) == 1:
+    if f.dim is None and mu.dim is None:
         mu = _Columns((mu,))
     return _refine(f, mu, jump_ts, seminorms, tol, max_levels)[0]
 

@@ -5,11 +5,13 @@ An integrator x of bounded (weakly compact, in this finite-dimensional
 model simply bounded) semivariation induces the operator T g = integral of
 g against dx on continuous scalar functions.  The image of the unit ball
 under T sits inside the absolutely convex hull of the increment-sum set of
-x together with 0; this is checked constructively by decomposing g into
-four parts with values in [0, 1], rearranging each tagged sum into an Abel
-form with nonnegative coefficients summing to at most 1, and running a
-linear-feasibility membership test.  Conversely x determines a finitely
-additive interval measure through its cumulative y(t) = x(t) - x(a).
+x, the subset sums of its increments (``e_set``: the jumps of a step x, the
+cells of one uniform grid otherwise), which hold 0; this is checked
+constructively by decomposing g into four parts with values in [0, 1],
+rearranging each tagged sum into an Abel form with nonnegative
+coefficients summing to at most 1, and running a linear-feasibility
+membership test.  Conversely x determines a finitely additive interval
+measure through its cumulative y(t) = x(t) - x(a).
 """
 
 from dataclasses import dataclass
@@ -42,9 +44,12 @@ __all__ = [
 ]
 
 _MAX_GENERATORS = 5000
-# nested uniform grids used to sample the increment-sum set of a
-# non-step integrator (each refines the previous one)
-_GRID_RESOLUTIONS = (5, 9, 17)
+# The uniform grid that samples the increment-sum set of a non-step
+# integrator.  A coarser grid adds nothing: np.linspace grids on 5 and 9
+# points nest exactly, so the subset sums on 5 points are among those on
+# 9, and their hull lies inside.  A grid of 17 points has 2^16 sums, past
+# _MAX_GENERATORS.
+_IMAGE_RESOLUTION = 9
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,10 +71,8 @@ class StieltjesOperator:
             raise ArgumentError("integrator dimension does not match space")
         if np.iscomplexobj(x.coeffs) and self.space.field != "complex":
             raise ArgumentError("complex integrator on a real space")
-        ok, bounds = wcs_check(x, self.space.seminorms)
-        if not ok:  # pragma: no cover - wcs_check is always true here
-            raise ArgumentError("integrator fails the boundedness check")
-        object.__setattr__(self, "wcs_bounds", bounds)
+        object.__setattr__(self, "wcs_bounds",
+                           wcs_check(x, self.space.seminorms)[1])
 
     @property
     def domain(self):
@@ -295,9 +298,9 @@ def weakly_compact_image_check(T, sample_count=10, seed=0, tol=1e-9):
     Deterministically samples ``sample_count`` continuous functions with
     sup-norm <= 1, splits each into its four [0, 1]-valued parts, applies
     T, and tests membership of every part image in the absolutely convex
-    hull of e_set(x) plus 0.  The hull is exact for step integrators; for
-    others the increment-sum set is sampled on nested uniform grids until
-    the verdict repeats (or the generator budget is exhausted).
+    hull of e_set(x), which holds 0.  The set is exact for step
+    integrators; for others it is sampled on one uniform grid of 9 points,
+    reported in ``resolutions``.
     """
     if sample_count < 1:
         raise ArgumentError("sample_count must be >= 1")
@@ -311,40 +314,19 @@ def weakly_compact_image_check(T, sample_count=10, seed=0, tol=1e-9):
         for part_idx, part in enumerate(decompose(g)):
             images.append((i, part_idx, apply(T, part, tol=tol * 0.1)))
 
-    def run(gens):
-        worst, witness = 0.0, None
-        gens = np.concatenate([gens.reshape(gens.shape[0], -1),
-                               np.zeros((1, x.dim), dtype=gens.dtype)])
-        for i, part_idx, v in images:
-            hm = hull_membership(v, gens, tol=tol)
-            if hm.distance > worst:
-                worst = hm.distance
-                witness = {"sample": i, "part": part_idx,
-                           "distance": hm.distance}
-            if not hm.member:
-                return False, worst, witness
-        return True, worst, witness
-
-    if x.is_step:
-        ok, worst, witness = run(e_set(x))
-        resolutions = ()
-    else:
-        verdicts = []
-        resolutions = []
-        ok = worst = witness = None
-        for res in _GRID_RESOLUTIONS:
-            try:
-                gens = e_set(x, res)
-            except EnumerationLimitError:
-                break
-            if gens.shape[0] + 1 > _MAX_GENERATORS:
-                break
-            ok, worst, witness = run(gens)
-            resolutions.append(res)
-            verdicts.append(ok)
-            if len(verdicts) >= 2 and verdicts[-1] == verdicts[-2]:
-                break
-        resolutions = tuple(resolutions)
+    gens = e_set(x, _IMAGE_RESOLUTION)
+    gens = gens.reshape(gens.shape[0], -1)
+    ok, worst, witness = True, 0.0, None
+    for i, part_idx, v in images:
+        hm = hull_membership(v, gens, tol=tol)
+        if hm.distance > worst:
+            worst = hm.distance
+            witness = {"sample": i, "part": part_idx,
+                       "distance": hm.distance}
+        if not hm.member:
+            ok = False
+            break
+    resolutions = () if x.is_step else (_IMAGE_RESOLUTION,)
     return ImageCheckReport(ok=ok, worst_distance=worst,
                             checked=len(images), resolutions=resolutions,
                             witness=None if ok else witness)

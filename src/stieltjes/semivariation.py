@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ArgumentError, EnumerationLimitError
-from .functions import bisect, dual_compose, scalar_variation
+from .functions import _variations, bisect, dual_compose
 from .spaces import polar_gauge
 
 __all__ = [
@@ -231,14 +231,14 @@ def _vertex_rows(p, complex_field):
 def _vertex_variation(x, rows):
     """max over the rows u of ``rows`` of Var<u, x(.)>, and the index of a
     best row.  A step function's variation is the sum of its jump moduli,
-    so one product with its increments covers every row."""
+    so one product with its increments covers every row; the compositions
+    of any other x share one extreme-value pass."""
     if x.is_step:
         deltas = _increment_rows(x, x.breakpoints)
         variations = np.sum(np.abs(deltas @ rows.conj().T), axis=0)
-    elif x.dim is None:
-        variations = [scalar_variation(x * np.conj(u[0])) for u in rows]
     else:
-        variations = [scalar_variation(dual_compose(x, u)) for u in rows]
+        variations = _variations([x * np.conj(u[0]) if x.dim is None
+                                  else dual_compose(x, u) for u in rows])
     k = int(np.argmax(variations))
     return float(variations[k]), k
 
@@ -353,64 +353,54 @@ def semivariation(x, p, tol=1e-8, max_levels=20, phase_count=16):
 
 
 def e_set(x, resolution=None):
-    """Increment-sum set of x: all sums of x-increments over disjoint
-    subintervals with strictly increasing endpoints.
+    """Increment-sum set E(a, b) of x: all sums of x-increments over
+    disjoint subintervals.
 
-    For a pure step function the set is computed exactly as all subset
-    sums of the jumps (each subset is isolated by disjoint intervals);
-    more than 20 jumps raise :class:`EnumerationLimitError` with the
-    advice to pass a grid resolution instead.  Otherwise endpoints are
-    drawn from a uniform grid of ``resolution`` points (capped at 20) and
-    every admissible selection is accumulated.
+    Any set of cells of a partition is a union of disjoint intervals, so
+    the set is the subset sums of n increments: the jumps of a pure step
+    function, each isolated in its own interval (exact), or otherwise the
+    cell increments of a uniform grid of ``resolution`` points (capped at
+    20).  More than 20 jumps raise :class:`EnumerationLimitError` with the
+    advice to pass a grid resolution; a step function ignores it.
 
-    Returns an array of distinct vectors; 0 (the empty selection) is
-    always a member.
+    Returns the distinct sums as an array whose row 0 is the empty sum 0.
     """
-    shape = x.values.shape[1:]
-    dtype = x.values.dtype
     if x.is_step:
-        jumps = [j for _, j in x.jump_points(atol=0.0)]
-        m = len(jumps)
-        if m > MAX_ENUM_INCREMENTS:
+        increments = [j for _, j in x.jump_points(atol=0.0)]
+        if len(increments) > MAX_ENUM_INCREMENTS:
             raise EnumerationLimitError(
-                f"{m} jumps exceed the subset-sum cap; pass a resolution "
-                "to use grid mode"
+                f"{len(increments)} jumps exceed the subset-sum cap; pass a "
+                "resolution to use grid mode"
             )
-        if m == 0:
-            return np.zeros((1,) + shape, dtype=dtype)
-        jump_arr = np.reshape(jumps, (m, -1))
-        bits = np.concatenate(list(_digit_chunks(2, m)))
-        sums = (bits.astype(dtype) @ jump_arr).reshape((1 << m,) + shape)
-        return _dedupe(sums)
-
-    if resolution is None:
-        raise ArgumentError("a grid resolution is required for non-step "
-                            "functions")
-    resolution = int(resolution)
-    if resolution < 1:
-        raise ArgumentError("resolution must be at least 1")
-    if resolution > MAX_ENUM_INCREMENTS:
-        raise EnumerationLimitError(
-            f"resolution {resolution} exceeds the cap "
-            f"of {MAX_ENUM_INCREMENTS}"
-        )
-    grid = np.linspace(x.a, x.b, resolution)
-    vals = x.values_at(grid).reshape(resolution, -1)
-    closed = np.zeros((1, vals.shape[1]), dtype=dtype)
-    open_ = np.zeros((0, vals.shape[1]), dtype=dtype)
-    for v in vals:
-        new_closed = np.concatenate([closed, open_ + v], axis=0)
-        new_open = np.concatenate([open_, closed - v], axis=0)
-        closed, open_ = _dedupe(new_closed), _dedupe(new_open)
-        if closed.shape[0] + open_.shape[0] > MAX_COMBINATIONS:
-            raise EnumerationLimitError("increment-sum set grew past the "
-                                        "combination cap")
-    return closed.reshape((-1,) + shape)
+    else:
+        if resolution is None:
+            raise ArgumentError("a grid resolution is required for non-step "
+                                "functions")
+        resolution = int(resolution)
+        if resolution < 1:
+            raise ArgumentError("resolution must be at least 1")
+        if resolution > MAX_ENUM_INCREMENTS:
+            raise EnumerationLimitError(
+                f"resolution {resolution} exceeds the cap "
+                f"of {MAX_ENUM_INCREMENTS}"
+            )
+        increments = np.diff(
+            x.values_at(np.linspace(x.a, x.b, resolution)), axis=0)
+    shape, dtype = x.values.shape[1:], x.values.dtype
+    n = len(increments)
+    increments = np.asarray(increments, dtype=dtype).reshape(
+        n, x.values[0].size)
+    sums = np.concatenate([bits.astype(dtype) @ increments
+                           for bits in _digit_chunks(2, n)])
+    return _dedupe(sums.reshape((-1,) + shape))
 
 
 def _dedupe(rows):
+    """The distinct rows in order of first appearance, keyed by their
+    entries rounded to 12 decimals of the largest entry's modulus."""
     flat = rows.reshape(rows.shape[0], -1)
-    keys = np.round(flat, 12)
+    scale = float(np.max(np.abs(flat), initial=0.0))
+    keys = np.round(flat / (scale or 1.0), 12)
     if np.iscomplexobj(keys):
         keys = np.concatenate([keys.real, keys.imag], axis=1)
     _, idx = np.unique(keys, axis=0, return_index=True)
@@ -421,11 +411,11 @@ def wcs_check(x, seminorms, resolution=12):
     """Boundedness of the increment-sum set under each seminorm.
 
     In this finite-dimensional model the set is always bounded; the
-    interesting output is the per-seminorm sup, computed over the exact
-    subset-sum set for step functions and over a grid sample otherwise.
-    Returns ``(True, bounds)``.
+    interesting output is the per-seminorm sup over ``e_set(x,
+    resolution)``: the exact subset-sum set for step functions, a grid
+    sample otherwise.  Returns ``(True, bounds)``.
     """
-    pts = e_set(x) if x.is_step else e_set(x, resolution)
+    pts = e_set(x, resolution)
     rows = pts.reshape(pts.shape[0], -1)
     bounds = np.array([float(np.max(p.eval_many(rows))) for p in seminorms])
     return True, bounds

@@ -368,6 +368,25 @@ def test_scalar_estimates_bound_the_error_under_scaled_seminorms(seed):
             assert np.all(rec.estimates >= true)
 
 
+def test_scalar_drive_scales_the_max_abs_drive_by_p_of_one():
+    # a scalar pair runs as a stack of one under any seminorms, so each
+    # level's estimates are the single envelope sum times p(1)
+    sems = (Seminorm.weighted_sup([1.0]), Seminorm.weighted_one([3.0]),
+            Seminorm.quadratic(np.array([[4.0]])))
+    scale = np.array([p(np.ones(1)) for p in sems])
+    rng = np.random.default_rng(8)
+    for k in range(20):
+        g, x = random_spline((0.0, 1.0), rng), random_spline((0.0, 1.0), rng)
+        if k % 2:
+            x = x + PiecewiseFunction.step(
+                (0.0, 1.0), [rng.uniform(0.2, 0.8)], [rng.normal()], 0.0)
+        got = integrate_g_dx(g, x, seminorms=sems, tol=1e-300, max_levels=8)
+        ref = integrate_g_dx(g, x, tol=1e-300, max_levels=8)
+        for rec, base in zip(got.trace, ref.trace, strict=True):
+            assert same_bits(rec.value, base.value)
+            assert same_bits(rec.estimates, base.estimates[0] * scale)
+
+
 SCALES = st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e4, 1e6, 1e8])
 SEEDS = st.integers(0, 2 ** 32 - 1)
 

@@ -9,20 +9,22 @@ exception: its test says why.
 import itertools
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.polynomial import polynomial as npoly
 from scipy.interpolate import CubicSpline
+from scipy.spatial import cKDTree
 
 from stieltjes.functions import (PiecewiseFunction, _extreme_rows, _horner,
                                  _horner_at, _natural_spline, _root_rows,
                                  _shift_poly, _split_rows, _sup_abs_rows,
-                                 bisect, definite_integral, dual_compose,
-                                 product_integral, random_spline,
-                                 scalar_variation)
+                                 _variations, bisect, definite_integral,
+                                 dual_compose, product_integral,
+                                 random_spline, scalar_variation)
 from stieltjes.integrals import _bisected_cells, _cells, _Columns, _envelopes
-from stieltjes.semivariation import _CHUNK, _aligning, _digit_chunks
+from stieltjes.semivariation import (_CHUNK, _aligning, _dedupe,
+                                     _digit_chunks, e_set)
 from stieltjes.spaces import Seminorm
 
 FINITE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -686,6 +688,16 @@ def test_function_extremes_match_per_piece_loops(f):
         assert same_bits(f.range_bounds(), range_bounds_per_piece(f))
 
 
+@settings(max_examples=100)
+@given(piecewise(dims=(2, 3)), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+def test_stacked_variations_match_one_function_at_a_time(x, k, seed):
+    # the compositions of x with k duals share one extreme-value pass
+    rows = np.random.default_rng(seed).normal(size=(k, x.dim))
+    fs = [dual_compose(x, u) for u in rows]
+    assert all(same_bits(got, variation_per_piece(f))
+               for got, f in zip(_variations(fs), fs, strict=True))
+
+
 def rooted_coefficients(rng, d):
     """Random degree-d polynomial, with one root of multiplicity 2..d
     about half of the time."""
@@ -724,3 +736,59 @@ def test_trimming_uses_scalar_powers():
                 c[k] = lead + step * np.spacing(lead)
                 _, count = _root_rows(c[np.newaxis], [h])
                 assert count[0] == poly_roots(c, h).size, (h, k, c[k])
+
+
+def grid_increment_sums(x, resolution):
+    """Reference for the grid mode of e_set: every selection of disjoint
+    intervals between grid points, accumulated point by point as the sums
+    whose last interval is closed and those whose last one is open."""
+    shape = x.values.shape[1:]
+    dtype = x.values.dtype
+    grid = np.linspace(x.a, x.b, resolution)
+    vals = x.values_at(grid).reshape(resolution, -1)
+    closed = np.zeros((1, vals.shape[1]), dtype=dtype)
+    open_ = np.zeros((0, vals.shape[1]), dtype=dtype)
+    for v in vals:
+        new_closed = np.concatenate([closed, open_ + v], axis=0)
+        new_open = np.concatenate([open_, closed - v], axis=0)
+        closed, open_ = _dedupe(new_closed), _dedupe(new_open)
+    return closed.reshape((-1,) + shape)
+
+
+def real_rows(points):
+    rows = points.reshape(points.shape[0], -1)
+    return np.concatenate([rows.real, rows.imag], axis=1)
+
+
+def gaps_to(points, reference):
+    """Max-abs distance from each row of ``points`` to its nearest row of
+    ``reference``."""
+    return cKDTree(real_rows(reference)).query(real_rows(points), p=np.inf)[0]
+
+
+def grid_scale(x, resolution):
+    return float(np.max(np.abs(x.values_at(np.linspace(x.a, x.b,
+                                                       resolution)))))
+
+
+@settings(max_examples=100)
+@given(piecewise(dims=(1, 2, 3)), st.integers(1, 12))
+def test_increment_sums_match_the_interval_recursion(x, resolution):
+    # any set of grid cells is a union of disjoint intervals, so the
+    # subset sums of the cell increments are the recursion's sums
+    assume(not x.is_step)
+    got, expected = e_set(x, resolution), grid_increment_sums(x, resolution)
+    assert np.array_equal(got[0], np.zeros_like(got[0]))
+    tol = 1e-9 * grid_scale(x, resolution)
+    assert np.all(gaps_to(got, expected) <= tol)
+    assert np.all(gaps_to(expected, got) <= tol)
+
+
+@settings(max_examples=100)
+@given(piecewise(dims=(None, 1, 2, 3)))
+def test_coarse_grid_sums_are_fine_grid_sums(x):
+    # the 5-point grid's cells are pairs of the 9-point grid's cells
+    assume(not x.is_step)
+    coarse, fine = e_set(x, 5), e_set(x, 9)
+    tol = 1e-12 * (np.max(np.abs(fine)) + grid_scale(x, 9))
+    assert np.all(gaps_to(coarse, fine) <= tol)

@@ -255,6 +255,18 @@ def test_e_set_grid_mode_validation():
         e_set(monotone_pair(), resolution=21)
 
 
+@pytest.mark.parametrize("s", [1e-200, 1e-13, 1e-9, 1e-3, 1.0, 1e4, 1e8])
+def test_increment_sums_do_not_depend_on_the_scale(s):
+    x = PiecewiseFunction.step((0.0, 1.0), [0.25, 0.5],
+                               s * np.array([[1.0, -2.0], [0.5, 1.0]]),
+                               np.zeros(2))
+    points = e_set(x)
+    got = {tuple(np.round(v / s, 12)) for v in points}
+    assert got == {(0.0, 0.0), (1.0, -2.0), (0.5, 1.0), (1.5, -1.0)}
+    _, bounds = wcs_check(x, [Seminorm.weighted_sup([1.0, 1.0])])
+    assert bounds[0] == pytest.approx(2.0 * s, rel=1e-12)
+
+
 def test_e_set_bounded_by_semivariation():
     rng = np.random.default_rng(18)
     p = taxicab()
