@@ -7,6 +7,13 @@ library and wraps the outcome in a :class:`RunReport`; ``emit`` renders a
 report either as a stable structured record or as delimiter-separated
 convergence-trace tables suitable for plotting.
 
+Problem files are validated by ``_violations``, a small interpreter of the
+keywords that ``problem_schema.json`` uses (``$ref``, ``oneOf``, ``type``,
+``enum``, ``required``, ``properties``, ``additionalProperties``, ``items``,
+``minItems``, ``maxItems``, ``minimum``, ``maximum``, ``exclusiveMinimum``)
+with JSON semantics: a bool is never a number, an integral float is an
+integer, and NaN or an infinity is no number at all.
+
 Exit codes: 0 success, 2 schema violation (with the offending location),
 3 task-level numerical error (nonexistence, enumeration caps, incompatible
 operands).  Nothing is written to the output target on an error path.
@@ -14,12 +21,12 @@ operands).  Nothing is written to the output target on an error path.
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from .errors import ArgumentError, EnumerationLimitError, ExistenceError, \
@@ -65,6 +72,77 @@ def _schema():
     return _SCHEMA
 
 
+def _is_type(value, name):
+    """JSON types: a bool is no number, an integral float is an integer,
+    and NaN and the infinities (which ``json.loads`` accepts) are no
+    numbers at all."""
+    if name in ("number", "integer"):
+        if isinstance(value, float):
+            return math.isfinite(value) and (name == "number"
+                                             or value.is_integer())
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, {"object": dict, "array": list,
+                              "string": str}[name])
+
+
+def _violations(doc, schema, loc=()):
+    """Yield ``(path, message)`` for each way ``doc`` breaks ``schema``.
+
+    Interprets the keywords listed in the module docstring; ``$schema``,
+    ``title`` and ``description`` are annotations.  A ``oneOf`` that does
+    not match exactly once is one violation, placed at its deepest branch
+    violation when that lies below the ``oneOf`` (a complex scalar with a
+    bad ``im`` reports ``im``), which is the depth jsonschema's
+    ``best_match`` descends to.
+    """
+    if "$ref" in schema:
+        target = _schema()
+        for part in schema["$ref"].split("/")[1:]:
+            target = target[part]
+        yield from _violations(doc, target, loc)
+    if "oneOf" in schema:
+        branches = [list(_violations(doc, s, loc)) for s in schema["oneOf"]]
+        matched = branches.count([])
+        if matched != 1:
+            deepest = max((v for b in branches for v in b),
+                          key=lambda v: len(v[0]), default=(loc, ""))
+            if len(deepest[0]) == len(loc):
+                deepest = loc, (f"{doc!r} matches {matched} of the oneOf "
+                                "alternatives, not exactly one")
+            yield deepest
+    if "type" in schema and not _is_type(doc, schema["type"]):
+        yield loc, f"{doc!r} is not of type {schema['type']!r}"
+        return
+    if "enum" in schema and doc not in schema["enum"]:
+        yield loc, f"{doc!r} is not one of {schema['enum']!r}"
+    if isinstance(doc, dict):
+        for key in schema.get("required", ()):
+            if key not in doc:
+                yield loc, f"{key!r} is a required property"
+        props = schema.get("properties", {})
+        for key, value in doc.items():
+            sub = props.get(key, schema.get("additionalProperties", True))
+            if sub is False:
+                yield loc, f"additional property {key!r} is not allowed"
+            elif sub is not True:
+                yield from _violations(value, sub, loc + (key,))
+    elif isinstance(doc, list):
+        low, high = schema.get("minItems", 0), schema.get("maxItems", math.inf)
+        if not low <= len(doc) <= high:
+            yield loc, f"{len(doc)} items, expected {low} to {high}"
+        if "items" in schema:
+            for i, value in enumerate(doc):
+                yield from _violations(value, schema["items"], loc + (i,))
+    elif _is_type(doc, "number"):
+        low, high = schema.get("minimum", -math.inf), \
+            schema.get("maximum", math.inf)
+        if not low <= doc <= high:
+            yield loc, f"{doc!r} is outside [{low}, {high}]"
+        if doc <= schema.get("exclusiveMinimum", -math.inf):
+            yield loc, (f"{doc!r} is not greater than "
+                        f"{schema['exclusiveMinimum']!r}")
+
+
 def load_problem(path):
     """Read and validate a problem file, returning the problem dict."""
     try:
@@ -76,13 +154,15 @@ def load_problem(path):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}", str(path))
-    validator = jsonschema.Draft202012Validator(_schema())
-    errors = sorted(validator.iter_errors(doc),
-                    key=lambda e: list(map(str, e.absolute_path)))
-    if errors:
-        best = jsonschema.exceptions.best_match(errors)
-        loc = ".".join(str(p) for p in best.absolute_path)
-        raise SchemaError(best.message, loc or "<root>")
+    # The shallowest violation is reported, and of siblings at one depth
+    # the first in document order (min keeps the first of equal keys).
+    # jsonschema's best_match takes the larger path on such ties instead,
+    # a heuristic its documentation says may change between versions.
+    found = min(_violations(doc, _schema()), key=lambda v: len(v[0]),
+                default=None)
+    if found is not None:
+        path, message = found
+        raise SchemaError(message, ".".join(map(str, path)) or "<root>")
     return doc
 
 
@@ -104,6 +184,8 @@ def _num_array(node, loc):
         raise SchemaError(f"ragged or non-numeric array ({exc})", loc)
     if arr.dtype == object:
         raise SchemaError("ragged numeric array", loc)
+    if not np.isfinite(arr).all():
+        raise SchemaError("NaN and infinities are no JSON numbers", loc)
     return arr
 
 
@@ -149,7 +231,7 @@ def _build_space(desc):
     sems = tuple(_build_seminorm(s, f"space.seminorms.{i}")
                  for i, s in enumerate(desc["seminorms"]))
     try:
-        return SpaceModel(desc["dimension"], desc["field"], sems)
+        return SpaceModel(int(desc["dimension"]), desc["field"], sems)
     except ArgumentError as exc:
         raise SchemaError(str(exc), "space")
 
@@ -345,7 +427,11 @@ def run_task(problem):
     """Dispatch a validated problem dict and return the :class:`RunReport`."""
     t0 = time.perf_counter()
     task = problem["task"]
-    params = problem.get("parameters", {})
+    # a schema integer may be written as an integral float such as 5.0
+    props = _schema()["$defs"]["parameters"]["properties"]
+    params = {key: int(value) if props.get(key, {}).get("type") == "integer"
+              else value
+              for key, value in problem.get("parameters", {}).items()}
     runner, required, needs_space = _TASKS[task]
     for key in required:
         if key not in params:

@@ -400,9 +400,11 @@ def _dedupe(rows):
     entries rounded to 12 decimals of the largest entry's modulus."""
     flat = rows.reshape(rows.shape[0], -1)
     scale = float(np.max(np.abs(flat), initial=0.0))
+    if np.iscomplexobj(flat):
+        # divide the parts: numpy divides a complex by multiplying with
+        # 1 / scale, which overflows when the scale is subnormal
+        flat = np.concatenate([flat.real, flat.imag], axis=1)
     keys = np.round(flat / (scale or 1.0), 12)
-    if np.iscomplexobj(keys):
-        keys = np.concatenate([keys.real, keys.imag], axis=1)
     _, idx = np.unique(keys, axis=0, return_index=True)
     return rows[np.sort(idx)]
 

@@ -153,20 +153,23 @@ def test_main_writes_stdout():
                                             ("image_check_step", True)])
 def test_scipy_is_loaded_only_by_the_hull_lp(name, needs_lp):
     # a fresh interpreter, as each CLI run is: importing scipy costs more
-    # than most problems take to run, and only hull_membership needs it
+    # than most problems take to run, and only hull_membership needs it;
+    # jsonschema is never needed, the CLI interprets the schema itself
     path = REPO / "problems" / f"{name}.json"
     proc = subprocess.run(
         [sys.executable, "-c",
          "import json, sys; from stieltjes import cli;"
          "code = cli.main(['--input', sys.argv[1]]);"
          "print(json.dumps([m for m in sys.modules"
-         " if m.split('.')[0] == 'scipy']), file=sys.stderr);"
+         " if m.split('.')[0] in ('scipy', 'jsonschema')]), file=sys.stderr);"
          "sys.exit(code)",
          str(path)],
         capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (REFERENCE / f"{name}.out").read_bytes()
-    scipy_modules = json.loads(proc.stderr.decode().splitlines()[-1])
+    modules = json.loads(proc.stderr.decode().splitlines()[-1])
+    assert [m for m in modules if m.split(".")[0] == "jsonschema"] == []
+    scipy_modules = [m for m in modules if m.split(".")[0] == "scipy"]
     if needs_lp:
         assert "scipy.optimize" in scipy_modules
     else:
@@ -224,6 +227,79 @@ def test_exit_codes(tmp_path):
     assert main(["--input", bad_index]) == 2
 
     assert main(["--input", str(tmp_path / "missing.json")]) == 2
+
+
+def edited_problem(tmp_path, name, keys, value):
+    """Write ``problems/<name>.json`` with the node at ``keys`` set."""
+    doc = json.loads((REPO / "problems" / f"{name}.json").read_text())
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return write_problem(tmp_path, doc, f"{value!r}.json")
+
+
+@pytest.mark.parametrize("name, keys, value, location", [
+    ("integrate_gdx_step", ["parameters", "tolerance"], float("nan"),
+     "parameters.tolerance"),
+    ("integrate_gdx_step", ["functions", "x", "breakpoints", 1],
+     -float("inf"), "functions.x.breakpoints.1"),
+    ("roundtrip_mixed", ["functions", "x", "coefficients", 1, 0, 0],
+     float("inf"), "functions.x.coefficients"),
+])
+def test_non_finite_numbers_are_rejected(tmp_path, capsys, name, keys,
+                                         value, location):
+    # json.loads reads NaN and Infinity, but they are not JSON numbers
+    path = edited_problem(tmp_path, name, keys, value)
+    assert "NaN" in pathlib.Path(path).read_text() \
+        or "Infinity" in pathlib.Path(path).read_text()
+    target = tmp_path / "report.json"
+    assert main(["--input", path, "--output", str(target)]) == 2
+    assert f"schema violation at {location}:" in capsys.readouterr().err
+    assert not target.exists()
+
+
+def schema_integers(schema, name=None):
+    """Names of the properties that the schema types as integers."""
+    if schema.get("type") == "integer":
+        yield name
+    for key, sub in schema.get("properties", {}).items():
+        yield from schema_integers(sub, key)
+    for sub in schema.get("$defs", {}).values():
+        yield from schema_integers(sub)
+
+
+# integer field -> (problem file, its path there, value)
+INTEGER_CASES = {
+    "dimension": ("semivariation_single_jump", ["space", "dimension"], 2),
+    "max_levels": ("integrate_gdx_step", ["parameters", "max_levels"], 5),
+    "seminorm": ("semivariation_single_jump", ["parameters", "seminorm"], 0),
+    "phase_count": ("semivariation_single_jump",
+                    ["parameters", "phase_count"], 8),
+    "resolution": ("wcs_check_two_seminorms", ["parameters", "resolution"],
+                   6),
+    "sample_count": ("image_check_step", ["parameters", "sample_count"], 3),
+    "seed": ("roundtrip_mixed", ["parameters", "seed"], 1),
+    "probe_count": ("roundtrip_mixed", ["parameters", "probe_count"], 5),
+    "dual_count": ("roundtrip_mixed", ["parameters", "dual_count"], 2),
+    "function_count": ("roundtrip_mixed", ["parameters", "function_count"],
+                       2),
+}
+SCHEMA_INTEGERS = sorted(set(schema_integers(json.loads(
+    (REPO / "src" / "stieltjes" / "problem_schema.json").read_text()))))
+
+
+@pytest.mark.parametrize("key", SCHEMA_INTEGERS)
+def test_integral_floats_in_integer_fields(tmp_path, key):
+    # the schema's integer type admits 5.0; the library must see 5
+    name, keys, value = INTEGER_CASES[key]
+    outputs = []
+    for number in (value, float(value)):
+        path = edited_problem(tmp_path, name, keys, number)
+        target = tmp_path / "report.json"
+        assert main(["--input", path, "--output", str(target)]) == 0
+        outputs.append(target.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_exit_code_numeric_errors(tmp_path):

@@ -267,6 +267,18 @@ def test_increment_sums_do_not_depend_on_the_scale(s):
     assert bounds[0] == pytest.approx(2.0 * s, rel=1e-12)
 
 
+def test_complex_increment_sums_at_a_subnormal_scale():
+    # numpy divides a complex number by multiplying with the reciprocal,
+    # which overflows when the divisor is subnormal
+    s = 1e-310
+    x = PiecewiseFunction.step((0.0, 1.0), [0.25, 0.5],
+                               s * np.array([[1.0, -2.0j], [0.5j, 1.0]]),
+                               np.zeros(2, dtype=complex))
+    with np.errstate(all="raise"):
+        points = e_set(x)
+    assert len(points) == 4
+
+
 def test_e_set_bounded_by_semivariation():
     rng = np.random.default_rng(18)
     p = taxicab()
