@@ -4,8 +4,9 @@ A problem file is a JSON document (schema shipped as
 ``problem_schema.json``) holding a space model, named piecewise-polynomial
 functions, one task tag and its parameters.  ``run_task`` dispatches to the
 library and wraps the outcome in a :class:`RunReport`; ``emit`` renders a
-report either as a stable structured record or as delimiter-separated
-convergence-trace tables suitable for plotting.
+report either as a stable structured record or as tab-separated tables:
+its convergence traces, suitable for plotting, or, for a report without
+traces, its payload as key/value rows.
 
 Problem files are validated by ``_violations``, a small interpreter of the
 keywords that ``problem_schema.json`` uses (``$ref``, ``oneOf``, ``type``,
@@ -86,14 +87,16 @@ def _is_type(value, name):
 
 
 def _violations(doc, schema, loc=()):
-    """Yield ``(path, message)`` for each way ``doc`` breaks ``schema``.
+    """Yield ``(origin, path, message)`` for each way ``doc`` breaks
+    ``schema``: where the keyword was checked, where it is reported.
 
     Interprets the keywords listed in the module docstring; ``$schema``,
     ``title`` and ``description`` are annotations.  A ``oneOf`` that does
-    not match exactly once is one violation, placed at its deepest branch
-    violation when that lies below the ``oneOf`` (a complex scalar with a
-    bad ``im`` reports ``im``), which is the depth jsonschema's
-    ``best_match`` descends to.
+    not match exactly once is one violation, reported at its deepest
+    branch violation when that lies below the ``oneOf`` (a complex scalar
+    with a bad ``im`` reports ``im``), which is the depth jsonschema's
+    ``best_match`` descends to; every other violation is reported where
+    it arises.
     """
     if "$ref" in schema:
         target = _schema()
@@ -104,32 +107,33 @@ def _violations(doc, schema, loc=()):
         branches = [list(_violations(doc, s, loc)) for s in schema["oneOf"]]
         matched = branches.count([])
         if matched != 1:
-            deepest = max((v for b in branches for v in b),
-                          key=lambda v: len(v[0]), default=(loc, ""))
-            if len(deepest[0]) == len(loc):
-                deepest = loc, (f"{doc!r} matches {matched} of the oneOf "
-                                "alternatives, not exactly one")
-            yield deepest
+            _, path, message = max((v for b in branches for v in b),
+                                   key=lambda v: len(v[1]),
+                                   default=(loc, loc, ""))
+            if len(path) == len(loc):
+                path, message = loc, (f"{doc!r} matches {matched} of the "
+                                      "oneOf alternatives, not exactly one")
+            yield loc, path, message
     if "type" in schema and not _is_type(doc, schema["type"]):
-        yield loc, f"{doc!r} is not of type {schema['type']!r}"
+        yield loc, loc, f"{doc!r} is not of type {schema['type']!r}"
         return
     if "enum" in schema and doc not in schema["enum"]:
-        yield loc, f"{doc!r} is not one of {schema['enum']!r}"
+        yield loc, loc, f"{doc!r} is not one of {schema['enum']!r}"
     if isinstance(doc, dict):
         for key in schema.get("required", ()):
             if key not in doc:
-                yield loc, f"{key!r} is a required property"
+                yield loc, loc, f"{key!r} is a required property"
         props = schema.get("properties", {})
         for key, value in doc.items():
             sub = props.get(key, schema.get("additionalProperties", True))
             if sub is False:
-                yield loc, f"additional property {key!r} is not allowed"
+                yield loc, loc, f"additional property {key!r} is not allowed"
             elif sub is not True:
                 yield from _violations(value, sub, loc + (key,))
     elif isinstance(doc, list):
         low, high = schema.get("minItems", 0), schema.get("maxItems", math.inf)
         if not low <= len(doc) <= high:
-            yield loc, f"{len(doc)} items, expected {low} to {high}"
+            yield loc, loc, f"{len(doc)} items, expected {low} to {high}"
         if "items" in schema:
             for i, value in enumerate(doc):
                 yield from _violations(value, schema["items"], loc + (i,))
@@ -137,10 +141,10 @@ def _violations(doc, schema, loc=()):
         low, high = schema.get("minimum", -math.inf), \
             schema.get("maximum", math.inf)
         if not low <= doc <= high:
-            yield loc, f"{doc!r} is outside [{low}, {high}]"
+            yield loc, loc, f"{doc!r} is outside [{low}, {high}]"
         if doc <= schema.get("exclusiveMinimum", -math.inf):
-            yield loc, (f"{doc!r} is not greater than "
-                        f"{schema['exclusiveMinimum']!r}")
+            yield loc, loc, (f"{doc!r} is not greater than "
+                             f"{schema['exclusiveMinimum']!r}")
 
 
 def load_problem(path):
@@ -154,14 +158,14 @@ def load_problem(path):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}", str(path))
-    # The shallowest violation is reported, and of siblings at one depth
-    # the first in document order (min keeps the first of equal keys).
-    # jsonschema's best_match takes the larger path on such ties instead,
-    # a heuristic its documentation says may change between versions.
-    found = min(_violations(doc, _schema()), key=lambda v: len(v[0]),
-                default=None)
+    # The violation that arises shallowest is reported, as jsonschema's
+    # best_match does: of siblings at one depth the one with the larger
+    # path, and at one path a plain keyword before a oneOf.  A tie decides
+    # the depth when one side is a oneOf that reports a deeper branch.
+    found = max(_violations(doc, _schema()),
+                key=lambda v: (-len(v[0]), v[0], v[0] == v[1]), default=None)
     if found is not None:
-        path, message = found
+        _, path, message = found
         raise SchemaError(message, ".".join(map(str, path)) or "<root>")
     return doc
 
@@ -184,8 +188,6 @@ def _num_array(node, loc):
         raise SchemaError(f"ragged or non-numeric array ({exc})", loc)
     if arr.dtype == object:
         raise SchemaError("ragged numeric array", loc)
-    if not np.isfinite(arr).all():
-        raise SchemaError("NaN and infinities are no JSON numbers", loc)
     return arr
 
 
@@ -489,14 +491,19 @@ def emit(report, format="structured"):
         return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
     if format != "table":
         raise ArgumentError(f"unknown format {format!r}")
-    traces = report.traces or [{"columns": ["level", "mesh", "value",
-                                            "estimates"], "rows": []}]
-    blocks = []
-    for tr in traces:
-        lines = ["\t".join(tr["columns"])]
-        lines += ["\t".join(_cell(v) for v in row) for row in tr["rows"]]
-        blocks.append("\n".join(lines))
-    return ("\n\n".join(blocks) + "\n").encode()
+    if report.traces:
+        blocks = [[tr["columns"]] + [[_cell(v) for v in row]
+                                     for row in tr["rows"]]
+                  for tr in report.traces]
+    else:
+        # a report without traces lists its payload, one key a row
+        payload = _jsonify(report.payload)
+        blocks = [[["key", "value"]] + [
+            [key, json.dumps(payload[key], sort_keys=True,
+                             separators=(",", ":"))]
+            for key in sorted(payload)]]
+    return ("\n\n".join("\n".join(map("\t".join, rows)) for rows in blocks)
+            + "\n").encode()
 
 
 def main(argv=None):
@@ -507,7 +514,8 @@ def main(argv=None):
                         help="path of the JSON problem file")
     parser.add_argument("--format", choices=("structured", "table"),
                         default="structured",
-                        help="structured record or plot-ready trace table")
+                        help="structured record, or trace tables (the "
+                        "payload as key/value rows when there is no trace)")
     parser.add_argument("--output", default="stdout",
                         help="output path, or 'stdout' (the default)")
     args = parser.parse_args(argv)

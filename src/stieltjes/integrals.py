@@ -29,18 +29,20 @@ bits as a from-scratch level.  Each cell keeps its envelope product
 d1f d2m + d2f d1m / 2 through bisection, and the cells that end at a jump
 are held as indices.
 
-One loop also drives a scalar f against a stack of k scalar integrators
-on one breakpoint grid, such as the compositions of one integrator with k
-duals.  The columns share the partition, the piece lookups and f's
-values; each keeps its own integrator values, derivative sups and
-jump-end cells, and its own stop level: a column that passes its test
-reports from that level and leaves the stack.  The per-cell arrays of a
-stack are C-ordered (k, n) and each column is summed along axis 1, which
-is numpy's 1-d pairwise order, the order of a drive against that column
-alone; summing an (n, k) array along axis 0 would add row after row
-instead.  So every column has the bits of its own drive, and a scalar
-drive is the stack of one.  A drive with a vector factor keeps its (n, d)
-layout and sum order.
+Every drive, and every plain tagged sum, runs on one layout: a stack of
+integrators on one breakpoint grid whose per-cell arrays are C-ordered
+(rows, cells), with a trailing coordinate axis when either factor is
+vector-valued.  A drive against one integrator, scalar or vector, is a
+stack of one row; k scalar integrators, such as the compositions of one
+integrator with k duals, stack as k rows.  The rows share the partition,
+the piece lookups and f's values; each keeps its own integrator values,
+derivative envelopes and jump-end cells, and its own stop level: a row
+that passes its test reports from that level and leaves the stack.  Each
+row is summed along axis 1.  For (k, n) that is numpy's 1-d pairwise
+order per row, the order of a drive against that row alone; a (1, n, d)
+array is summed row after row, as (n, d) is along axis 0, and a trailing
+axis of length 1 does not change either order.  So every row has the
+bits of a sum over its own cells alone.
 """
 
 import functools
@@ -156,19 +158,19 @@ def _sem_values(seminorms, v):
 def _envelopes(func, seminorms):
     """Per-piece sups of first and second derivative size, per seminorm.
 
-    Scalar pieces use the exact polynomial sup of \\|q'\\| and \\|q''\\|;
-    vector pieces use the triangle-inequality envelope
-    sum_k p(c_k) h^k, which upper-bounds sup p over the piece.  The
-    read-only result is cached on ``func`` per seminorm tuple; seminorms
-    hash by identity, and the key keeps them alive, so no id is reused.
+    Scalar pieces use the exact polynomial sup of \\|q'\\| and \\|q''\\|,
+    one column that broadcasts against every seminorm; vector pieces use
+    the triangle-inequality envelope sum_k p(c_k) h^k, which upper-bounds
+    sup p over the piece, one column per seminorm.  The read-only result
+    is cached on ``func`` per seminorm tuple; seminorms hash by identity,
+    and the key keeps them alive, so no id is reused.
     """
     key = tuple(seminorms)
     envs = func._envelope_cache.get(key)
     if envs is not None:
         return envs
     if func.dim is None:
-        envs = tuple(np.outer(sups, np.ones(len(key)))
-                     for sups in func._derivative_sups)
+        envs = tuple(sups[:, np.newaxis] for sups in func._derivative_sups)
     else:
         widths = np.diff(func.breakpoints)
         first = _polyder(func.coeffs)
@@ -183,12 +185,13 @@ def _envelopes(func, seminorms):
 
 
 class _Columns:
-    """k scalar integrators on one breakpoint grid, evaluated as a stack.
+    """Integrators on one breakpoint grid, evaluated as a stack of rows:
+    k scalar integrators, or one vector integrator.
 
-    Values come out as C-ordered (k, m) arrays, one row per integrator, so
-    each row's sum runs over contiguous memory in the 1-d pairwise order
-    of a drive against that integrator alone, and each row is evaluated
+    Values come out as C-ordered (rows, points) arrays, with a trailing
+    coordinate axis for a vector integrator, and each row is evaluated
     with the operations of :meth:`PiecewiseFunction._values_in`.
+    A stack of one holds views of its integrator's arrays.
     """
 
     def __init__(self, mus):
@@ -200,14 +203,16 @@ class _Columns:
                     and mu.coeffs.dtype == first.coeffs.dtype):
                 raise ArgumentError("stacked integrators must share their "
                                     "breakpoints and coefficient layout")
-        self.breakpoints, self.b = first.breakpoints, first.b
+        self.breakpoints, self.b, self.dim = first.breakpoints, first.b, \
+            first.dim
         self.piece_count = first.piece_count
-        coeffs = np.stack([mu.coeffs for mu in self.mus])
-        self._planes = [np.ascontiguousarray(coeffs[:, :, k])
-                        for k in range(coeffs.shape[2])]
-        self._ends = np.array([mu.values[-1] for mu in self.mus])
-        self.envelopes = tuple(np.array(sups) for sups in zip(
-            *(mu._derivative_sups for mu in self.mus)))
+        if len(self.mus) == 1:
+            coeffs = first.coeffs[np.newaxis]
+            self._ends = first.values[np.newaxis, -1]
+        else:
+            coeffs = np.stack([mu.coeffs for mu in self.mus])
+            self._ends = np.array([mu.values[-1] for mu in self.mus])
+        self._planes = [coeffs[:, :, k] for k in range(coeffs.shape[2])]
 
     _piece_at = PiecewiseFunction._piece_at
 
@@ -216,6 +221,14 @@ class _Columns:
 
     def take(self, keep):
         return _Columns(mu for mu, k in zip(self.mus, keep) if k)
+
+    def envelopes(self, seminorms):
+        """The rows' envelopes, (rows, pieces, 1) for scalar rows and
+        (1, pieces, seminorms) for a vector one."""
+        envs = [_envelopes(mu, seminorms) for mu in self.mus]
+        if len(envs) == 1:
+            return tuple(env[np.newaxis] for env in envs[0])
+        return tuple(np.stack(env) for env in zip(*envs))
 
     def values_at(self, ts):
         """Values at points of the domain; t = b gets each end value."""
@@ -226,50 +239,44 @@ class _Columns:
     def _values_in(self, idx, ts):
         tau = ts - self.breakpoints.take(idx)
         out = self._planes[-1].take(idx, axis=1)
+        tau = tau.reshape((-1,) + (1,) * (out.ndim - 2))
         for plane in self._planes[-2::-1]:
             out = out * tau + plane.take(idx, axis=1)
         return out
 
 
-def _cell_axis(mu):
-    return 1 if isinstance(mu, _Columns) else 0
-
-
-def _product_sum(fv, dmu):
-    """sum_i fv_i dmu_i, where either factor may carry a coordinate axis."""
+def _tagged_sums(fv, dmu):
+    """Row sums sum_i fv_ri dmu_ri of (rows, cells) stacks, where either
+    factor may carry a trailing coordinate axis and a single row of fv
+    serves every row of dmu."""
     if fv.ndim < dmu.ndim:
-        fv = fv[:, np.newaxis]
+        fv = fv[..., np.newaxis]
     elif fv.ndim > dmu.ndim:
-        dmu = dmu[:, np.newaxis]
-    return (fv * dmu).sum(axis=0)
+        dmu = dmu[..., np.newaxis]
+    return (fv * dmu).sum(axis=1)
 
 
-def _smooth_products(i, j, envs, axis):
+def _smooth_products(i, j, envs):
     """Per-cell envelope factor d1f d2m + d2f d1m / 2 of the error of a
-    cell that does not end at a jump."""
+    cell that does not end at a jump, (rows, cells, seminorms)."""
     D1f, D2f, D1m, D2m = envs
     d1f, d2f = D1f.take(i, axis=0), D2f.take(i, axis=0)
-    d1m, d2m = D1m.take(j, axis=axis), D2m.take(j, axis=axis)
+    d1m, d2m = D1m.take(j, axis=1), D2m.take(j, axis=1)
     return d1f * d2m + 0.5 * d2f * d1m
 
 
 def _cells(f, mu, points, jump_ts, envs):
     """Per-cell piece indices of f and mu, mu at the points, the cells that
-    end at a jump of each column's integrator (``jump_ts`` holds one array
-    of jump times per column), and the smooth envelope products, looked up
-    from scratch.  The jump-end cells are an index into the per-cell
-    arrays: ``(cells,)`` for one integrator, ``(rows, cells)`` for a
-    stack."""
+    end at a jump of each row's integrator (``jump_ts`` holds one array
+    of jump times per row) as a (rows, cells) index into the per-cell
+    arrays, and the smooth envelope products, looked up from scratch."""
     lefts = points[:-1]
     i, j = f._piece_at(lefts), mu._piece_at(lefts)
     ends = [np.flatnonzero(np.isin(points[1:], ts)) for ts in jump_ts]
-    if isinstance(mu, _Columns):
-        at_jumps = (np.repeat(np.arange(len(ends)), [e.size for e in ends]),
-                    np.concatenate(ends))
-    else:
-        at_jumps = (ends[0],)
+    at_jumps = (np.repeat(np.arange(len(ends)), [e.size for e in ends]),
+                np.concatenate(ends))
     return (i, j, mu.values_at(points), at_jumps,
-            _smooth_products(i, j, envs, _cell_axis(mu)))
+            _smooth_products(i, j, envs))
 
 
 def _bisected_cells(mu, cells, mids):
@@ -277,12 +284,10 @@ def _bisected_cells(mu, cells, mids):
     both children inherit the piece indices and envelope products, mu is
     evaluated only at the midpoints, and only right children can end at a
     jump."""
-    i, j, mu_vals, at_jumps, smooth = cells
-    axis = _cell_axis(mu)
+    i, j, mu_vals, (rows, ends), smooth = cells
     return (np.repeat(i, 2), np.repeat(j, 2),
-            _interleave(mu_vals, mu._values_in(j, mids), axis),
-            at_jumps[:-1] + (2 * at_jumps[-1] + 1,),
-            np.repeat(smooth, 2, axis=axis))
+            _interleave(mu_vals, mu._values_in(j, mids), axis=1),
+            (rows, 2 * ends + 1), np.repeat(smooth, 2, axis=1))
 
 
 def _kept_columns(cells, keep):
@@ -298,44 +303,35 @@ def _level_sum(f, mu, rights, h, mids, inside, cells, envs):
     """The tagged sums and per-seminorm error estimates of one level whose
     cells have right ends ``rights``, widths ``h`` and midpoints ``mids``;
     ``inside`` says that every midpoint lies strictly inside its cell.
-    Both come out with one row per column."""
+    Both come out with one row per row of the stack."""
     i, j, mu_vals, at_jumps, smooth = cells
-    columns = isinstance(mu, _Columns)
-    ends = at_jumps[-1]
-    fv = f._values_in(i, mids) if inside else f.values_at(mids)
-    h3 = h ** 3 / 12.0
-    est = smooth * (h3 if columns else h3[:, np.newaxis])
+    rows, ends = at_jumps
+    fv = (f._values_in(i, mids) if inside else f.values_at(mids))[np.newaxis]
+    est = smooth * (h ** 3 / 12.0)[:, np.newaxis]
     if ends.size:
         D1f, _, D1m, _ = envs
-        d1f, h2 = D1f.take(i.take(ends), axis=0), h.take(ends) ** 2
-        if columns:
-            fv = np.repeat(fv[np.newaxis], len(mu), axis=0)
-            d1m = D1m[at_jumps[0], j.take(ends)]
-        else:
-            d1m, h2 = D1m.take(j.take(ends), axis=0), h2[:, np.newaxis]
+        if len(mu) > 1:
+            fv = np.repeat(fv, len(mu), axis=0)
         fv[at_jumps] = f.values_at(rights.take(ends))
-        est[at_jumps] = (d1f * d1m) * h2
-    dmu = np.diff(mu_vals, axis=_cell_axis(mu))
-    if columns:
-        return (fv * dmu).sum(axis=1), est.sum(axis=1)[:, np.newaxis]
-    return _product_sum(fv, dmu)[np.newaxis], est.sum(axis=0)[np.newaxis]
+        est[at_jumps] = (D1f.take(i.take(ends), axis=0)
+                         * D1m[rows, j.take(ends)]) \
+            * (h.take(ends) ** 2)[:, np.newaxis]
+    return _tagged_sums(fv, np.diff(mu_vals, axis=1)), est.sum(axis=1)
 
 
 def _refine(f, mu, jump_ts, seminorms, tol, max_levels):
-    """The refinement loop of every drive.  ``mu`` is one integrator, whose
-    cells run along axis 0 of the per-cell arrays, or a :class:`_Columns`
-    stack, whose cells run along axis 1.  A column stops at its own level
-    and leaves the stack; returns one IntegralResult per column."""
-    columns = isinstance(mu, _Columns)
+    """The refinement loop of every drive, against the :class:`_Columns`
+    stack ``mu``.  A row stops at its own level and leaves the stack;
+    returns one IntegralResult per row."""
     a, b = f.domain
     points = np.unique(np.concatenate(
         [f.breakpoints, mu.breakpoints,
          np.linspace(a, b, _INITIAL_UNIFORM_CELLS + 1)]))
-    envs = (f._derivative_sups + mu.envelopes if columns
-            else _envelopes(f, seminorms) + _envelopes(mu, seminorms))
-    # a stack's envelopes bound the modulus of each scalar error e, and
-    # p(e) = |e| p(1); a vector drive's envelopes already carry p
-    scale = np.array([p(np.ones(1)) for p in seminorms]) if columns else 1.0
+    envs = _envelopes(f, seminorms) + mu.envelopes(seminorms)
+    # scalar envelopes bound the modulus of each scalar error e, and
+    # p(e) = |e| p(1); a vector factor's envelopes already carry p
+    scale = 1.0 if f.dim or mu.dim \
+        else np.array([p(np.ones(1)) for p in seminorms])
     cells = _cells(f, mu, points, jump_ts, envs)
     active = list(range(len(jump_ts)))
     traces = [[] for _ in active]
@@ -360,13 +356,10 @@ def _refine(f, mu, jump_ts, seminorms, tol, max_levels):
         last = level == max_levels - 1
         for r in range(len(active)) if last else np.flatnonzero(stop):
             c, value = active[r], values[r]
-            if columns:
-                value = complex(value) if np.iscomplexobj(value) \
-                    else float(value)
-            results[c] = IntegralResult(value=value, error_estimates=ests[r],
-                                        levels=level + 1,
-                                        converged=bool(stop[r]),
-                                        trace=traces[c])
+            results[c] = IntegralResult(
+                value=value.item() if values.ndim == 1 else value,
+                error_estimates=ests[r], levels=level + 1,
+                converged=bool(stop[r]), trace=traces[c])
         if last or stop.all():
             break
         if stop.any():
@@ -374,7 +367,7 @@ def _refine(f, mu, jump_ts, seminorms, tol, max_levels):
             active = [c for c, k in zip(active, keep) if k]
             jump_ts = [ts for ts, k in zip(jump_ts, keep) if k]
             mu = mu.take(keep)
-            envs = envs[:2] + mu.envelopes
+            envs = envs[:2] + mu.envelopes(seminorms)
             cells = _kept_columns(cells, keep)
             values = values[keep]
         prev = values
@@ -407,9 +400,8 @@ def _checked(f, mus, seminorms, tol, max_levels):
 
 def _drive(f, mu, seminorms, tol, max_levels):
     jump_ts, seminorms = _checked(f, (mu,), seminorms, tol, max_levels)
-    if f.dim is None and mu.dim is None:
-        mu = _Columns((mu,))
-    return _refine(f, mu, jump_ts, seminorms, tol, max_levels)[0]
+    return _refine(f, _Columns((mu,)), jump_ts, seminorms, tol,
+                   max_levels)[0]
 
 
 def _drive_columns(f, mus, tol, max_levels=20):
@@ -430,11 +422,9 @@ def _plain_sum(f, mu, partition):
     pts = partition.points
     if pts[0] != f.a or pts[-1] != f.b:
         raise ArgumentError("partition does not cover the common domain")
-    out = _product_sum(f.values_at(partition.tags),
-                       np.diff(mu.values_at(pts), axis=0))
-    if f.dim is None and mu.dim is None:
-        out = complex(out) if np.iscomplexobj(out) else float(out)
-    return out
+    out = _tagged_sums(f.values_at(partition.tags)[np.newaxis],
+                       np.diff(_Columns((mu,)).values_at(pts), axis=1))[0]
+    return out.item() if out.ndim == 0 else out
 
 
 def rs_sum_S(x, g, partition):

@@ -14,6 +14,7 @@ membership test.  Conversely x determines a finitely additive interval
 measure through its cumulative y(t) = x(t) - x(a).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,14 +57,14 @@ _IMAGE_RESOLUTION = 9
 class StieltjesOperator:
     """T g = integral(g dx) for a vector-valued integrator x.
 
-    Construction verifies that the increment-sum set of x is bounded under
-    every seminorm of the space (``wcs_bounds`` keeps the sups), which is
-    the weak-compactness hypothesis in this model.
+    ``wcs_bounds`` holds the sups of the increment-sum set of x under
+    every seminorm of the space, whose boundedness is the weak-compactness
+    hypothesis in this model.  They are enumerated on first read, so
+    applying T never pays for them nor meets the enumeration cap.
     """
 
     space: SpaceModel
     integrator: PiecewiseFunction
-    wcs_bounds: np.ndarray = None
 
     def __post_init__(self):
         x = self.integrator
@@ -71,8 +72,10 @@ class StieltjesOperator:
             raise ArgumentError("integrator dimension does not match space")
         if np.iscomplexobj(x.coeffs) and self.space.field != "complex":
             raise ArgumentError("complex integrator on a real space")
-        object.__setattr__(self, "wcs_bounds",
-                           wcs_check(x, self.space.seminorms)[1])
+
+    @functools.cached_property
+    def wcs_bounds(self):
+        return wcs_check(self.integrator, self.space.seminorms)[1]
 
     @property
     def domain(self):

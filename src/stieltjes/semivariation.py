@@ -48,12 +48,12 @@ class SemivariationReport:
     """Result of :func:`semivariation`.
 
     ``value`` is exact when ``exact`` is set; ``lower_bound_only`` marks
-    values obtained from a phase grid or a local search, which can only
-    certify a lower bound.  ``trace`` records the (nondecreasing) partition
-    values per refinement level and ``partition_points`` /
-    ``coefficients`` describe the attaining configuration of the last
-    level; both are None for a non-step x under a polyhedral seminorm,
-    whose value comes from no partition.
+    values obtained from a phase grid, a local search or the partitions
+    of a bisection loop, which can only certify a lower bound.  ``trace``
+    records the (nondecreasing) partition values per refinement level and
+    ``partition_points`` / ``coefficients`` describe the attaining
+    configuration of the last level; both are None for a non-step x
+    under a polyhedral seminorm, whose value comes from no partition.
     """
 
     value: float
@@ -288,7 +288,10 @@ def semivariation(x, p, tol=1e-8, max_levels=20, phase_count=16):
     every part is.  Otherwise pure step functions are handled in a single
     step on the breakpoint partition (each jump isolated in its own
     cell), and the breakpoint partition of any other x is bisected until
-    two consecutive levels agree within ``tol``.  Step functions with
+    two consecutive levels agree within ``tol``.  A partition value is a
+    lower bound of the sup over all partitions, so such a result is
+    flagged ``lower_bound_only``, and its ``converged`` says only that
+    two levels agreed, not that the sup is reached.  Step functions with
     more than 20 jumps are refused.
     """
     _check_pair(x, p)
@@ -330,12 +333,11 @@ def semivariation(x, p, tol=1e-8, max_levels=20, phase_count=16):
 
     trace = []
     warm = None
-    exact = lb = False
     alpha = None
     converged = False
     for level in range(max_levels):
         deltas = _increment_rows(x, pts)
-        val, alpha, exact, lb = _partition_best(
+        val, alpha, _, _ = _partition_best(
             deltas, p, complex_field, phase_count, warm)
         trace.append(val)
         if level > 0 and abs(trace[-1] - trace[-2]) < tol:
@@ -347,7 +349,7 @@ def semivariation(x, p, tol=1e-8, max_levels=20, phase_count=16):
     # refinement values are genuine lower bounds of the sup; the limit is
     # only approached, so the result is never flagged exact here
     return SemivariationReport(
-        value=trace[-1], exact=False, lower_bound_only=lb,
+        value=trace[-1], exact=False, lower_bound_only=True,
         converged=converged, levels=len(trace), trace=trace,
         partition_points=pts, coefficients=alpha)
 

@@ -105,10 +105,12 @@ def test_table_rows_match_levels():
     assert len(lines) == 1 + report.payload["levels"]
 
 
-def test_table_header_only_without_trace():
+def test_table_lists_the_payload_without_trace():
+    # one row per payload key, in sorted order, each value as compact JSON
     doc = problem("eset", {"x": STEP}, {"function": "x"})
     data = emit(run_task(doc), "table").decode()
-    assert data == "level\tmesh\tvalue\testimates\n"
+    assert data == ("key\tvalue\ncount\t2\nexact\ttrue\n"
+                    "points\t[[0.0,0.0],[1.0,-2.0]]\n")
 
 
 def test_run_task_deterministic_bytes(tmp_path):
@@ -245,7 +247,7 @@ def edited_problem(tmp_path, name, keys, value):
     ("integrate_gdx_step", ["functions", "x", "breakpoints", 1],
      -float("inf"), "functions.x.breakpoints.1"),
     ("roundtrip_mixed", ["functions", "x", "coefficients", 1, 0, 0],
-     float("inf"), "functions.x.coefficients"),
+     float("inf"), "functions.x.coefficients.1.0.0"),
 ])
 def test_non_finite_numbers_are_rejected(tmp_path, capsys, name, keys,
                                          value, location):
@@ -257,6 +259,16 @@ def test_non_finite_numbers_are_rejected(tmp_path, capsys, name, keys,
     assert main(["--input", path, "--output", str(target)]) == 2
     assert f"schema violation at {location}:" in capsys.readouterr().err
     assert not target.exists()
+
+
+@pytest.mark.parametrize("value", ["1e0", True])
+def test_coefficients_must_be_numbers(tmp_path, capsys, value):
+    # a string or a bool is no JSON number, even where float() reads one
+    path = edited_problem(tmp_path, "integrate_gdx_step",
+                          ["functions", "g", "coefficients", 0, 0], value)
+    assert main(["--input", path]) == 2
+    assert "schema violation at functions.g.coefficients.0.0:" \
+        in capsys.readouterr().err
 
 
 def schema_integers(schema, name=None):

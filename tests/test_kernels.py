@@ -16,13 +16,15 @@ from numpy.polynomial import polynomial as npoly
 from scipy.interpolate import CubicSpline
 from scipy.spatial import cKDTree
 
-from stieltjes.functions import (PiecewiseFunction, _extreme_rows, _horner,
-                                 _horner_at, _natural_spline, _root_rows,
-                                 _shift_poly, _split_rows, _sup_abs_rows,
-                                 _variations, bisect, definite_integral,
-                                 dual_compose, product_integral,
-                                 random_spline, scalar_variation)
-from stieltjes.integrals import _bisected_cells, _cells, _Columns, _envelopes
+from stieltjes.functions import (PiecewiseFunction, TaggedPartition,
+                                 _extreme_rows, _horner, _horner_at,
+                                 _natural_spline, _root_rows, _shift_poly,
+                                 _split_rows, _sup_abs_rows, _variations,
+                                 bisect, definite_integral, dual_compose,
+                                 product_integral, random_spline,
+                                 scalar_variation)
+from stieltjes.integrals import (_bisected_cells, _cells, _Columns,
+                                 _envelopes, rs_sum_S, rs_sum_s)
 from stieltjes.semivariation import (_CHUNK, _aligning, _dedupe,
                                      _digit_chunks, e_set)
 from stieltjes.spaces import Seminorm
@@ -216,8 +218,13 @@ def test_envelopes_match_per_piece_polyder(f):
     d = f.dim or 1
     sems = (Seminorm.weighted_sup(np.ones(d)),
             Seminorm.quadratic(np.eye(d) + 0.5))
+    # a scalar function's envelopes are one column that broadcasts
+    # against every seminorm
     got, expected = _envelopes(f, sems), envelopes_per_piece(f, sems)
-    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+    width = 1 if f.dim is None else len(sems)
+    assert all(a.shape == (f.piece_count, width) for a in got)
+    assert all(np.array_equal(np.broadcast_to(a, b.shape), b)
+               for a, b in zip(got, expected, strict=True))
 
 
 def product_per_piece(f, g, absolute=False):
@@ -314,23 +321,24 @@ def cell_arrays(cells):
 
 
 @settings(max_examples=100)
-@given(piecewise(), piecewise(dims=(None,)), st.integers(0, 6))
-def test_inherited_cells_match_a_fresh_lookup(f, mu, k):
+@given(piecewise(), st.data(), st.integers(0, 6))
+def test_inherited_cells_match_a_fresh_lookup(f, data, k):
     # each cell lies inside one piece of f and of mu, so bisection keeps
     # every piece index, mu value, jump-end cell and envelope product a
-    # fresh lookup gives, for one integrator and, when f is scalar, for a
-    # stack of integrators on one grid
+    # fresh lookup gives, for one integrator, scalar or vector, as a stack
+    # of one and, when both factors are scalar, for a stack of integrators
+    # on one grid
+    mu = data.draw(piecewise(dims=(None,) if f.dim else (None, 1, 3)))
     scaled = mu.breakpoints * (f.b / mu.b)
     scaled[-1] = f.b
     mu = PiecewiseFunction(scaled, mu.coeffs)
-    sems = (Seminorm.weighted_sup(np.ones(f.dim or 1)),)
-    layouts = [(mu, [np.array(mu._jump_times)],
-                _envelopes(f, sems) + _envelopes(mu, sems))]
-    if f.dim is None:
-        stack = _Columns([mu, mu * -0.5, mu * 0.0])
-        layouts.append((stack, [np.array(c._jump_times) for c in stack.mus],
-                        f._derivative_sups + stack.envelopes))
-    for integrator, jump_ts, envs in layouts:
+    sems = (Seminorm.weighted_sup(np.ones(f.dim or mu.dim or 1)),)
+    stacks = [_Columns([mu])]
+    if f.dim is None and mu.dim is None:
+        stacks.append(_Columns([mu, mu * -0.5, mu * 0.0]))
+    for integrator in stacks:
+        jump_ts = [np.array(c._jump_times) for c in integrator.mus]
+        envs = _envelopes(f, sems) + integrator.envelopes(sems)
         bps = np.unique(np.concatenate([f.breakpoints, mu.breakpoints]))
         cells = _cells(f, integrator, bps, jump_ts, envs)
         for _ in range(k):
@@ -343,6 +351,39 @@ def test_inherited_cells_match_a_fresh_lookup(f, mu, k):
         assert all(same_bits(a, b) for a, b in
                    zip(cell_arrays(cells), cell_arrays(expected), strict=True))
         assert np.array_equal(cells[0], f._piece_at(bps[:-1]))
+
+
+def tagged_sum_per_cell(f, mu, partition):
+    """sum_i f(s_i) [mu(t_i) - mu(t_{i-1})] over an (n[, d]) cell axis."""
+    fv = f.values_at(partition.tags)
+    dmu = np.diff(mu.values_at(partition.points), axis=0)
+    if fv.ndim < dmu.ndim:
+        fv = fv[:, np.newaxis]
+    elif fv.ndim > dmu.ndim:
+        dmu = dmu[:, np.newaxis]
+    return (fv * dmu).sum(axis=0)
+
+
+@settings(max_examples=150)
+@given(piecewise(), piecewise(dims=(None,)), st.integers(1, 300),
+       st.sampled_from(["left", "midpoint", "right"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_plain_sums_match_a_sum_over_cells(x, g, n, rule, seed):
+    # rs_sum_S and rs_sum_s run on a stack of one row, (1, n[, d]), and
+    # sum along axis 1 in the order of the (n[, d]) sum along axis 0
+    scaled = g.breakpoints * (x.b / g.b)
+    scaled[-1] = x.b
+    g = PiecewiseFunction(scaled, g.coeffs)
+    inner = np.random.default_rng(seed).uniform(x.a, x.b, n - 1)
+    points = np.unique(np.concatenate([[x.a, x.b], inner]))
+    partition = TaggedPartition.from_points(points, rule)
+    for got, f, mu in ((rs_sum_S(x, g, partition), x, g),
+                       (rs_sum_s(g, x, partition), g, x)):
+        expected = tagged_sum_per_cell(f, mu, partition)
+        if expected.ndim == 0:
+            expected = expected.item()
+        assert type(got) is type(expected)
+        assert same_bits(got, expected)
 
 
 @settings(max_examples=100)

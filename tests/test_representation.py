@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from stieltjes.errors import ArgumentError
+from stieltjes.errors import ArgumentError, EnumerationLimitError
 from stieltjes.functions import (PiecewiseFunction, _horner, dual_compose,
                                  random_spline)
 from stieltjes.integrals import integrate_g_dx
@@ -383,6 +383,20 @@ def test_roundtrip_single_jump():
     assert report.pairing_gap < 1e-6
     # breakpoints join the probe grid, so the count can exceed the request
     assert report.probe_count >= 30
+
+
+def test_roundtrip_past_the_subset_sum_cap():
+    # applying T never enumerates the increment-sum set, so neither does
+    # a roundtrip; only reading wcs_bounds meets the cap
+    times = np.linspace(0.02, 0.98, 21)
+    jumps = np.random.default_rng(6).normal(size=(21, 2))
+    x = PiecewiseFunction.step((0.0, 1.0), times, jumps, np.zeros(2))
+    report = roundtrip(x, probe_count=10, dual_count=3, function_count=2,
+                       seed=6)
+    assert report.identity_gap == 0.0
+    assert report.pairing_gap < 1e-6
+    with pytest.raises(EnumerationLimitError, match="21 jumps"):
+        StieltjesOperator(plane(), x).wcs_bounds
 
 
 def test_roundtrip_constant_integrator():

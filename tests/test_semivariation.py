@@ -212,6 +212,27 @@ def test_semivariation_complex_lower_bound():
     assert rep.value >= 2.0 - 1e-9
 
 
+def test_bisection_values_are_lower_bounds():
+    # under a quadratic seminorm a non-step x goes through the bisection
+    # loop, whose two agreeing levels can lie well below the sup
+    rng = np.random.default_rng(1)
+    parts = [random_spline((0.0, 1.0), rng) for _ in range(3)]
+    x = PiecewiseFunction(parts[0].breakpoints,
+                          np.stack([s.coeffs for s in parts], axis=2))
+    a = rng.normal(size=(3, 3))
+    m = a @ a.T
+    rep = semivariation(x, Seminorm.quadratic(m))
+    assert rep.lower_bound_only and not rep.exact
+    # u = R w with R = M^(1/2) and |w| = 1 lies in the polar ball, since
+    # |<R w, v>| <= |R v| = p(v), so each Var<u, x> bounds the sup below
+    lam, vec = np.linalg.eigh(m)
+    root = vec @ np.diag(np.sqrt(lam)) @ vec.T
+    w = np.random.default_rng(0).normal(size=(400, 3))
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    witness = max(scalar_variation(dual_compose(x, root @ u)) for u in w)
+    assert rep.value < witness - 0.5
+
+
 def test_e_set_two_jumps():
     points = e_set(two_jumps())
     got = {tuple(np.round(v, 12)) for v in points}
