@@ -2,10 +2,12 @@
 
 Semivariation measures the largest seminorm value reachable by signed sums
 of increments.  It is also the largest variation of <u, x(.)> over the
-polar ball of the seminorm, so for weighted-sup and weighted-one seminorms
-it is the largest exact variation over the ball's finitely many vertices,
-for steps and smooth curves alike.  The increment-sum set and dual
-variations sandwich the same quantity.
+polar ball of the seminorm, so for weighted-sup and real weighted-one
+seminorms it is the largest exact variation over the ball's finitely many
+vertices, for steps and smooth curves alike.  A quadratic seminorm's ball
+is an ellipsoid; a branch and bound over it brackets the sup between a
+value that some dual attains and a certified upper end.  The increment-sum
+set and dual variations sandwich the same quantity.
 """
 
 import numpy as np
@@ -50,3 +52,11 @@ smooth = PiecewiseFunction(np.array([0.0, 1.0]),
 rep = semivariation(smooth, first)
 print("smooth curve (t, t^2) under |v_1|: the vertex e_1 of the polar ball")
 print(f"  gives the variation of t, {rep.value:.12f} (exact={rep.exact})")
+
+print()
+quad = Seminorm.quadratic(np.array([[2.0, 0.5], [0.5, 1.0]]))
+rep = semivariation(smooth, quad)
+print("the same curve under sqrt(v^T Q v), Q = [[2, 0.5], [0.5, 1]]:")
+print(f"  {rep.value:.10f} <= semivariation <= {rep.upper:.10f}")
+print(f"  (converged={rep.converged} after {rep.levels} levels, "
+      f"exact={rep.exact})")

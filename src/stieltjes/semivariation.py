@@ -11,9 +11,9 @@ is bounded, which in this finite-dimensional model is exactly the weak
 compactness property that the operator representation relies on.
 
 By duality it is also the sup of Var<u, x(.)> over the polar ball of p
-(Diestel & Uhl, *Vector Measures*, §I.1), which for weighted-sup and real
-weighted-one seminorms, and their maxima, is a maximum over the ball's
-finitely many extreme points.
+(Diestel & Uhl, *Vector Measures*, §I.1): a maximum over the ball's
+vertices for weighted-sup and real weighted-one seminorms, and otherwise
+bracketed by a phase grid or a branch and bound over the unit sphere.
 """
 
 from dataclasses import dataclass, field, replace
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ArgumentError, EnumerationLimitError
-from .functions import _variations, bisect, dual_compose
+from .functions import _variations, dual_compose
 from .spaces import polar_gauge
 
 __all__ = [
@@ -35,10 +35,9 @@ __all__ = [
 
 # enumeration refuses more than this many nonzero increments (2^20 patterns)
 MAX_ENUM_INCREMENTS = 20
-# combined cap on phase-grid combinations
+# cap on phase-grid combinations, polar-ball vertex rows and live cells of
+# the sphere search
 MAX_COMBINATIONS = 1 << 20
-# the sign vertices of a real weighted-one polar ball are listed up to here
-_MAX_VERTEX_DIM = 16
 
 _CHUNK = 1 << 16
 
@@ -47,16 +46,18 @@ _CHUNK = 1 << 16
 class SemivariationReport:
     """Result of :func:`semivariation`.
 
-    ``value`` is exact when ``exact`` is set; ``lower_bound_only`` marks
-    values obtained from a phase grid, a local search or the partitions
-    of a bisection loop, which can only certify a lower bound.  ``trace``
-    records the (nondecreasing) partition values per refinement level and
-    ``partition_points`` / ``coefficients`` describe the attaining
-    configuration of the last level; both are None for a non-step x
-    under a polyhedral seminorm, whose value comes from no partition.
+    The sup lies in [``value``, ``upper``].  ``exact``: ``value`` is the
+    sup itself, up to rounding.  ``lower_bound_only``: ``value`` comes
+    from a phase grid or a sphere search and is attained by a polar-ball
+    direction; ``upper`` is the certified other end.  ``converged``:
+    ``upper - value <= tol``.  ``trace`` holds the (nondecreasing) best
+    value at the end of each level.  For a step x, ``coefficients`` on the
+    cells of ``partition_points`` (its breakpoints) attain at least
+    ``value``; both are None for any other x.
     """
 
     value: float
+    upper: float
     exact: bool
     lower_bound_only: bool
     converged: bool
@@ -130,13 +131,9 @@ def _pattern_enumeration(deltas, p, table):
     return best_val, best_alpha
 
 
-def _phase_grid_fits(n, phase_count):
-    return phase_count ** max(n - 1, 0) <= MAX_COMBINATIONS
-
-
 def _nonzero_rows(deltas):
-    """The nonzero increment rows, their mask, and the map that spreads
-    coefficients for them over all rows (coefficient 1 on a zero row)."""
+    """The nonzero increment rows, and the map that spreads coefficients
+    for them over all rows (coefficient 1 on a zero row)."""
     nonzero = np.max(np.abs(deltas), axis=1) > 0.0
 
     def expand(alpha):
@@ -144,7 +141,7 @@ def _nonzero_rows(deltas):
         out[nonzero] = alpha
         return out
 
-    return deltas[nonzero], nonzero, expand
+    return deltas[nonzero], expand
 
 
 def _aligning(z, fallback=1.0):
@@ -154,93 +151,136 @@ def _aligning(z, fallback=1.0):
     return np.where(az > 0, np.conj(z) / np.where(az > 0, az, 1), fallback)
 
 
-def _alternating_max(deltas, p, complex_field, starts, iters=80):
-    """Coordinate-sign / phase ascent from several starts (lower bound)."""
-    dtype = complex if complex_field else float
-    best_val, best_alpha = -1.0, np.ones(deltas.shape[0], dtype=dtype)
-    for alpha0 in starts:
-        alpha = np.asarray(alpha0, dtype=dtype).copy()
-        val = p(alpha @ deltas)
-        for _ in range(iters):
-            u = p._dual_at(alpha @ deltas)
-            if u is None:
-                break
-            alpha_new = _aligning(deltas @ np.conj(u), alpha)
-            if not complex_field:
-                alpha_new = alpha_new.real
-            new_val = p(alpha_new @ deltas)
-            if new_val <= val + 1e-15:
-                alpha, val = alpha_new, max(val, new_val)
-                break
-            alpha, val = alpha_new, new_val
-        if val > best_val:
-            best_val, best_alpha = val, alpha
-    return best_val, best_alpha
-
-
-def _starts_for(deltas, complex_field, warm):
-    starts = [np.ones(deltas.shape[0], dtype=complex if complex_field
-                      else float)]
-    if warm is not None and warm.shape[0] == deltas.shape[0]:
-        starts.insert(0, warm)
-    aligned = _aligning(deltas.T)  # one start per coordinate
-    return starts + list(aligned if complex_field else aligned.real)
-
-
-def _partition_best(deltas, p, complex_field, phase_count, warm=None):
-    """Best coefficients for fixed increments under a quadratic or a
-    weighted-one seminorm whose polar ball has no vertex rows.
-
-    Returns (value, coefficients, exact, lower_bound_only) where the
-    coefficients cover every increment row of ``deltas``.
-    """
-    active, nonzero, expand = _nonzero_rows(deltas)
-    if active.shape[0] == 0:
-        return (0.0, expand(np.ones(0, dtype=complex if complex_field
-                                    else float)), True, False)
-
-    if not complex_field:
-        if active.shape[0] <= MAX_ENUM_INCREMENTS:
-            val, alpha = _pattern_enumeration(active, p, _SIGNS)
-            return val, expand(alpha), True, False
-    elif _phase_grid_fits(active.shape[0], phase_count):
-        val, alpha = _pattern_enumeration(active, p, _phases(phase_count))
-        return val, expand(alpha), False, True
-
-    warm_active = warm[nonzero] \
-        if warm is not None and warm.shape[0] == deltas.shape[0] else None
-    starts = _starts_for(active, complex_field, warm_active)
-    val, alpha = _alternating_max(active, p, complex_field, starts)
-    return val, expand(alpha), False, True
-
-
-def _vertex_rows(p, complex_field):
-    """The extreme points of the polar ball of p, up to phase, as rows:
-    w_i e_i for weighted-sup, the sign vectors times w for a real
-    weighted-one seminorm of dimension up to _MAX_VERTEX_DIM; None for
-    the other kinds."""
-    if p.kind == "weighted-sup":
-        return np.diag(p.weights)
-    if p.kind == "weighted-one" and not complex_field \
-            and p.dimension <= _MAX_VERTEX_DIM:
-        return np.concatenate(list(_pattern_rows(_SIGNS, p.dimension))) \
-            * p.weights
-    return None
-
-
 def _vertex_variation(x, rows):
-    """max over the rows u of ``rows`` of Var<u, x(.)>, and the index of a
-    best row.  A step function's variation is the sum of its jump moduli,
-    so one product with its increments covers every row; the compositions
-    of any other x share one extreme-value pass."""
-    if x.is_step:
-        deltas = _increment_rows(x, x.breakpoints)
-        variations = np.sum(np.abs(deltas @ rows.conj().T), axis=0)
-    else:
-        variations = _variations([x * np.conj(u[0]) if x.dim is None
-                                  else dual_compose(x, u) for u in rows])
-    k = int(np.argmax(variations))
-    return float(variations[k]), k
+    """Var<u, x(.)> for each row u of ``rows``, _CHUNK rows at a time: a
+    step x's jump moduli, by one product with its increments, or one
+    extreme-value pass over the compositions of any other x."""
+    deltas = _increment_rows(x, x.breakpoints) if x.is_step else None
+    out = [np.zeros(0)]
+    for lo in range(0, rows.shape[0], _CHUNK):
+        chunk = rows[lo:lo + _CHUNK]
+        if deltas is not None:
+            out.append(np.sum(np.abs(deltas @ chunk.conj().T), axis=0))
+        else:
+            out.append(_variations([x * np.conj(u[0]) if x.dim is None
+                                    else dual_compose(x, u) for u in chunk]))
+    return np.concatenate(out)
+
+
+def _polar_vertex_max(x, p, complex_field, phase_count):
+    """Largest Var<u, x(.)> over the polar-ball vertices u of a weighted-sup
+    (w_i e_i) or real weighted-one (w times the signs) seminorm, the upper
+    end of the sup, and a best u.  Complex weighted-one takes w times a
+    ``phase_count`` phase grid and the norming dual of x(b) - x(a): the
+    grid's hull holds cos(pi/m) times the polydisc."""
+    table = _phases(phase_count) if complex_field else _SIGNS
+    count = table.size ** (p.dimension - 1)
+    grid = complex_field and p.kind == "weighted-one" and count > 1
+    if p.kind == "weighted-one" and count > MAX_COMBINATIONS:
+        raise EnumerationLimitError(
+            f"{count} polar-ball vertices exceed the cap of "
+            f"{MAX_COMBINATIONS}")
+    seed = np.conj(_aligning(x.values[-1] - x.values[0])).reshape(1, -1)
+    chunks = [np.diag(p.weights)] if p.kind == "weighted-sup" else (
+        rows * p.weights for part in ([seed] if grid else [],
+                                      _pattern_rows(table, p.dimension))
+        for rows in part)
+    best, best_row = -1.0, None
+    for rows in chunks:
+        variations = _vertex_variation(x, rows)
+        k = int(np.argmax(variations))
+        if variations[k] > best:
+            best, best_row = float(variations[k]), rows[k]
+    if not grid:
+        return best, best, best_row
+    return best, (best / float(np.cos(np.pi / phase_count))
+                  if phase_count > 2 else np.inf), best_row
+
+
+def _sphere_search(x, p, complex_field, tol, max_levels):
+    """Branch and bound for the sup of f(w) = Var<R w, x(.)> over unit w,
+    R = M^(1/2): {R w : |w| <= 1} is the polar ball of p = |R .|.  A phase
+    factor leaves f unchanged, so a complex w is (o_0, o_1 + i o_2, ...)
+    with o a unit vector of R^(2d - 1).
+
+    Cells are spherical simplices, first the orthant simplices of the
+    cross-polytope with vertex e_1 (f is even).  As f is convex and
+    positively homogeneous, it is at most max f(v_i) / h on a cell, h the
+    distance from 0 to the affine hull of its vertices v_i.  Each round
+    splits every live cell at the normalised midpoint of its longest edge
+    and drops the cells within ``tol`` of the best value, which R v seeds
+    (R^2 v / p(v) norms v = x(b) - x(a)).  A level ends when the longest
+    live edge has halved; the search stops when no cell is live, after
+    ``max_levels`` levels (the first holds the starting cells), or with
+    more than MAX_COMBINATIONS live cells.  Returns (value, upper, best
+    dual u, trace of the best value of each level)."""
+    lam, vec = np.linalg.eigh(p.matrix)
+    root = (vec * np.sqrt(np.maximum(lam, 0.0))) @ vec.conj().T
+    seed, basis = root @ np.reshape(x.values[-1] - x.values[0], -1), root.T
+    if complex_field or np.iscomplexobj(root):
+        # o @ basis = w @ R^T for w = (o_0, o_1 + i o_2, ...)
+        basis = np.vstack([basis[:1], np.repeat(basis[1:], 2, axis=0)
+                           * np.tile([1.0, 1j], seed.size - 1)[:, None]])
+        seed = seed.astype(complex) * _aligning(seed[:1])
+        seed = np.concatenate([seed[:1].real, seed[1:].view(float)])
+    n, norm = seed.size, float(np.linalg.norm(seed))
+    seed = seed / norm if norm > 0.0 else np.eye(n)[0]
+    dirs = np.vstack([np.eye(n), -np.eye(n), seed])
+    vals = _vertex_variation(x, dirs @ basis)
+    cells = np.arange(n) + n * (np.concatenate(
+        list(_pattern_rows(_SIGNS, n))) < 0)
+    dropped, trace, start = -np.inf, [], None
+    # split edges by key, sorted, and their midpoints; -1 matches no key
+    split = split_mid = np.full(1, -1)
+    step, diagonal = max(1, (1 << 20) // (n * n)), np.arange(n)
+    while True:
+        bound = np.max(vals[cells], axis=1)
+        pos, edge = np.zeros((bound.size, 2), int), np.zeros_like(bound)
+        for lo in range(0, bound.size, step):  # chunks of 2^20 entries
+            v = dirs[cells[lo:lo + step]]
+            # the hull is {z : a.z = 1} with V a = 1, at distance 1 / |a|
+            a = np.linalg.solve(v, np.ones(v.shape[:2] + (1,)))[:, :, 0]
+            bound[lo:lo + step] *= np.linalg.norm(a, axis=1)
+            gram = v @ np.swapaxes(v, 1, 2)
+            gram[:, diagonal, diagonal] = np.inf
+            gram = gram.reshape(gram.shape[0], -1)
+            flat = np.argmin(gram, axis=1)
+            pos[lo:lo + step] = np.stack(divmod(flat, n), axis=1)
+            edge[lo:lo + step] = np.sqrt(np.maximum(
+                2.0 - 2.0 * gram[np.arange(flat.size), flat], 0.0))
+        best = float(np.max(vals))
+        live = bound > best + tol
+        dropped = max(dropped, float(np.max(bound[~live], initial=-np.inf)))
+        cells, pos, edge = cells[live], pos[live], edge[live]
+        longest = float(np.max(edge, initial=0.0))
+        stop = not 0 < cells.shape[0] <= MAX_COMBINATIONS
+        if stop or start is None or longest <= start / 2:
+            trace.append(best)
+            start = longest
+        if stop or len(trace) >= max_levels:
+            break
+        rows = np.arange(cells.shape[0])
+        ends = np.sort(cells[rows[:, np.newaxis], pos], axis=1)
+        keys, inverse = np.unique((ends[:, 0] << 32) | ends[:, 1],
+                                  return_inverse=True)
+        # an edge shared by several cells is split once, in any round
+        at = np.minimum(np.searchsorted(split, keys), split.size - 1)
+        seen = split[at] == keys
+        fresh = keys[~seen]
+        mid = np.where(seen, split_mid[at],
+                       dirs.shape[0] + np.cumsum(~seen) - 1)
+        mids = dirs[fresh >> 32] + dirs[fresh & 0xFFFFFFFF]
+        mids /= np.linalg.norm(mids, axis=1, keepdims=True)
+        dirs = np.vstack([dirs, mids])
+        vals = np.concatenate([vals, _vertex_variation(x, mids @ basis)])
+        order = np.argsort(np.concatenate([split, fresh]))
+        split = np.concatenate([split, fresh])[order]
+        split_mid = np.concatenate([split_mid, mid[~seen]])[order]
+        left, right = cells.copy(), cells.copy()
+        left[rows, pos[:, 0]] = right[rows, pos[:, 1]] = mid[inverse]
+        cells = np.vstack([left, right])
+    upper = max(best, dropped, float(np.max(bound[live], initial=-np.inf)))
+    return best, upper, dirs[np.argmax(vals)] @ basis, trace
 
 
 def semivariation_on_partition(x, partition, p, phase_count=16):
@@ -264,35 +304,37 @@ def semivariation_on_partition(x, partition, p, phase_count=16):
             f"{MAX_ENUM_INCREMENTS}; use semivariation() instead"
         )
     deltas = _increment_rows(x, pts)
-    active, _, expand = _nonzero_rows(deltas)
+    active, expand = _nonzero_rows(deltas)
     if not np.iscomplexobj(deltas):
         val, alpha = _pattern_enumeration(active, p, _SIGNS)
         return val, expand(alpha)
-    if not _phase_grid_fits(active.shape[0], phase_count):
+    if phase_count ** max(active.shape[0] - 1, 0) > MAX_COMBINATIONS:
         raise EnumerationLimitError(
             "phase grid would exceed the combination cap; "
-            "use semivariation() for the search fallback"
+            "use semivariation() instead"
         )
     val, alpha = _pattern_enumeration(active, p, _phases(phase_count))
     return val, expand(alpha)
 
 
 def semivariation(x, p, tol=1e-8, max_levels=20, phase_count=16):
-    """Semivariation of x relative to p.
+    """Semivariation of x relative to p, the sup of Var<u, x(.)> over the
+    polar ball of p, by one method per seminorm kind:
 
-    Under a weighted-sup seminorm, or a real weighted-one seminorm of
-    dimension up to 16, it is the largest exact variation of <u, x(.)>
-    over the extreme points u of the polar ball, in one level; a complex
-    non-step x has its arcs integrated by quadrature and is not flagged
-    exact.  A ``max`` seminorm reports its best part, exact only when
-    every part is.  Otherwise pure step functions are handled in a single
-    step on the breakpoint partition (each jump isolated in its own
-    cell), and the breakpoint partition of any other x is bisected until
-    two consecutive levels agree within ``tol``.  A partition value is a
-    lower bound of the sup over all partitions, so such a result is
-    flagged ``lower_bound_only``, and its ``converged`` says only that
-    two levels agreed, not that the sup is reached.  Step functions with
-    more than 20 jumps are refused.
+    * weighted-sup and real weighted-one: the largest variation over the
+      ball's vertices (up to 2^20 sign rows), exact except that a complex
+      non-step x has its arcs integrated by quadrature.
+    * complex weighted-one, dimension > 1: the same over a ``phase_count``
+      phase grid, a lower bound G with ``upper`` G / cos(pi/m).
+    * quadratic on a real step function: every sign pattern of its jumps,
+      exact; more than 20 jumps are refused.
+    * other quadratic cases: a branch and bound over the unit sphere of at
+      most ``max_levels`` levels (:func:`_sphere_search`).
+    * max: the best report of its parts, exact only when every part is,
+      with the largest ``upper``.
+
+    The grid and the search include the norming dual of x(b) - x(a), so
+    the value is at least p(x(b) - x(a)).
     """
     _check_pair(x, p)
     if tol <= 0:
@@ -300,58 +342,37 @@ def semivariation(x, p, tol=1e-8, max_levels=20, phase_count=16):
     if p.kind == "max":
         reports = [semivariation(x, part, tol, max_levels, phase_count)
                    for part in p.parts]
+        best = max(reports, key=lambda r: r.value)
+        upper = max(r.upper for r in reports)
         return replace(
-            max(reports, key=lambda r: r.value),
-            exact=all(r.exact for r in reports),
+            best, upper=upper, exact=all(r.exact for r in reports),
             lower_bound_only=any(r.lower_bound_only for r in reports),
-            converged=all(r.converged for r in reports))
+            converged=upper - best.value <= tol)
     complex_field = np.iscomplexobj(x.coeffs) or np.iscomplexobj(x.values)
-    pts = x.breakpoints.copy()
-    if x.is_step:
-        deltas = _increment_rows(x, pts)
-        if np.count_nonzero(np.max(np.abs(deltas), axis=1)) \
-                > MAX_ENUM_INCREMENTS:
+    deltas = _increment_rows(x, x.breakpoints) if x.is_step else None
+    if p.kind != "quadratic":
+        val, upper, u = _polar_vertex_max(x, p, complex_field, phase_count)
+        trace, lower_bound_only = [val], upper > val
+    elif x.is_step and not complex_field:
+        active, _ = _nonzero_rows(deltas)
+        if active.shape[0] > MAX_ENUM_INCREMENTS:
             raise EnumerationLimitError(
-                f"step function has more than {MAX_ENUM_INCREMENTS} jumps"
-            )
-    rows = _vertex_rows(p, complex_field)
-    if rows is not None:
-        val, k = _vertex_variation(x, rows)
-        step = x.is_step
-        return SemivariationReport(
-            value=val, exact=step or not complex_field,
-            lower_bound_only=False, converged=True, levels=1, trace=[val],
-            partition_points=pts if step else None,
-            coefficients=_aligning(deltas @ rows[k].conj()) if step
-            else None)
-    if x.is_step:
-        val, alpha, exact, lb = _partition_best(deltas, p, complex_field,
-                                                phase_count)
-        return SemivariationReport(
-            value=val, exact=exact, lower_bound_only=lb, converged=True,
-            levels=1, trace=[val], partition_points=pts, coefficients=alpha)
-
-    trace = []
-    warm = None
-    alpha = None
-    converged = False
-    for level in range(max_levels):
-        deltas = _increment_rows(x, pts)
-        val, alpha, _, _ = _partition_best(
-            deltas, p, complex_field, phase_count, warm)
-        trace.append(val)
-        if level > 0 and abs(trace[-1] - trace[-2]) < tol:
-            converged = True
-            break
-        if level < max_levels - 1:
-            warm = np.repeat(alpha, 2)
-            pts = bisect(pts)
-    # refinement values are genuine lower bounds of the sup; the limit is
-    # only approached, so the result is never flagged exact here
+                f"{active.shape[0]} jumps exceed the sign-enumeration cap "
+                f"of {MAX_ENUM_INCREMENTS}")
+        val, alpha = _pattern_enumeration(active, p, _SIGNS)
+        # the norming dual of the best sum has the signs alpha on the jumps
+        upper, u, trace = val, p.matrix @ (alpha @ active), [val]
+        lower_bound_only = False
+    else:
+        val, upper, u, trace = _sphere_search(x, p, complex_field, tol,
+                                              max_levels)
+        lower_bound_only = True
     return SemivariationReport(
-        value=trace[-1], exact=False, lower_bound_only=True,
-        converged=converged, levels=len(trace), trace=trace,
-        partition_points=pts, coefficients=alpha)
+        value=val, upper=upper, lower_bound_only=lower_bound_only,
+        exact=not lower_bound_only and (x.is_step or not complex_field),
+        converged=upper - val <= tol, levels=len(trace), trace=trace,
+        partition_points=x.breakpoints.copy() if x.is_step else None,
+        coefficients=_aligning(deltas @ u.conj()) if x.is_step else None)
 
 
 def e_set(x, resolution=None):
@@ -362,8 +383,8 @@ def e_set(x, resolution=None):
     the set is the subset sums of n increments: the jumps of a pure step
     function, each isolated in its own interval (exact), or otherwise the
     cell increments of a uniform grid of ``resolution`` points (capped at
-    20).  More than 20 jumps raise :class:`EnumerationLimitError` with the
-    advice to pass a grid resolution; a step function ignores it.
+    20).  A step function ignores ``resolution``, and more than 20 jumps
+    raise :class:`EnumerationLimitError`.
 
     Returns the distinct sums as an array whose row 0 is the empty sum 0.
     """
@@ -371,8 +392,8 @@ def e_set(x, resolution=None):
         increments = [j for _, j in x.jump_points(atol=0.0)]
         if len(increments) > MAX_ENUM_INCREMENTS:
             raise EnumerationLimitError(
-                f"{len(increments)} jumps exceed the subset-sum cap; pass a "
-                "resolution to use grid mode"
+                f"{len(increments)} jumps exceed the subset-sum cap of "
+                f"{MAX_ENUM_INCREMENTS}"
             )
     else:
         if resolution is None:
@@ -438,4 +459,4 @@ def dual_variation_bound(x, bounding_set, duals):
                 f"dual {i} violates the polar constraint "
                 f"(gauge {g:.6f} > 1)"
             )
-    return _vertex_variation(x, np.asarray(duals))[0] if len(duals) else 0.0
+    return float(np.max(_vertex_variation(x, np.asarray(duals)), initial=0.0))

@@ -129,28 +129,6 @@ class Seminorm:
             return np.sqrt(np.maximum(quad, 0.0))
         return np.max([p.eval_many(vs) for p in self.parts], axis=0)
 
-    def _dual_at(self, v):
-        """A norming dual u at v: Re<u, v> = p(v) and |<u, .>| <= p(.).
-
-        Used as the ascent direction in coordinate-sign maximisation, which
-        runs for the weighted-one and quadratic kinds only.  Returns None
-        when p(v) vanishes.
-        """
-        v = np.asarray(v)
-        if self.kind == "weighted-one":
-            u = self.weights * _phase_all(v)
-            return u if self(v) > 0.0 else None
-        pv = self(v)
-        if pv <= 0.0:
-            return None
-        return self.matrix @ v / pv
-
-
-def _phase_all(v):
-    a = np.abs(v)
-    out = np.where(a > 0, v, 1.0)
-    return out / np.where(a > 0, a, 1.0)
-
 
 @dataclass(frozen=True, eq=False)
 class SpaceModel:

@@ -332,9 +332,12 @@ def test_exit_code_numeric_errors(tmp_path):
         "breakpoints": [0.0] + [float(t) for t in times] + [1.0],
         "coefficients": [[[float(k), 0.0]] for k in range(22)],
     }
+    # sign enumeration, and so its jump cap, serves quadratic seminorms
+    quadratic_plane = dict(PLANE, seminorms=[
+        {"kind": "quadratic", "matrix": [[1.0, 0.0], [0.0, 1.0]]}])
     too_many = write_problem(
         tmp_path, problem("semivariation", {"x": big}, {"function": "x"},
-                          space=PLANE),
+                          space=quadratic_plane),
         "big.json")
     assert main(["--input", too_many]) == 3
 

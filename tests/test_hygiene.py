@@ -1,9 +1,10 @@
 """Static checks of the package source: every import is used, and every
-module-level private name is used somewhere in the package.
+private name, at module level or in a class body, is used somewhere in the
+package.
 
-Both catch what a deletion leaves behind, such as a constant whose only
-reader went away.  Names listed in a module's ``__all__`` count as used,
-since they are exported.
+They catch what a deletion leaves behind, such as a constant or a method
+whose only reader went away.  Names listed in a module's ``__all__`` count
+as used, since they are exported.
 """
 
 import ast
@@ -57,6 +58,31 @@ def module_private_names(tree):
             yield from (t.id for t in targets if isinstance(t, ast.Name))
 
 
+def class_private_members(tree):
+    """(class, member) for each private method and class attribute."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [item.name]
+            elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                targets = item.targets if isinstance(item, ast.Assign) \
+                    else [item.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            yield from ((node.name, name) for name in names
+                        if name.startswith("_") and not name.startswith("__"))
+
+
+def package_reads():
+    used = set()
+    for tree in MODULES.values():
+        used |= loaded_names(tree) | set(imported_names(tree))
+    return used
+
+
 @pytest.mark.parametrize("name", sorted(MODULES))
 def test_every_import_is_used(name):
     tree = MODULES[name]
@@ -66,15 +92,21 @@ def test_every_import_is_used(name):
 
 
 def test_every_private_module_name_is_used():
-    used = set()
-    for tree in MODULES.values():
-        used |= loaded_names(tree) | set(imported_names(tree))
+    used = package_reads()
     unused = sorted(
         f"{name}:{private}" for name, tree in MODULES.items()
         for private in module_private_names(tree)
         if private.startswith("_") and not private.startswith("__")
         and private not in used)
     assert not unused, f"private names nothing uses: {unused}"
+
+
+def test_every_private_class_member_is_used():
+    used = package_reads()
+    unused = sorted(
+        f"{name}:{cls}.{member}" for name, tree in MODULES.items()
+        for cls, member in class_private_members(tree) if member not in used)
+    assert not unused, f"private class members nothing reads: {unused}"
 
 
 def test_the_checks_see_a_leftover():
@@ -84,3 +116,12 @@ def test_the_checks_see_a_leftover():
         == {"os"}
     assert list(module_private_names(tree)) == ["_UNUSED", "__all__"]
     assert "_UNUSED" not in loaded_names(tree)
+    tree = ast.parse("class Norm:\n    _SCALE = 2\n    __slots__ = ()\n"
+                     "    def __call__(self, v):\n        return self._at(v)\n"
+                     "    def _at(self, v):\n        return v\n"
+                     "    def _dual_at(self, v):\n        return v\n")
+    members = list(class_private_members(tree))
+    assert members == [("Norm", "_SCALE"), ("Norm", "_at"),
+                       ("Norm", "_dual_at")]
+    assert [m for _, m in members if m not in loaded_names(tree)] == \
+        ["_SCALE", "_dual_at"]

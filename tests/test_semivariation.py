@@ -197,6 +197,10 @@ def test_semivariation_complex_weighted_sup_exact():
     assert rep.value == 2.0
     assert rep.exact
     assert not rep.lower_bound_only
+    # in dimension 1 weighted-one is the same seminorm: one phase suffices
+    rep = semivariation(x, Seminorm.weighted_one([1.0]))
+    assert rep.value == rep.upper == 2.0
+    assert rep.exact and rep.converged and not rep.lower_bound_only
 
 
 def test_semivariation_complex_lower_bound():
@@ -212,25 +216,78 @@ def test_semivariation_complex_lower_bound():
     assert rep.value >= 2.0 - 1e-9
 
 
-def test_bisection_values_are_lower_bounds():
-    # under a quadratic seminorm a non-step x goes through the bisection
-    # loop, whose two agreeing levels can lie well below the sup
-    rng = np.random.default_rng(1)
-    parts = [random_spline((0.0, 1.0), rng) for _ in range(3)]
-    x = PiecewiseFunction(parts[0].breakpoints,
-                          np.stack([s.coeffs for s in parts], axis=2))
+def stacked_splines(rng, dim, complex_field=False):
+    parts = [random_spline((0.0, 1.0), rng, complex_field=complex_field)
+             for _ in range(dim)]
+    return PiecewiseFunction(parts[0].breakpoints,
+                             np.stack([s.coeffs for s in parts], axis=2))
+
+
+def polar_directions(m, count, seed):
+    """``count`` directions R w with R = M^(1/2) and |w| = 1: each lies in
+    the polar ball of p(v) = sqrt(v^H M v), since |<R w, v>| <= |R v|."""
+    lam, vec = np.linalg.eigh(m)
+    root = (vec * np.sqrt(np.maximum(lam, 0.0))) @ vec.conj().T
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(count, m.shape[0]))
+    if np.iscomplexobj(m):
+        w = w + 1j * rng.normal(size=w.shape)
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    return w @ root.T
+
+
+@pytest.mark.parametrize("seed,expected", [(1, 23.15978617),
+                                           (0, 8.7442037),
+                                           (2, 6.8406962)])
+def test_quadratic_search_closes_its_bracket(seed, expected):
+    # the two agreeing levels of a partition bisection stopped at 22.3418
+    # for seed 1, 3.5% below the sup
+    rng = np.random.default_rng(seed)
+    x = stacked_splines(rng, 3)
     a = rng.normal(size=(3, 3))
     m = a @ a.T
     rep = semivariation(x, Seminorm.quadratic(m))
-    assert rep.lower_bound_only and not rep.exact
-    # u = R w with R = M^(1/2) and |w| = 1 lies in the polar ball, since
-    # |<R w, v>| <= |R v| = p(v), so each Var<u, x> bounds the sup below
-    lam, vec = np.linalg.eigh(m)
-    root = vec @ np.diag(np.sqrt(lam)) @ vec.T
-    w = np.random.default_rng(0).normal(size=(400, 3))
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
-    witness = max(scalar_variation(dual_compose(x, root @ u)) for u in w)
-    assert rep.value < witness - 0.5
+    assert rep.converged and rep.lower_bound_only and not rep.exact
+    assert 0.0 <= rep.upper - rep.value <= 1e-8
+    assert rep.value == pytest.approx(expected, abs=1e-7)
+    assert np.all(np.diff(rep.trace) >= 0.0) and rep.trace[-1] == rep.value
+    witness = max(scalar_variation(dual_compose(x, u))
+                  for u in polar_directions(m, 400, 0))
+    assert rep.value >= witness - 1e-8
+
+
+def test_quadratic_search_reports_an_open_bracket_when_cut():
+    rng = np.random.default_rng(1)
+    x = stacked_splines(rng, 3)
+    a = rng.normal(size=(3, 3))
+    rep = semivariation(x, Seminorm.quadratic(a @ a.T), max_levels=3)
+    assert not rep.converged and rep.levels == 3
+    assert rep.upper - rep.value > 1e-8
+    assert rep.value < 23.15978618 < rep.upper
+
+
+def brute_force_sign_rows(jumps):
+    """Sup of sum_j |<u, jump_j>| over the sign vectors u of R^2."""
+    return max(np.sum(np.abs(jumps @ np.array([1.0, s])))
+               for s in (1.0, -1.0))
+
+
+@pytest.mark.parametrize("p", [Seminorm.weighted_sup([1.0, 1.0]),
+                               Seminorm.weighted_one([1.0, 1.0])])
+def test_polyhedral_semivariation_needs_no_jump_cap(p):
+    jumps = np.random.default_rng(0).standard_normal((21, 2))
+    x = PiecewiseFunction.step((0.0, 1.0), np.linspace(0.02, 0.98, 21),
+                               jumps, np.zeros(2))
+    rep = semivariation(x, p)
+    column_sums = np.sum(np.abs(jumps), axis=0)
+    expected = np.max(column_sums) if p.kind == "weighted-sup" \
+        else brute_force_sign_rows(jumps)
+    assert rep.value == pytest.approx(expected, rel=1e-13)
+    assert rep.exact and rep.converged and rep.upper == rep.value
+    if p.kind == "weighted-sup":
+        assert rep.value == pytest.approx(15.438459749942558, rel=1e-14)
+    with pytest.raises(EnumerationLimitError, match="21 jumps"):
+        semivariation(x, Seminorm.quadratic(np.eye(2)))
 
 
 def test_e_set_two_jumps():
@@ -252,13 +309,17 @@ def test_e_set_single_jump():
     assert got == {(0.0, 0.0), (1.0, -2.0)}
 
 
-def test_e_set_jump_cap_advises_grid():
+def test_e_set_jump_cap_names_the_count():
+    # a step function ignores the resolution, so advising one would not help
     times = np.linspace(0.01, 0.99, 21)
     x = PiecewiseFunction.step((0.0, 1.0), times, np.ones((21, 1)),
                                np.zeros(1))
-    with pytest.raises(EnumerationLimitError) as info:
-        e_set(x)
-    assert "resolution" in str(info.value)
+    for resolution in (None, 5):
+        with pytest.raises(EnumerationLimitError) as info:
+            e_set(x, resolution)
+        assert "21 jumps" in str(info.value)
+        assert "cap of 20" in str(info.value)
+        assert "resolution" not in str(info.value)
 
 
 def test_e_set_grid_mode():
@@ -448,3 +509,72 @@ def test_polyhedral_semivariation_bounds_every_partition(data):
         upper = sum(w * scalar_variation(dual_compose(x, e))
                     for w, e in zip(p.weights, np.eye(x.dim)))
         assert rep.value <= upper * (1.0 + 1e-12)
+
+
+@st.composite
+def curves_and_seminorms(draw):
+    """A real or complex x of dimension 1 to 3 (a complex non-step x at
+    most 2, since each of its variations is a quadrature) that is a step
+    function, a spline per coordinate or their sum, with a quadratic or
+    a weighted-one seminorm."""
+    complex_field = draw(st.booleans())
+    kind = draw(st.sampled_from(["step", "spline", "spline+step"]))
+    dim = draw(st.integers(1, 2 if complex_field and kind != "step" else 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def normal(shape):
+        z = rng.standard_normal(shape)
+        return z + 1j * rng.standard_normal(shape) if complex_field else z
+
+    zero = np.zeros(dim, dtype=complex if complex_field else float)
+    x = PiecewiseFunction.constant(zero, (0.0, 1.0))
+    if kind != "step":
+        x = stacked_splines(rng, dim, complex_field)
+    if kind != "spline":
+        times = np.sort(rng.uniform(0.05, 0.95, int(rng.integers(1, 6))))
+        x = x + PiecewiseFunction.step((0.0, 1.0), times,
+                                       normal((times.size, dim)), zero)
+    if draw(st.booleans()):
+        b = normal((dim, int(rng.integers(1, dim + 1))))
+        return x, Seminorm.quadratic(b @ b.conj().T)
+    return x, Seminorm.weighted_one(rng.uniform(0.2, 2.0, dim))
+
+
+def polar_samples(p, count, seed, complex_field):
+    if p.kind == "quadratic":
+        return polar_directions(p.matrix, count, seed)
+    rng = np.random.default_rng(seed)
+    if complex_field:
+        phases = np.exp(2j * np.pi * rng.uniform(size=(count, p.dimension)))
+        return phases * p.weights
+    return rng.uniform(-1.0, 1.0, (count, p.dimension)) * p.weights
+
+
+@settings(max_examples=25, deadline=None)
+@given(curves_and_seminorms())
+def test_semivariation_brackets_every_polar_direction(case):
+    # value is attained by a polar-ball direction and upper bounds every
+    # one; for a real x the partition through the turning points of the
+    # best sampled <u, x> cannot beat a converged value
+    x, p = case
+    tol = 1e-6
+    complex_field = np.iscomplexobj(x.values)
+    rep = semivariation(x, p, tol=tol)
+    assert rep.value <= rep.upper
+    assert rep.value >= p(x.values[-1] - x.values[0]) * (1.0 - 1e-12)
+    samples = polar_samples(p, 40, 0, complex_field)
+    variations = [scalar_variation(dual_compose(x, u)) for u in samples]
+    assert rep.upper >= max(variations) * (1.0 - 1e-12)
+    if x.is_step:
+        # the coefficients on the jumps form one of the sums of the sup
+        deltas = np.diff(x.values_at(rep.partition_points), axis=0)
+        attained = p(rep.coefficients @ deltas)
+        assert rep.value * (1.0 - 1e-12) <= attained
+        assert attained <= rep.upper * (1.0 + 1e-12)
+    if complex_field or not rep.converged:
+        return
+    best = dual_compose(x, samples[int(np.argmax(variations))])
+    points = np.unique(np.concatenate([[0.0, 1.0],
+                                       turning_points(best)[:19]]))
+    lower, _ = semivariation_on_partition(x, points, p)
+    assert rep.value >= lower - tol
