@@ -11,7 +11,7 @@ share the same container; polynomial degree is capped at 6.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -688,12 +688,23 @@ def _variations(fs):
             for arc, f in zip(arcs, fs)]
 
 
+@cache
+def _gauss_legendre():
+    """The 64-node Gauss-Legendre rule on [-1, 1], read-only.  It is
+    computed once, on first use rather than at import: one computation
+    costs more than most of the path lengths that use it."""
+    rule = np.polynomial.legendre.leggauss(64)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
 def _path_lengths(c, h):
     """Lengths of the complex polynomial paths p_i: [0, h_i] -> C of the
     rows of ``c`` (m, K): \\|p_i'\\| integrated by Gauss-Legendre between
     the zeros of \\|p_i'\\|^2, where it can have kinks."""
     der = _polyder(c)
-    nodes, wts = np.polynomial.legendre.leggauss(64)
+    nodes, wts = _gauss_legendre()
     lengths = []
     for p, hi, splits in zip(der, h.tolist(),
                              _split_rows(_abs_squared(der), h)):

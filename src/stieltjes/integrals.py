@@ -29,20 +29,18 @@ bits as a from-scratch level.  Each cell keeps its envelope product
 d1f d2m + d2f d1m / 2 through bisection, and the cells that end at a jump
 are held as indices.
 
-Every drive, and every plain tagged sum, runs on one layout: a stack of
-integrators on one breakpoint grid whose per-cell arrays are C-ordered
-(rows, cells), with a trailing coordinate axis when either factor is
-vector-valued.  A drive against one integrator, scalar or vector, is a
-stack of one row; k scalar integrators, such as the compositions of one
-integrator with k duals, stack as k rows.  The rows share the partition,
-the piece lookups and f's values; each keeps its own integrator values,
-derivative envelopes and jump-end cells, and its own stop level: a row
-that passes its test reports from that level and leaves the stack.  Each
-row is summed along axis 1.  For (k, n) that is numpy's 1-d pairwise
-order per row, the order of a drive against that row alone; a (1, n, d)
-array is summed row after row, as (n, d) is along axis 0, and a trailing
-axis of length 1 does not change either order.  So every row has the
-bits of a sum over its own cells alone.
+Every drive, and every plain tagged sum, runs on one layout of
+(rows, cells) arrays, with a seminorm axis added only to error estimates.
+A scalar factor is one row, k scalar integrators on one grid (such as the
+compositions of one integrator with k duals) are k rows, and a vector
+factor is one row per coordinate.  The rows share the partition, the
+piece lookups and f's values; each integrator keeps its own values,
+envelopes, jump-end cells and stop level, and leaves the stack once it
+passes its test.  A row is summed along its cells in numpy's order for an
+(n, d) array along axis 0: in sequence from +0.0 for d >= 2, pairwise for
+d = 1 and for a scalar row, which so has the bits of a sum over its own
+cells alone.  The vector order is pinned: summed pairwise, vector integrals
+and the CLI output that ``perfbench/reference`` holds would move.
 """
 
 import functools
@@ -121,9 +119,7 @@ class PerPartesResult:
 
 def _ensure_compatible(f, mu):
     if f.domain != mu.domain:
-        raise ArgumentError(
-            f"domains differ: {f.domain} vs {mu.domain}"
-        )
+        raise ArgumentError(f"domains differ: {f.domain} vs {mu.domain}")
     if f.dim is not None and mu.dim is not None:
         raise ArgumentError("at most one factor may be vector-valued")
 
@@ -134,21 +130,15 @@ def _require_existence(f, mu):
     common = sorted(set(f._jump_times).intersection(tm))
     if common:
         pts = ", ".join(f"{t:.12g}" for t in common)
-        raise ExistenceError(
-            f"both functions jump at t = {pts}; the Stieltjes integral "
-            "does not exist"
-        )
+        raise ExistenceError(f"both functions jump at t = {pts}; the "
+                             "Stieltjes integral does not exist")
     return np.array(tm)
 
 
 @functools.cache
 def _max_abs(dim):
-    return (Seminorm.weighted_sup(np.ones(dim)),)
-
-
-def _default_seminorms(f, mu):
     # one tuple per dimension, so that the envelope cache keyed by it hits
-    return _max_abs(f.dim or mu.dim or 1)
+    return (Seminorm.weighted_sup(np.ones(dim)),)
 
 
 def _sem_values(seminorms, v):
@@ -185,34 +175,32 @@ def _envelopes(func, seminorms):
 
 
 class _Columns:
-    """Integrators on one breakpoint grid, evaluated as a stack of rows:
-    k scalar integrators, or one vector integrator.
-
-    Values come out as C-ordered (rows, points) arrays, with a trailing
-    coordinate axis for a vector integrator, and each row is evaluated
-    with the operations of :meth:`PiecewiseFunction._values_in`.
-    A stack of one holds views of its integrator's arrays.
-    """
+    """Integrators on one breakpoint grid as a stack of rows: k scalar
+    integrators, one row each, or one vector integrator, one row per
+    coordinate; ``len`` counts the integrators.  Values come out as
+    C-ordered (rows, points) arrays, each row with the bits of
+    :meth:`PiecewiseFunction._values_in` on its integrator or coordinate."""
 
     def __init__(self, mus):
         self.mus = tuple(mus)
         first = self.mus[0]
         for mu in self.mus[1:]:
-            if not (np.array_equal(mu.breakpoints, first.breakpoints)
+            if not (first.dim is None
+                    and np.array_equal(mu.breakpoints, first.breakpoints)
                     and mu.coeffs.shape == first.coeffs.shape
                     and mu.coeffs.dtype == first.coeffs.dtype):
-                raise ArgumentError("stacked integrators must share their "
-                                    "breakpoints and coefficient layout")
-        self.breakpoints, self.b, self.dim = first.breakpoints, first.b, \
-            first.dim
-        self.piece_count = first.piece_count
-        if len(self.mus) == 1:
-            coeffs = first.coeffs[np.newaxis]
-            self._ends = first.values[np.newaxis, -1]
-        else:
-            coeffs = np.stack([mu.coeffs for mu in self.mus])
-            self._ends = np.array([mu.values[-1] for mu in self.mus])
-        self._planes = [coeffs[:, :, k] for k in range(coeffs.shape[2])]
+                raise ArgumentError("stacked integrators must be scalar, "
+                                    "on one grid and coefficient layout")
+        self.breakpoints, self.b = first.breakpoints, first.b
+        self.dim, self.piece_count = first.dim, first.piece_count
+        single = len(self.mus) == 1  # a stack of one holds views
+        coeffs = first.coeffs.reshape(first.coeffs.shape[:2] + (-1,)) \
+            if single else np.stack([mu.coeffs for mu in self.mus], axis=2)
+        ends = first.values[-1:].reshape(-1) if single \
+            else np.array([mu.values[-1] for mu in self.mus])
+        # one (rows, pieces) plane per coefficient
+        self._planes = list(coeffs.transpose(1, 2, 0))
+        self._ends = ends[:, np.newaxis]
 
     _piece_at = PiecewiseFunction._piece_at
 
@@ -223,37 +211,41 @@ class _Columns:
         return _Columns(mu for mu, k in zip(self.mus, keep) if k)
 
     def envelopes(self, seminorms):
-        """The rows' envelopes, (rows, pieces, 1) for scalar rows and
-        (1, pieces, seminorms) for a vector one."""
-        envs = [_envelopes(mu, seminorms) for mu in self.mus]
-        if len(envs) == 1:
-            return tuple(env[np.newaxis] for env in envs[0])
-        return tuple(np.stack(env) for env in zip(*envs))
+        """The integrators' envelopes, (integrators, pieces, 1) for scalar
+        ones and (1, pieces, seminorms) for a vector one."""
+        return tuple(np.stack(e) if len(e) > 1 else e[0][np.newaxis]
+                     for e in zip(*(_envelopes(mu, seminorms)
+                                    for mu in self.mus)))
 
     def values_at(self, ts):
         """Values at points of the domain; t = b gets each end value."""
         out = self._values_in(self._piece_at(ts), ts)
-        out[:, ts == self.b] = self._ends[:, np.newaxis]
+        out[:, ts == self.b] = self._ends
         return out
 
     def _values_in(self, idx, ts):
         tau = ts - self.breakpoints.take(idx)
         out = self._planes[-1].take(idx, axis=1)
-        tau = tau.reshape((-1,) + (1,) * (out.ndim - 2))
         for plane in self._planes[-2::-1]:
-            out = out * tau + plane.take(idx, axis=1)
+            out *= tau
+            out += plane.take(idx, axis=1)
         return out
 
 
-def _tagged_sums(fv, dmu):
-    """Row sums sum_i fv_ri dmu_ri of (rows, cells) stacks, where either
-    factor may carry a trailing coordinate axis and a single row of fv
-    serves every row of dmu."""
-    if fv.ndim < dmu.ndim:
-        fv = fv[..., np.newaxis]
-    elif fv.ndim > dmu.ndim:
-        dmu = dmu[..., np.newaxis]
-    return (fv * dmu).sum(axis=1)
+def _tagged_sums(fv, dmu, dim):
+    """Row sums sum_i fv_ri dmu_ri of (rows, cells) stacks, one row of
+    either factor serving every row of the other, in the module's order
+    for a vector factor of dimension ``dim``.  The products overwrite a
+    factor of their shape and dtype, which the caller is done with; not
+    one element, whose complex product in place can differ in the last bit."""
+    dtype = np.result_type(fv, dmu)
+    out = next((a for a in (dmu, fv) if a.dtype == dtype and a.size > 1
+                and len(a) == max(len(fv), len(dmu))), None)
+    prod = np.multiply(fv, dmu, out=out)
+    if (dim or 1) == 1:
+        return prod.sum(axis=1)
+    # accumulate starts from cell 0, not +0.0; + 0.0 turns its -0.0 to +0.0
+    return np.add.accumulate(prod, axis=1, out=prod)[:, -1] + 0.0
 
 
 def _smooth_products(i, j, envs):
@@ -299,24 +291,29 @@ def _kept_columns(cells, keep):
             smooth[keep])
 
 
-def _level_sum(f, mu, rights, h, mids, inside, cells, envs):
-    """The tagged sums and per-seminorm error estimates of one level whose
-    cells have right ends ``rights``, widths ``h`` and midpoints ``mids``;
-    ``inside`` says that every midpoint lies strictly inside its cell.
-    Both come out with one row per row of the stack."""
+def _level_sum(f, mu, rights, h, mids, inside, cells, envs, dim):
+    """One level's tagged sums, one per row of the stacks ``f`` and ``mu``,
+    and error estimates, one row per integrator, for cells with right ends
+    ``rights``, widths ``h`` and midpoints ``mids``; ``inside`` says that
+    every midpoint lies strictly inside its cell."""
     i, j, mu_vals, at_jumps, smooth = cells
     rows, ends = at_jumps
-    fv = (f._values_in(i, mids) if inside else f.values_at(mids))[np.newaxis]
+    # other tags go through f.values_at, (points[, d]), which perfbench counts
+    fv = f._values_in(i, mids) if inside \
+        else np.atleast_2d(f.mus[0].values_at(mids).T)
     est = smooth * (h ** 3 / 12.0)[:, np.newaxis]
     if ends.size:
         D1f, _, D1m, _ = envs
+        at_ends = f.mus[0].values_at(rights.take(ends)).T
         if len(mu) > 1:
             fv = np.repeat(fv, len(mu), axis=0)
-        fv[at_jumps] = f.values_at(rights.take(ends))
+            fv[at_jumps] = at_ends
+        else:
+            fv[:, ends] = at_ends
         est[at_jumps] = (D1f.take(i.take(ends), axis=0)
                          * D1m[rows, j.take(ends)]) \
             * (h.take(ends) ** 2)[:, np.newaxis]
-    return _tagged_sums(fv, np.diff(mu_vals, axis=1)), est.sum(axis=1)
+    return _tagged_sums(fv, np.diff(mu_vals, axis=1), dim), est.sum(axis=1)
 
 
 def _refine(f, mu, jump_ts, seminorms, tol, max_levels):
@@ -328,10 +325,11 @@ def _refine(f, mu, jump_ts, seminorms, tol, max_levels):
         [f.breakpoints, mu.breakpoints,
          np.linspace(a, b, _INITIAL_UNIFORM_CELLS + 1)]))
     envs = _envelopes(f, seminorms) + mu.envelopes(seminorms)
+    dim = f.dim or mu.dim
     # scalar envelopes bound the modulus of each scalar error e, and
     # p(e) = |e| p(1); a vector factor's envelopes already carry p
-    scale = 1.0 if f.dim or mu.dim \
-        else np.array([p(np.ones(1)) for p in seminorms])
+    scale = 1.0 if dim else np.array([p(np.ones(1)) for p in seminorms])
+    f_rows = _Columns((f,))
     cells = _cells(f, mu, points, jump_ts, envs)
     active = list(range(len(jump_ts)))
     traces = [[] for _ in active]
@@ -342,8 +340,9 @@ def _refine(f, mu, jump_ts, seminorms, tol, max_levels):
         h = rights - lefts
         mids = 0.5 * (lefts + rights)
         inside = bool(np.all(lefts < mids) and np.all(mids < rights))
-        values, ests = _level_sum(f, mu, rights, h, mids, inside, cells,
-                                  envs)
+        sums, ests = _level_sum(f_rows, mu, rights, h, mids, inside, cells,
+                                envs, dim)
+        values = sums.reshape(1, -1) if dim else sums
         ests = ests * scale
         mesh = float(np.max(h))
         for r, c in enumerate(active):
@@ -357,7 +356,7 @@ def _refine(f, mu, jump_ts, seminorms, tol, max_levels):
         for r in range(len(active)) if last else np.flatnonzero(stop):
             c, value = active[r], values[r]
             results[c] = IntegralResult(
-                value=value.item() if values.ndim == 1 else value,
+                value=value if dim else value.item(),
                 error_estimates=ests[r], levels=level + 1,
                 converged=bool(stop[r]), trace=traces[c])
         if last or stop.all():
@@ -388,9 +387,9 @@ def _checked(f, mus, seminorms, tol, max_levels):
         raise ArgumentError("tol must be positive")
     if max_levels < 2:
         raise ArgumentError("need at least two refinement levels")
-    seminorms = tuple(seminorms) if seminorms is not None \
-        else _default_seminorms(f, mus[0])
     dim = f.dim or mus[0].dim
+    seminorms = tuple(seminorms) if seminorms is not None \
+        else _max_abs(dim or 1)
     for p in seminorms:
         if p.dimension != (dim or 1):
             raise ArgumentError("seminorm dimension does not match the "
@@ -422,9 +421,10 @@ def _plain_sum(f, mu, partition):
     pts = partition.points
     if pts[0] != f.a or pts[-1] != f.b:
         raise ArgumentError("partition does not cover the common domain")
-    out = _tagged_sums(f.values_at(partition.tags)[np.newaxis],
-                       np.diff(_Columns((mu,)).values_at(pts), axis=1))[0]
-    return out.item() if out.ndim == 0 else out
+    dim = f.dim or mu.dim
+    out = _tagged_sums(_Columns((f,)).values_at(partition.tags),
+                       np.diff(_Columns((mu,)).values_at(pts), axis=1), dim)
+    return out if dim else out.item()
 
 
 def rs_sum_S(x, g, partition):
@@ -478,7 +478,7 @@ def per_partes(x, g, seminorms=None, tol=1e-8, max_levels=20):
     rhs = _drive(g, x, seminorms, tol, max_levels)
     boundary = x(x.b) * g(g.b) - x(x.a) * g(g.a)
     sems = tuple(seminorms) if seminorms is not None \
-        else _default_seminorms(x, g)
+        else _max_abs(x.dim or g.dim or 1)
     gaps = _sem_values(sems, lhs.value + rhs.value - boundary)
     return PerPartesResult(x_dg=lhs, g_dx=rhs, boundary=boundary, gaps=gaps)
 

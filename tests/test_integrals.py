@@ -502,13 +502,14 @@ STEP_TIMES = st.one_of(TIMES, TIMES.map(lambda t: t + [1.0]))
 @st.composite
 def drive_pairs(draw):
     """(f, mu) on [0, 1]: steps, splines, polynomials, real, complex or
-    with one vector factor; f may have a breakpoint exactly at a jump of
-    mu and be continuous there."""
+    with one vector factor of dimension 1, 2, 3 or 5; f may have a
+    breakpoint exactly at a jump of mu and be continuous there."""
     complex_field = draw(st.booleans())
     vec = draw(st.sampled_from([None, "f", "mu"]))
+    vec_dim = draw(st.sampled_from([1, 2, 3, 5]))
 
     def make(role, kind):
-        dim = 2 if vec == role else None
+        dim = vec_dim if vec == role else None
         if kind == "step":
             times = draw(STEP_TIMES)
             shape = (len(times),) + (() if dim is None else (dim,))
@@ -520,7 +521,9 @@ def drive_pairs(draw):
             rng = np.random.default_rng(draw(SEEDS))
             g = random_spline((0.0, 1.0), rng, complex_field=complex_field)
             return g if dim is None else PiecewiseFunction(
-                g.breakpoints, np.stack([g.coeffs, 2 * g.coeffs], axis=2))
+                g.breakpoints, np.stack([s * g.coeffs for s in
+                                         (1.0, 2.0, -0.5, 3.0, -1.0)[:dim]],
+                                        axis=2))
         bps = np.unique(np.concatenate([[0.0, 1.0], draw(TIMES)]))
         return continuous_pieces(draw, bps, dim, complex_field)
 
@@ -529,7 +532,7 @@ def drive_pairs(draw):
     if kind == "at-jump":
         bps = np.unique(np.concatenate(
             [[0.0, 1.0], mu.breakpoints, draw(TIMES)]))
-        f = continuous_pieces(draw, bps, 2 if vec == "f" else None,
+        f = continuous_pieces(draw, bps, vec_dim if vec == "f" else None,
                               complex_field)
     else:
         f = make("f", kind)
@@ -552,12 +555,48 @@ def test_incremental_drive_matches_a_from_scratch_loop(pair, tol, levels):
 
 def assert_matches_reference(got, expected):
     value, est, n, converged, records = expected
-    assert np.array_equal(got.value, value)
-    assert np.array_equal(got.error_estimates, est)
+    # the result holds a scalar value as a Python number
+    assert same_bits(got.value, value.item() if value.ndim == 0 else value)
+    assert same_bits(got.error_estimates, est)
     assert (got.levels, got.converged) == (n, converged)
     for rec, (level, mesh, v, e) in zip(got.trace, records, strict=True):
         assert (rec.level, rec.mesh) == (level, mesh)
-        assert np.array_equal(rec.value, v) and np.array_equal(rec.estimates, e)
+        assert same_bits(rec.value, v) and same_bits(rec.estimates, e)
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_a_zero_coordinate_sums_to_the_reference_zero(dim, complex_field):
+    # x's last coordinate is identically +0.0 and g is negative and
+    # decreasing, so every product of that coordinate is -0.0 in both
+    # directions; numpy's sum of an (n, d) array gives +0.0 for d >= 2
+    rng = np.random.default_rng(dim)
+    s = random_spline((0.0, 1.0), rng, complex_field=complex_field)
+    jumps = np.zeros((2, dim), dtype=complex if complex_field else float)
+    jumps[:, :-1] = rng.normal(size=(2, dim - 1)) * (1 + 1j if complex_field
+                                                     else 1.0)
+    x = PiecewiseFunction.step((0.0, 1.0), [0.3, 1.0], jumps,
+                               np.zeros(dim)) + PiecewiseFunction(
+        s.breakpoints, np.stack([s.coeffs] * (dim - 1)
+                                + [np.zeros_like(s.coeffs)], axis=2))
+    g = PiecewiseFunction.from_global_polynomial([-2.0, -1.0, -0.5],
+                                                 (0.0, 1.0))
+    assert not np.any(x.coeffs[..., -1]) and not np.any(x.values[:, -1])
+    partition = uniform_tagged_partition(0.0, 1.0, 300)
+    for f, mu, plain in ((x, g, rs_sum_S), (g, x, rs_sum_s)):
+        got = _drive(f, mu, None, 1e-300, 6)
+        assert_matches_reference(got,
+                                 drive_reference(f, mu, None, 1e-300, 6))
+        fv = values_reference(f, partition.tags)
+        dmu = np.diff(values_reference(mu, partition.points), axis=0)
+        fv, dmu = (fv, dmu[:, np.newaxis]) if f is x \
+            else (fv[:, np.newaxis], dmu)
+        assert np.all(np.signbit((fv * dmu)[:, -1].real))
+        expected = (fv * dmu).sum(axis=0)
+        assert same_bits(plain(f, mu, partition), expected)
+        if dim > 1:
+            assert not np.signbit(got.value[-1].real)
+            assert not np.signbit(expected[-1].real)
 
 
 def test_drive_with_cells_narrower_than_float_resolution():
@@ -569,15 +608,12 @@ def test_drive_with_cells_narrower_than_float_resolution():
     mu = PiecewiseFunction.from_global_polynomial([0.0, 1.0, 3.0], (0.0, 1.0))
     f = PiecewiseFunction([0.0, p, 0.5, u, 1.0],
                           [[1.0, 2.0], [-2.0, 1.0], [3.0, -1.0], [0.5, 4.0]])
-    for a, b in ((f, mu), (mu, f)):
+    x = PiecewiseFunction(f.breakpoints,
+                          np.stack([f.coeffs, -2 * f.coeffs], axis=2))
+    for a, b in ((f, mu), (mu, f), (x, mu), (mu, x)):
         got = _drive(a, b, None, 1e-300, 6)
-        value, est, n, converged, records = drive_reference(
-            a, b, None, 1e-300, 6)
-        assert (got.levels, got.converged) == (n, converged) == (6, False)
-        assert np.array_equal(got.value, value)
-        for rec, (_, _, v, e) in zip(got.trace, records, strict=True):
-            assert np.array_equal(rec.value, v)
-            assert np.array_equal(rec.estimates, e)
+        assert (got.levels, got.converged) == (6, False)
+        assert_matches_reference(got, drive_reference(a, b, None, 1e-300, 6))
 
 
 # -- a stacked drive against one drive per column ------------------------------

@@ -160,7 +160,7 @@ def test_digit_chunks_across_chunk_boundary():
 
 
 @st.composite
-def piecewise(draw, dims=(None, 1, 3), fields=(False, True)):
+def piecewise(draw, dims=(None, 1, 2, 3), fields=(False, True)):
     """Random piecewise polynomial on [0, sum of widths] with a dimension
     drawn from ``dims`` (None: scalar) and real or complex coefficients."""
     m = draw(st.integers(1, 5))
@@ -328,7 +328,7 @@ def test_inherited_cells_match_a_fresh_lookup(f, data, k):
     # fresh lookup gives, for one integrator, scalar or vector, as a stack
     # of one and, when both factors are scalar, for a stack of integrators
     # on one grid
-    mu = data.draw(piecewise(dims=(None,) if f.dim else (None, 1, 3)))
+    mu = data.draw(piecewise(dims=(None,) if f.dim else (None, 1, 2, 3)))
     scaled = mu.breakpoints * (f.b / mu.b)
     scaled[-1] = f.b
     mu = PiecewiseFunction(scaled, mu.coeffs)
@@ -386,6 +386,20 @@ def test_plain_sums_match_a_sum_over_cells(x, g, n, rule, seed):
         assert same_bits(got, expected)
 
 
+def test_a_one_cell_complex_sum_matches_a_sum_over_cells():
+    # numpy's in-place product of a single complex element can differ in
+    # its last bit from a new product, and does for these factors
+    step = 1908 + 1.1028475378554183j
+    partition = TaggedPartition.from_points([0.0, 1.0], "left")
+    for f, mu in ((PiecewiseFunction.constant(129 + 1j, (0.0, 1.0)),
+                   PiecewiseFunction([0.0, 1.0], [[[318.0], [step]]])),
+                  (PiecewiseFunction.constant([129 + 1j], (0.0, 1.0)),
+                   PiecewiseFunction([0.0, 1.0], [[0.0, step]]))):
+        plain = rs_sum_s if f.dim is None else rs_sum_S
+        assert same_bits(plain(f, mu, partition),
+                         tagged_sum_per_cell(f, mu, partition))
+
+
 @settings(max_examples=100)
 @given(piecewise(dims=(None,)), st.integers(0, 2 ** 32 - 1))
 def test_stacked_values_match_each_integrator(mu, seed):
@@ -400,6 +414,20 @@ def test_stacked_values_match_each_integrator(mu, seed):
                      np.array([m.values_at(ts) for m in mus]))
     assert same_bits(stack._values_in(idx, ts),
                      np.array([m._values_in(idx, ts) for m in mus]))
+
+
+@settings(max_examples=100)
+@given(piecewise(dims=(1, 2, 3)), st.integers(0, 2 ** 32 - 1))
+def test_vector_stack_values_match_each_coordinate(x, seed):
+    # a vector integrator is a stack of one row per coordinate, and each
+    # row has the bits of that coordinate of the function's own values,
+    # end value at b included
+    inner = np.random.default_rng(seed).uniform(x.a, x.b, 17)
+    ts = np.concatenate([x.breakpoints, inner])
+    idx = x._piece_at(ts)
+    stack = _Columns((x,))
+    assert same_bits(stack.values_at(ts), x.values_at(ts).T)
+    assert same_bits(stack._values_in(idx, ts), x._values_in(idx, ts).T)
 
 
 # n around the blocks of numpy's pairwise sum (8 partial sums, leaves of
@@ -417,6 +445,30 @@ def test_row_sums_of_a_stack_follow_each_row_alone():
             a = np.ascontiguousarray(a)
             expected = np.array([row.sum() for row in a])
             assert same_bits(a.sum(axis=1), expected), n
+
+
+CANARY_LENGTHS = list(range(1, 40)) + [127, 128, 129, 1000, 5000]
+
+
+def test_numpy_sums_vectors_in_the_order_the_drives_reproduce():
+    # the drives sum a vector of dimension d coordinate by coordinate, as
+    # rows of a (d, n) array, and reproduce numpy's order for the (n, d)
+    # cells of a vector: in sequence from +0.0 for d >= 2, pairwise for
+    # d = 1 (see the integrals module docstring).  If a numpy release
+    # changes that order, this test fails, not only the CLI's bytes.
+    rng = np.random.default_rng(13)
+    for d, n in itertools.product(range(1, 9), CANARY_LENGTHS):
+        a = rng.normal(size=(1, n, d)) * 10.0 ** rng.integers(-8, 9, (1, n, d))
+        a[0, :, 0] = -0.0
+        for cells in (a, a + 1j * a[:, ::-1]):
+            rows = np.ascontiguousarray(cells[0].T)
+            if d == 1:
+                expected = rows.sum(axis=1)
+            else:
+                expected = np.add.accumulate(rows, axis=1)[:, -1] + 0.0
+            assert same_bits(cells.sum(axis=1)[0], expected), (d, n)
+            if d > 1:
+                assert not np.signbit(expected[0].real), (d, n)
 
 
 def public_copy(bps, coeffs, values):
