@@ -432,10 +432,14 @@ def values_reference(func, ts):
 
 def drive_reference(f, mu, seminorms, tol, max_levels):
     """Each level looks the pieces up again and evaluates both functions at
-    all of its points: (value, estimates, levels, converged, records)."""
+    all of its points: (value, estimates, levels, converged, records).
+    The estimates are an (n, seminorms) array summed along the cells; a
+    scalar pair's single envelope sum is scaled by each p(1)."""
     jump_ts = _require_existence(f, mu)
     seminorms = seminorms or (
         Seminorm.weighted_sup(np.ones(f.dim or mu.dim or 1)),)
+    scale = 1.0 if f.dim or mu.dim \
+        else np.array([p(np.ones(1)) for p in seminorms])
     D1f, D2f = _envelopes(f, seminorms)
     D1m, D2m = _envelopes(mu, seminorms)
     points = np.unique(np.concatenate(
@@ -458,7 +462,8 @@ def drive_reference(f, mu, seminorms, tol, max_levels):
         d1f, d2f, d1m, d2m = D1f[i], D2f[i], D1m[j], D2m[j]
         smooth = (d1f * d2m + 0.5 * d2f * d1m) * (h ** 3 / 12.0)[:, None]
         atjump = (d1f * d1m) * (h ** 2)[:, None]
-        est = np.sum(np.where(jump_end[:, None], atjump, smooth), axis=0)
+        est = np.sum(np.where(jump_end[:, None], atjump, smooth),
+                     axis=0) * scale
         records.append((level, float(np.max(np.diff(points))), value, est))
         if prev is not None:
             diffs = _sem_values(seminorms, value - prev)
@@ -539,18 +544,41 @@ def drive_pairs(draw):
     return f, mu
 
 
+@st.composite
+def seminorm_families(draw, dim):
+    """None (max-abs) or 1-3 weighted-sup, weighted-one and quadratic
+    seminorms on dimension ``dim``, with weights that may vanish."""
+    kinds = draw(st.one_of(st.none(), st.lists(
+        st.sampled_from(["weighted-sup", "weighted-one", "quadratic"]),
+        min_size=1, max_size=3)))
+    if kinds is None:
+        return None
+    rng = np.random.default_rng(draw(SEEDS))
+    family = []
+    for kind in kinds:
+        if kind == "quadratic":
+            a = rng.normal(size=(dim, dim))
+            family.append(Seminorm.quadratic(a @ a.T + 0.1 * np.eye(dim)))
+        else:
+            w = rng.uniform(0.0, 3.0, dim) * (rng.uniform(size=dim) > 0.2)
+            family.append(Seminorm(kind, weights=w))
+    return tuple(family)
+
+
 @settings(max_examples=200)
 @given(drive_pairs(), st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12]),
-       st.integers(2, 9))
-def test_incremental_drive_matches_a_from_scratch_loop(pair, tol, levels):
+       st.integers(2, 9), st.data())
+def test_incremental_drive_matches_a_from_scratch_loop(pair, tol, levels,
+                                                       data):
     f, mu = pair
+    sems = data.draw(seminorm_families(f.dim or mu.dim or 1))
     try:
-        expected = drive_reference(f, mu, None, tol, levels)
+        expected = drive_reference(f, mu, sems, tol, levels)
     except ExistenceError:
         with pytest.raises(ExistenceError):
-            _drive(f, mu, None, tol, levels)
+            _drive(f, mu, sems, tol, levels)
         return
-    assert_matches_reference(_drive(f, mu, None, tol, levels), expected)
+    assert_matches_reference(_drive(f, mu, sems, tol, levels), expected)
 
 
 def assert_matches_reference(got, expected):

@@ -327,16 +327,19 @@ def test_inherited_cells_match_a_fresh_lookup(f, data, k):
     # every piece index, mu value, jump-end cell and envelope product a
     # fresh lookup gives, for one integrator, scalar or vector, as a stack
     # of one and, when both factors are scalar, for a stack of integrators
-    # on one grid
+    # on one grid, under one seminorm and under two
     mu = data.draw(piecewise(dims=(None,) if f.dim else (None, 1, 2, 3)))
     scaled = mu.breakpoints * (f.b / mu.b)
     scaled[-1] = f.b
     mu = PiecewiseFunction(scaled, mu.coeffs)
-    sems = (Seminorm.weighted_sup(np.ones(f.dim or mu.dim or 1)),)
+    d = f.dim or mu.dim or 1
+    families = [(Seminorm.weighted_sup(np.ones(d)),),
+                (Seminorm.weighted_one(np.arange(1.0, d + 1)),
+                 Seminorm.quadratic(np.eye(d) + 0.5))]
     stacks = [_Columns([mu])]
     if f.dim is None and mu.dim is None:
         stacks.append(_Columns([mu, mu * -0.5, mu * 0.0]))
-    for integrator in stacks:
+    for integrator, sems in itertools.product(stacks, families):
         jump_ts = [np.array(c._jump_times) for c in integrator.mus]
         envs = _envelopes(f, sems) + integrator.envelopes(sems)
         bps = np.unique(np.concatenate([f.breakpoints, mu.breakpoints]))
