@@ -670,22 +670,22 @@ def scalar_variation(f):
 
 def _variations(fs):
     """``scalar_variation`` of each scalar function of ``fs``, all real or
-    all complex, with coefficient arrays of one width.  Real arcs go
-    through one extreme-value pass over the pieces of every function, and
-    each function sums its own pieces and then its jumps, so each value
-    has the bits of a pass over that function alone."""
+    all complex, with coefficient arrays of one width.  The arcs go
+    through one batched pass over the pieces of every function, and each
+    function sums its own pieces and then its jumps, so each value has the
+    bits of a pass over that function alone."""
     widths = [np.diff(f.breakpoints) for f in fs]
-    if np.iscomplexobj(fs[0].coeffs):
-        arcs = [sum(_path_lengths(f.coeffs, h)) for f, h in zip(fs, widths)]
-    else:
-        vals, _ = _extreme_rows(np.concatenate([f.coeffs for f in fs]),
-                                np.concatenate(widths))
-        # padded candidates add zero steps at the end of each row
-        steps = np.sum(np.abs(np.diff(vals, axis=1)), axis=1).tolist()
-        starts = np.cumsum([0] + [h.size for h in widths]).tolist()
-        arcs = [sum(steps[lo:hi]) for lo, hi in zip(starts, starts[1:])]
-    return [float(arc + sum(abs(jump) for _, jump in f.jump_points(atol=0.0)))
-            for arc, f in zip(arcs, fs)]
+    c, h = np.concatenate([f.coeffs for f in fs]), np.concatenate(widths)
+    # padded extreme-value candidates add zero steps at the end of a row
+    steps = (_path_lengths(c, h) if np.iscomplexobj(c) else np.abs(
+        np.diff(_extreme_rows(c, h)[0], axis=1)).sum(axis=1)).tolist()
+    starts = np.cumsum([0] + [w.size for w in widths]).tolist()
+    return [float(sum(steps[lo:hi])
+                  + sum(abs(jump) for _, jump in f.jump_points(atol=0.0)))
+            for lo, hi, f in zip(starts, starts[1:], fs)]
+
+
+_SEGMENT_BLOCK = 8192  # per pass of _path_lengths: 8 MB of 64 nodes each
 
 
 @cache
@@ -700,22 +700,26 @@ def _gauss_legendre():
 
 
 def _path_lengths(c, h):
-    """Lengths of the complex polynomial paths p_i: [0, h_i] -> C of the
-    rows of ``c`` (m, K): \\|p_i'\\| integrated by Gauss-Legendre between
-    the zeros of \\|p_i'\\|^2, where it can have kinks."""
+    """Lengths (m,) of the complex polynomial paths p_i: [0, h_i] -> C of
+    the rows of ``c`` (m, K): \\|p_i'\\| integrated by Gauss-Legendre
+    between the zeros of \\|p_i'\\|^2, where it can have kinks.  One
+    polyval pass evaluates the segments of all rows, a block at a time,
+    and each row sums its segments in sequence from 0.0."""
     der = _polyder(c)
     nodes, wts = _gauss_legendre()
-    lengths = []
-    for p, hi, splits in zip(der, h.tolist(),
-                             _split_rows(_abs_squared(der), h)):
-        edges = np.concatenate([[0.0], splits, [hi]])
-        total = 0.0
-        for lo, up in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (up - lo)
-            taus = lo + half * (nodes + 1.0)
-            total += half * float(np.sum(wts * np.abs(npoly.polyval(taus, p))))
-        lengths.append(total)
-    return lengths
+    edges = [np.concatenate([[0.0], splits, [hi]]) for splits, hi in
+             zip(_split_rows(_abs_squared(der), h), h.tolist())]
+    row = np.repeat(np.arange(len(edges)), [e.size - 1 for e in edges])
+    lo = np.concatenate([e[:-1] for e in edges])
+    half = 0.5 * (np.concatenate([e[1:] for e in edges]) - lo)
+    seg = np.empty(lo.size)
+    for s in range(0, lo.size, _SEGMENT_BLOCK):
+        part = slice(s, s + _SEGMENT_BLOCK)
+        taus = lo[part, np.newaxis] + half[part, np.newaxis] * (nodes + 1.0)
+        vals = npoly.polyval(taus, der[row[part]].T[..., np.newaxis],
+                             tensor=False)
+        seg[part] = half[part] * np.sum(wts * np.abs(vals), axis=1)
+    return np.bincount(row, seg)  # adds in index order: in sequence per row
 
 
 def dual_compose(x, dual):

@@ -30,17 +30,18 @@ d1f d2m + d2f d1m / 2 through bisection, and the cells that end at a jump
 are held as indices.
 
 Every drive, and every plain tagged sum, runs on one layout of
-(rows, cells) arrays, with a seminorm axis added only to error estimates.
-A scalar factor is one row, k scalar integrators on one grid (such as the
-compositions of one integrator with k duals) are k rows, and a vector
-factor is one row per coordinate.  The rows share the partition, the
-piece lookups and f's values; each integrator keeps its own values,
-envelopes, jump-end cells and stop level, and leaves the stack once it
-passes its test.  A row is summed along its cells in numpy's order for an
-(n, d) array along axis 0: in sequence from +0.0 for d >= 2, pairwise for
-d = 1 and for a scalar row, which so has the bits of a sum over its own
-cells alone.  The vector order is pinned: summed pairwise, vector integrals
-and the CLI output that ``perfbench/reference`` holds would move.
+(rows, cells) arrays.  A scalar factor is one row, k scalar integrators on
+one grid (such as the compositions of one integrator with k duals) are k
+rows, and a vector factor is one row per coordinate, and its envelope
+products and estimates one row per seminorm.  The rows share the
+partition, the piece lookups and f's values; each integrator keeps its
+own values, envelopes, jump-end cells and stop level, and leaves the
+stack once it passes its test.  ``_row_sums`` sums a row along its cells
+in numpy's order for an (n, r) array along axis 0: in sequence from +0.0
+for the r >= 2 rows of a vector, pairwise for r = 1 and for scalar rows,
+which so have the bits of a sum over their own cells alone.  The order is
+pinned: summed pairwise, vector integrals, their estimates and the CLI
+output that ``perfbench/reference`` holds would move.
 """
 
 import functools
@@ -146,27 +147,27 @@ def _sem_values(seminorms, v):
 
 
 def _envelopes(func, seminorms):
-    """Per-piece sups of first and second derivative size, per seminorm.
+    """Per-piece sups of first and second derivative size, (rows, pieces).
 
     Scalar pieces use the exact polynomial sup of \\|q'\\| and \\|q''\\|,
-    one column that broadcasts against every seminorm; vector pieces use
-    the triangle-inequality envelope sum_k p(c_k) h^k, which upper-bounds
-    sup p over the piece, one column per seminorm.  The read-only result
-    is cached on ``func`` per seminorm tuple; seminorms hash by identity,
-    and the key keeps them alive, so no id is reused.
+    one row that serves every seminorm; vector pieces use the
+    triangle-inequality envelope sum_k p(c_k) h^k, which upper-bounds
+    sup p over the piece, one row per seminorm.  The read-only result is
+    cached on ``func`` per seminorm tuple; seminorms hash by identity, and
+    the key keeps them alive, so no id is reused.
     """
     key = tuple(seminorms)
     envs = func._envelope_cache.get(key)
     if envs is not None:
         return envs
     if func.dim is None:
-        envs = tuple(sups[:, np.newaxis] for sups in func._derivative_sups)
+        envs = tuple(sups[np.newaxis] for sups in func._derivative_sups)
     else:
         widths = np.diff(func.breakpoints)
         first = _polyder(func.coeffs)
         envs = tuple(np.array([[p.eval_many(c) @ h ** np.arange(c.shape[0])
-                                for p in key]
-                               for c, h in zip(der, widths)])
+                                for c, h in zip(der, widths)]
+                               for p in key])
                      for der in (first, _polyder(first)))
     for env in envs:
         env.flags.writeable = False
@@ -211,11 +212,10 @@ class _Columns:
         return _Columns(mu for mu, k in zip(self.mus, keep) if k)
 
     def envelopes(self, seminorms):
-        """The integrators' envelopes, (integrators, pieces, 1) for scalar
-        ones and (1, pieces, seminorms) for a vector one."""
-        return tuple(np.stack(e) if len(e) > 1 else e[0][np.newaxis]
-                     for e in zip(*(_envelopes(mu, seminorms)
-                                    for mu in self.mus)))
+        """The integrators' envelope rows, (rows, pieces): one per scalar
+        integrator, or one per seminorm for a vector one."""
+        return tuple(np.concatenate(e) for e in
+                     zip(*(_envelopes(mu, seminorms) for mu in self.mus)))
 
     def values_at(self, ts):
         """Values at points of the domain; t = b gets each end value."""
@@ -232,6 +232,16 @@ class _Columns:
         return out
 
 
+def _row_sums(a, n):
+    """Sums of the rows of ``a`` along its cells in the module's order:
+    in sequence for the n >= 2 coordinates or seminorms of a vector,
+    pairwise for n of None or 1.  May overwrite ``a``."""
+    if (n or 1) == 1:
+        return a.sum(axis=1)
+    # accumulate starts from cell 0, not +0.0; + 0.0 turns its -0.0 to +0.0
+    return np.add.accumulate(a, axis=1, out=a)[:, -1] + 0.0
+
+
 def _tagged_sums(fv, dmu, dim):
     """Row sums sum_i fv_ri dmu_ri of (rows, cells) stacks, one row of
     either factor serving every row of the other, in the module's order
@@ -241,34 +251,24 @@ def _tagged_sums(fv, dmu, dim):
     dtype = np.result_type(fv, dmu)
     out = next((a for a in (dmu, fv) if a.dtype == dtype and a.size > 1
                 and len(a) == max(len(fv), len(dmu))), None)
-    prod = np.multiply(fv, dmu, out=out)
-    if (dim or 1) == 1:
-        return prod.sum(axis=1)
-    # accumulate starts from cell 0, not +0.0; + 0.0 turns its -0.0 to +0.0
-    return np.add.accumulate(prod, axis=1, out=prod)[:, -1] + 0.0
-
-
-def _smooth_products(i, j, envs):
-    """Per-cell envelope factor d1f d2m + d2f d1m / 2 of the error of a
-    cell that does not end at a jump, (rows, cells, seminorms)."""
-    D1f, D2f, D1m, D2m = envs
-    d1f, d2f = D1f.take(i, axis=0), D2f.take(i, axis=0)
-    d1m, d2m = D1m.take(j, axis=1), D2m.take(j, axis=1)
-    return d1f * d2m + 0.5 * d2f * d1m
+    return _row_sums(np.multiply(fv, dmu, out=out), dim)
 
 
 def _cells(f, mu, points, jump_ts, envs):
     """Per-cell piece indices of f and mu, mu at the points, the cells that
     end at a jump of each row's integrator (``jump_ts`` holds one array
     of jump times per row) as a (rows, cells) index into the per-cell
-    arrays, and the smooth envelope products, looked up from scratch."""
+    arrays, and the envelope products d1f d2m + d2f d1m / 2 that bound
+    the error of a cell not ending at a jump, looked up from scratch."""
     lefts = points[:-1]
     i, j = f._piece_at(lefts), mu._piece_at(lefts)
     ends = [np.flatnonzero(np.isin(points[1:], ts)) for ts in jump_ts]
     at_jumps = (np.repeat(np.arange(len(ends)), [e.size for e in ends]),
                 np.concatenate(ends))
-    return (i, j, mu.values_at(points), at_jumps,
-            _smooth_products(i, j, envs))
+    D1f, D2f, D1m, D2m = envs
+    smooth = D1f.take(i, axis=1) * D2m.take(j, axis=1) \
+        + 0.5 * D2f.take(i, axis=1) * D1m.take(j, axis=1)
+    return i, j, mu.values_at(points), at_jumps, smooth
 
 
 def _bisected_cells(mu, cells, mids):
@@ -293,27 +293,23 @@ def _kept_columns(cells, keep):
 
 def _level_sum(f, mu, rights, h, mids, inside, cells, envs, dim):
     """One level's tagged sums, one per row of the stacks ``f`` and ``mu``,
-    and error estimates, one row per integrator, for cells with right ends
-    ``rights``, widths ``h`` and midpoints ``mids``; ``inside`` says that
-    every midpoint lies strictly inside its cell."""
-    i, j, mu_vals, at_jumps, smooth = cells
-    rows, ends = at_jumps
+    and error estimates, one per row of the envelope products, for cells
+    with right ends ``rights``, widths ``h`` and midpoints ``mids``;
+    ``inside`` says that every midpoint lies strictly inside its cell."""
+    i, j, mu_vals, (rows, ends), smooth = cells
     # other tags go through f.values_at, (points[, d]), which perfbench counts
     fv = f._values_in(i, mids) if inside \
         else np.atleast_2d(f.mus[0].values_at(mids).T)
-    est = smooth * (h ** 3 / 12.0)[:, np.newaxis]
+    est = smooth * (h ** 3 / 12.0)
     if ends.size:
         D1f, _, D1m, _ = envs
-        at_ends = f.mus[0].values_at(rights.take(ends)).T
-        if len(mu) > 1:
-            fv = np.repeat(fv, len(mu), axis=0)
-            fv[at_jumps] = at_ends
-        else:
-            fv[:, ends] = at_ends
-        est[at_jumps] = (D1f.take(i.take(ends), axis=0)
-                         * D1m[rows, j.take(ends)]) \
-            * (h.take(ends) ** 2)[:, np.newaxis]
-    return _tagged_sums(fv, np.diff(mu_vals, axis=1), dim), est.sum(axis=1)
+        rows, fv = (rows, np.repeat(fv, len(mu), axis=0)) if len(mu) > 1 \
+            else (slice(None), fv)
+        fv[rows, ends] = f.mus[0].values_at(rights.take(ends)).T
+        est[rows, ends] = D1f.take(i.take(ends), axis=1) \
+            * D1m[rows, j.take(ends)] * h.take(ends) ** 2
+    return (_tagged_sums(fv, np.diff(mu_vals, axis=1), dim),
+            _row_sums(est, len(est) if dim else None))
 
 
 def _refine(f, mu, jump_ts, seminorms, tol, max_levels):
@@ -343,7 +339,7 @@ def _refine(f, mu, jump_ts, seminorms, tol, max_levels):
         sums, ests = _level_sum(f_rows, mu, rights, h, mids, inside, cells,
                                 envs, dim)
         values = sums.reshape(1, -1) if dim else sums
-        ests = ests * scale
+        ests = ests.reshape(len(active), -1) * scale
         mesh = float(np.max(h))
         for r, c in enumerate(active):
             traces[c].append(LevelRecord(level, mesh, values[r], ests[r]))

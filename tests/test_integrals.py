@@ -440,8 +440,8 @@ def drive_reference(f, mu, seminorms, tol, max_levels):
         Seminorm.weighted_sup(np.ones(f.dim or mu.dim or 1)),)
     scale = 1.0 if f.dim or mu.dim \
         else np.array([p(np.ones(1)) for p in seminorms])
-    D1f, D2f = _envelopes(f, seminorms)
-    D1m, D2m = _envelopes(mu, seminorms)
+    D1f, D2f = (e.T for e in _envelopes(f, seminorms))
+    D1m, D2m = (e.T for e in _envelopes(mu, seminorms))
     points = np.unique(np.concatenate(
         [f.breakpoints, mu.breakpoints,
          np.linspace(f.a, f.b, _INITIAL_UNIFORM_CELLS + 1)]))

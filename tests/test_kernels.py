@@ -7,6 +7,7 @@ exception: its test says why.
 """
 
 import itertools
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -16,6 +17,7 @@ from numpy.polynomial import polynomial as npoly
 from scipy.interpolate import CubicSpline
 from scipy.spatial import cKDTree
 
+from stieltjes import functions
 from stieltjes.functions import (PiecewiseFunction, TaggedPartition,
                                  _extreme_rows, _horner, _horner_at,
                                  _natural_spline, _root_rows, _shift_poly,
@@ -220,7 +222,8 @@ def test_envelopes_match_per_piece_polyder(f):
             Seminorm.quadratic(np.eye(d) + 0.5))
     # a scalar function's envelopes are one column that broadcasts
     # against every seminorm
-    got, expected = _envelopes(f, sems), envelopes_per_piece(f, sems)
+    got = tuple(e.T for e in _envelopes(f, sems))
+    expected = envelopes_per_piece(f, sems)
     width = 1 if f.dim is None else len(sems)
     assert all(a.shape == (f.piece_count, width) for a in got)
     assert all(np.array_equal(np.broadcast_to(a, b.shape), b)
@@ -457,8 +460,11 @@ def test_numpy_sums_vectors_in_the_order_the_drives_reproduce():
     # the drives sum a vector of dimension d coordinate by coordinate, as
     # rows of a (d, n) array, and reproduce numpy's order for the (n, d)
     # cells of a vector: in sequence from +0.0 for d >= 2, pairwise for
-    # d = 1 (see the integrals module docstring).  If a numpy release
-    # changes that order, this test fails, not only the CLI's bytes.
+    # d = 1 (see the integrals module docstring).  The error estimates of
+    # a drive with a vector factor are rows of a (seminorms, n) array,
+    # summed by the same rule, so d here also stands for the number of
+    # seminorms.  If a numpy release changes that order, this test fails,
+    # not only the CLI's bytes.
     rng = np.random.default_rng(13)
     for d, n in itertools.product(range(1, 9), CANARY_LENGTHS):
         a = rng.normal(size=(1, n, d)) * 10.0 ** rng.integers(-8, 9, (1, n, d))
@@ -787,11 +793,14 @@ def test_function_extremes_match_per_piece_loops(f):
 @settings(max_examples=100)
 @given(piecewise(dims=(2, 3)), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
 def test_stacked_variations_match_one_function_at_a_time(x, k, seed):
-    # the compositions of x with k duals share one extreme-value pass
+    # the compositions of x with k duals share one batched pass; a block
+    # of 3 takes the quadrature segments of complex arcs across blocks
     rows = np.random.default_rng(seed).normal(size=(k, x.dim))
     fs = [dual_compose(x, u) for u in rows]
-    assert all(same_bits(got, variation_per_piece(f))
-               for got, f in zip(_variations(fs), fs, strict=True))
+    for block in (functions._SEGMENT_BLOCK, 3):
+        with mock.patch.object(functions, "_SEGMENT_BLOCK", block):
+            assert all(same_bits(got, variation_per_piece(f))
+                       for got, f in zip(_variations(fs), fs, strict=True))
 
 
 def rooted_coefficients(rng, d):
