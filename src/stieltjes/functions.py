@@ -685,7 +685,7 @@ def _variations(fs):
             for lo, hi, f in zip(starts, starts[1:], fs)]
 
 
-_SEGMENT_BLOCK = 8192  # per pass of _path_lengths: 8 MB of 64 nodes each
+_SEGMENT_BLOCK = 8192  # segments per _path_lengths pass: 8 MB at 64 nodes
 
 
 @cache
