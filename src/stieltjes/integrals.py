@@ -17,17 +17,21 @@ not exist and are refused.
 
 The driver is incremental.  Because the initial grid holds every
 breakpoint of both functions, each cell lies inside one piece of each, so
-the per-cell piece indices are looked up once and inherited by both
-children at every bisection.  Each level's midpoints are its tags and the
-next level's new points: the integrator is evaluated only there and its
-earlier values are kept, and since every jump time is an initial point a
-left child never ends at a jump.  Tags at jump ends, which are right
-endpoints, go through ``values_at`` for its right-hand-piece and t = b
-conventions.  A cell only a few ulps wide can have its midpoint on an end;
-the driver then looks the next partition up afresh, which gives the same
-bits as a from-scratch level.  Each cell keeps its envelope product
-d1f d2m + d2f d1m / 2 through bisection, and the cells that end at a jump
-are held as indices.
+the piece indices and the envelope products d1f d2m + d2f d1m / 2 that
+bound a cell's error are looked up once per base cell, a cell of that
+lookup.  After L bisections each base cell has 2^L contiguous children in
+the same pieces, so every per-cell quantity is a broadcast over a
+(rows, base cells, 2^L) view and nothing per cell is gathered or
+repeated; each element still sees the operations of a per-cell lookup, in
+the same order.  Each level's midpoints are its tags and the next level's
+new points: the integrator is evaluated only there and its earlier values
+are kept, and since every jump time is an initial point a left child
+never ends at a jump.  Tags at jump ends, which are right endpoints, go
+through ``values_at`` for its right-hand-piece and t = b conventions; the
+cells that end at a jump are held as indices.  A cell only a few ulps
+wide can have its midpoint on an end; the driver then looks the next
+partition up afresh, which gives the same bits as a from-scratch level,
+and its cells become the new base cells.
 
 Every drive, and every plain tagged sum, runs on one layout of
 (rows, cells) arrays.  A scalar factor is one row, k scalar integrators on
@@ -194,14 +198,13 @@ class _Columns:
                                     "on one grid and coefficient layout")
         self.breakpoints, self.b = first.breakpoints, first.b
         self.dim, self.piece_count = first.dim, first.piece_count
-        single = len(self.mus) == 1  # a stack of one holds views
-        coeffs = first.coeffs.reshape(first.coeffs.shape[:2] + (-1,)) \
-            if single else np.stack([mu.coeffs for mu in self.mus], axis=2)
-        ends = first.values[-1:].reshape(-1) if single \
-            else np.array([mu.values[-1] for mu in self.mus])
-        # one (rows, pieces) plane per coefficient
-        self._planes = list(coeffs.transpose(1, 2, 0))
-        self._ends = ends[:, np.newaxis]
+        # (coefficients, rows, pieces, 1): one gather serves every plane,
+        # and the trailing axis broadcasts a piece's plane over its block
+        self._planes = np.concatenate(
+            [mu.coeffs.reshape(mu.coeffs.shape[:2] + (-1,)).transpose(1, 2, 0)
+             for mu in self.mus], axis=1)[..., np.newaxis]
+        self._ends = np.concatenate(
+            [mu.values[-1:].reshape(-1) for mu in self.mus])[:, np.newaxis]
 
     _piece_at = PiecewiseFunction._piece_at
 
@@ -224,12 +227,21 @@ class _Columns:
         return out
 
     def _values_in(self, idx, ts):
-        tau = ts - self.breakpoints.take(idx)
-        out = self._planes[-1].take(idx, axis=1)
-        for plane in self._planes[-2::-1]:
+        """Values at ``ts`` read as ``len(idx)`` equal blocks, block k inside
+        piece ``idx[k]``, (rows, points).  One Horner pass broadcasts each
+        gathered coefficient over its block, so an element sees the
+        operations of a per-point gather: ``((c_K tau) + c_K-1) tau + ...``;
+        per-point evaluation is blocks of one."""
+        n0 = len(idx)
+        m = len(ts) // n0 if n0 else 0
+        tau = ts.reshape(n0, m) - self.breakpoints.take(idx)[:, np.newaxis]
+        planes = self._planes.take(idx, axis=2)
+        # a new array even for one plane: callers write into the values
+        out = planes[-1].repeat(m, axis=2)
+        for plane in planes[-2::-1]:
             out *= tau
-            out += plane.take(idx, axis=1)
-        return out
+            out += plane
+        return out.reshape(len(out), -1)
 
 
 def _row_sums(a, n):
@@ -259,7 +271,8 @@ def _cells(f, mu, points, jump_ts, envs):
     end at a jump of each row's integrator (``jump_ts`` holds one array
     of jump times per row) as a (rows, cells) index into the per-cell
     arrays, and the envelope products d1f d2m + d2f d1m / 2 that bound
-    the error of a cell not ending at a jump, looked up from scratch."""
+    the error of a cell not ending at a jump, looked up from scratch; its
+    cells are the base cells of the bisections that follow."""
     lefts = points[:-1]
     i, j = f._piece_at(lefts), mu._piece_at(lefts)
     ends = [np.flatnonzero(np.isin(points[1:], ts)) for ts in jump_ts]
@@ -272,14 +285,14 @@ def _cells(f, mu, points, jump_ts, envs):
 
 
 def _bisected_cells(mu, cells, mids):
-    """The cells after bisection at midpoints strictly inside each cell:
-    both children inherit the piece indices and envelope products, mu is
-    evaluated only at the midpoints, and only right children can end at a
-    jump."""
+    """The cells after bisection at midpoints strictly inside each cell.
+    The piece indices and envelope products stay those of the base cells,
+    each of which now has twice as many contiguous children; mu is
+    evaluated only at the midpoints, and only right children, 2e + 1 for
+    a jump end e, can end at a jump."""
     i, j, mu_vals, (rows, ends), smooth = cells
-    return (np.repeat(i, 2), np.repeat(j, 2),
-            _interleave(mu_vals, mu._values_in(j, mids), axis=1),
-            (rows, 2 * ends + 1), np.repeat(smooth, 2, axis=1))
+    return (i, j, _interleave(mu_vals, mu._values_in(j, mids), axis=1),
+            (rows, 2 * ends + 1), smooth)
 
 
 def _kept_columns(cells, keep):
@@ -295,20 +308,28 @@ def _level_sum(f, mu, rights, h, mids, inside, cells, envs, dim):
     """One level's tagged sums, one per row of the stacks ``f`` and ``mu``,
     and error estimates, one per row of the envelope products, for cells
     with right ends ``rights``, widths ``h`` and midpoints ``mids``;
-    ``inside`` says that every midpoint lies strictly inside its cell."""
+    ``inside`` says that every midpoint lies strictly inside its cell.
+    The cells are m = cells / base cells contiguous children of each base
+    cell, so per-cell arrays are (rows, base cells, m) broadcasts of the
+    base cells' piece indices and envelope products, and cell e lies in
+    base cell e // m."""
     i, j, mu_vals, (rows, ends), smooth = cells
+    m = len(h) // len(i)
     # other tags go through f.values_at, (points[, d]), which perfbench counts
     fv = f._values_in(i, mids) if inside \
         else np.atleast_2d(f.mus[0].values_at(mids).T)
-    est = smooth * (h ** 3 / 12.0)
+    est = (smooth[:, :, np.newaxis] * (h ** 3 / 12.0).reshape(len(i), m)) \
+        .reshape(len(smooth), -1)
     if ends.size:
         D1f, _, D1m, _ = envs
+        base = ends // m
         rows, fv = (rows, np.repeat(fv, len(mu), axis=0)) if len(mu) > 1 \
             else (slice(None), fv)
         fv[rows, ends] = f.mus[0].values_at(rights.take(ends)).T
-        est[rows, ends] = D1f.take(i.take(ends), axis=1) \
-            * D1m[rows, j.take(ends)] * h.take(ends) ** 2
-    return (_tagged_sums(fv, np.diff(mu_vals, axis=1), dim),
+        est[rows, ends] = D1f.take(i.take(base), axis=1) \
+            * D1m[rows, j.take(base)] * h.take(ends) ** 2
+    # np.diff's own subtraction, without its per-call set-up
+    return (_tagged_sums(fv, mu_vals[:, 1:] - mu_vals[:, :-1], dim),
             _row_sums(est, len(est) if dim else None))
 
 
@@ -335,19 +356,19 @@ def _refine(f, mu, jump_ts, seminorms, tol, max_levels):
         lefts, rights = points[:-1], points[1:]
         h = rights - lefts
         mids = 0.5 * (lefts + rights)
-        inside = bool(np.all(lefts < mids) and np.all(mids < rights))
+        inside = bool((lefts < mids).all() and (mids < rights).all())
         sums, ests = _level_sum(f_rows, mu, rights, h, mids, inside, cells,
                                 envs, dim)
         values = sums.reshape(1, -1) if dim else sums
         ests = ests.reshape(len(active), -1) * scale
-        mesh = float(np.max(h))
+        mesh = float(h.max())
         for r, c in enumerate(active):
             traces[c].append(LevelRecord(level, mesh, values[r], ests[r]))
         stop = np.zeros(len(active), dtype=bool)
         if prev is not None:
             steps = (values - prev).reshape(len(active), -1)
             diffs = np.stack([p.eval_many(steps) for p in seminorms], axis=1)
-            stop = np.all(ests < tol, axis=1) & np.all(diffs < tol, axis=1)
+            stop = (ests < tol).all(axis=1) & (diffs < tol).all(axis=1)
         last = level == max_levels - 1
         for r in range(len(active)) if last else np.flatnonzero(stop):
             c, value = active[r], values[r]

@@ -1,0 +1,149 @@
+"""Properties of whole refinement drives: their error estimates bound the
+true error, and a deep drive stays within its memory."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stieltjes.functions import (PiecewiseFunction, product_integral,
+                                 random_spline)
+from stieltjes.integrals import (_drive, _max_abs, integrate_g_dx,
+                                 integrate_x_dg)
+from stieltjes.spaces import Seminorm
+from test_integrals import assert_matches_reference, drive_reference
+
+SEEDS = st.integers(0, 2 ** 32 - 1)
+JUMP_TIMES = st.lists(st.one_of(st.floats(0.01, 0.99), st.just(1.0)),
+                      max_size=6, unique=True)
+
+
+def smooth_part(draw, rng, dim, complex_field):
+    """A cubic spline, one polynomial of degree 0-4 or zero, with one
+    coordinate per ``dim`` (None: scalar)."""
+    kind = draw(st.sampled_from(["spline", "poly", "zero"]))
+    shape = () if dim is None else (dim,)
+    unit = 1 + 1j * complex_field
+    if kind == "spline":
+        parts = [random_spline((0.0, 1.0), rng, complex_field=complex_field)
+                 for _ in range(dim or 1)]
+        return parts[0] if dim is None else PiecewiseFunction(
+            parts[0].breakpoints, np.stack([p.coeffs for p in parts], axis=2))
+    k = draw(st.integers(1, 5)) if kind == "poly" else 1
+    c = rng.uniform(-2.0, 2.0, (1, k) + shape) * unit * (kind == "poly")
+    return PiecewiseFunction([0.0, 1.0], c)
+
+
+@st.composite
+def jump_pairs(draw):
+    """(x, g, seminorms) on [0, 1]: a scalar or vector x (dimension 1-3)
+    and a scalar g, both real or both complex, each a smooth part plus
+    jumps at times of its own, b included, so that no jump is common;
+    seminorms are None (max-abs) or 1-3 of each kind, on x's dimension."""
+    complex_field = draw(st.booleans())
+    dim = draw(st.sampled_from([None, 1, 2, 3]))
+    rng = np.random.default_rng(draw(SEEDS))
+    times = draw(JUMP_TIMES)
+    owners = draw(st.lists(st.booleans(), min_size=len(times),
+                           max_size=len(times)))
+    unit = 1 + 1j * complex_field
+    pair = []
+    for own, d in ((True, dim), (False, None)):
+        func = smooth_part(draw, rng, d, complex_field)
+        ts = sorted(t for t, o in zip(times, owners) if o == own)
+        if ts:
+            shape = (len(ts),) + (() if d is None else (d,))
+            func = func + PiecewiseFunction.step(
+                (0.0, 1.0), ts, rng.normal(size=shape) * unit,
+                np.zeros(shape[1:]) * unit)
+        pair.append(func)
+    kinds = draw(st.one_of(st.none(), st.lists(st.sampled_from(
+        ["weighted-sup", "weighted-one", "quadratic"]), min_size=1,
+        max_size=3)))
+    sems = None
+    if kinds is not None:
+        n = dim or 1
+        sems = tuple(
+            Seminorm.quadratic(a @ a.T + 0.1 * np.eye(n))
+            if kind == "quadratic" else
+            Seminorm(kind, weights=rng.uniform(0.0, 3.0, n))
+            for kind, a in zip(kinds, rng.normal(size=(3, n, n))))
+    return pair[0], pair[1], sems
+
+
+def jump_sum(f, mu):
+    """sum_j f(tau_j) J_j over the jumps (tau_j, J_j) of mu, at b too."""
+    return sum((f(t) * jump for t, jump in mu.jump_points(atol=0.0)), 0.0)
+
+
+@settings(max_examples=150)
+@given(jump_pairs())
+def test_estimates_bound_the_true_error_at_every_level(case):
+    # the exact integral is the integral of the product with the
+    # integrator's derivative plus the integrand at each jump times the
+    # jump; every level of either drive is within its estimates of it
+    x, g, sems = case
+    family = sems or _max_abs(x.dim or 1)
+    for res, exact in (
+            (integrate_g_dx(g, x, sems, tol=1e-14, max_levels=8),
+             product_integral(x.derivative(), g) + jump_sum(g, x)),
+            (integrate_x_dg(x, g, sems, tol=1e-14, max_levels=8),
+             product_integral(x, g.derivative()) + jump_sum(x, g))):
+        for rec in res.trace:
+            error = np.atleast_1d(rec.value - exact)
+            true = np.array([p(error) for p in family])
+            assert np.all(true <= rec.estimates + 1e-12), rec.level
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 8])
+def test_cells_that_reach_float_resolution_after_bisections(k):
+    # cells k ulps wide on either side of t = 1/2 halve until one is a
+    # single ulp, whose midpoint falls on an end; that level takes its
+    # tags from values_at while its cells are still children of the base
+    # cells, and the next one looks the partition up afresh
+    p, u = 0.5, 0.5
+    for _ in range(k):
+        p, u = np.nextafter(p, 0.0), np.nextafter(u, 1.0)
+    mu = PiecewiseFunction.from_global_polynomial([0.0, 1.0, 3.0], (0.0, 1.0))
+    f = PiecewiseFunction([0.0, p, 0.5, u, 1.0],
+                          [[1.0, 2.0], [-2.0, 1.0], [3.0, -1.0], [0.5, 4.0]])
+    x = PiecewiseFunction(f.breakpoints,
+                          np.stack([f.coeffs, -2 * f.coeffs], axis=2))
+    steps = PiecewiseFunction.step((0.0, 1.0), [p, u], [1.0, -2.0], 0.0)
+    for a, b in ((f, mu), (mu, f), (x, mu), (mu, x), (mu, steps + mu)):
+        got = _drive(a, b, None, 1e-300, 8)
+        assert (got.levels, got.converged) == (8, False)
+        assert_matches_reference(got, drive_reference(a, b, None, 1e-300, 8))
+
+
+def spline_pair(seed):
+    """A scalar spline g and a 3-dim spline x on one knot grid."""
+    rng = np.random.default_rng(seed)
+    g = random_spline((0.0, 1.0), rng)
+    parts = [random_spline((0.0, 1.0), rng) for _ in range(3)]
+    return g, PiecewiseFunction(parts[0].breakpoints,
+                                np.stack([p.coeffs for p in parts], axis=2))
+
+
+# the traced peak of the drive below, in bytes, with numpy 2.4 on CPython
+# 3.11; per-cell piece indices and envelope products took it to 11.03e6
+DEEP_DRIVE_PEAK = 8.68e6
+
+
+def test_a_deep_vector_drive_stays_within_its_memory():
+    # 14 levels, 65536 cells at the last: the drive holds a few
+    # (rows, cells) arrays and broadcasts its piece lookups from the base
+    # cells, so its peak may not grow past the figure measured for that
+    integrate_g_dx(*spline_pair(0), tol=1e-7)  # lazy imports and caches
+    g, x = spline_pair(1)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        res = integrate_g_dx(g, x, tol=1e-7)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert res.levels >= 14 and res.converged
+    assert peak <= 1.1 * DEEP_DRIVE_PEAK, peak

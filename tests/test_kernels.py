@@ -317,20 +317,24 @@ def test_sup_of_a_zero_polynomial_matches_the_root_path(k, cplx, zero, h):
     assert same_bits(_sup_abs_rows(c[np.newaxis], [h])[0], expected)
 
 
-def cell_arrays(cells):
-    """The per-cell arrays of a cell state, the jump-end index unpacked."""
+def cell_arrays(cells, m=1):
+    """The per-cell arrays of a cell state whose base cells have m
+    children each: the piece indices and envelope products repeated to
+    one per cell, the jump-end index unpacked."""
     i, j, mu_vals, at_jumps, smooth = cells
-    return (i, j, mu_vals) + at_jumps + (smooth,)
+    return (np.repeat(i, m), np.repeat(j, m), mu_vals) + at_jumps \
+        + (np.repeat(smooth, m, axis=1),)
 
 
 @settings(max_examples=100)
 @given(piecewise(), st.data(), st.integers(0, 6))
 def test_inherited_cells_match_a_fresh_lookup(f, data, k):
     # each cell lies inside one piece of f and of mu, so bisection keeps
-    # every piece index, mu value, jump-end cell and envelope product a
-    # fresh lookup gives, for one integrator, scalar or vector, as a stack
-    # of one and, when both factors are scalar, for a stack of integrators
-    # on one grid, under one seminorm and under two
+    # the base cells' piece indices and envelope products, which expanded
+    # by their m children each have the bits of a fresh lookup, as do the
+    # mu values and jump-end cells, for one integrator, scalar or vector,
+    # as a stack of one and, when both factors are scalar, for a stack of
+    # integrators on one grid, under one seminorm and under two
     mu = data.draw(piecewise(dims=(None,) if f.dim else (None, 1, 2, 3)))
     scaled = mu.breakpoints * (f.b / mu.b)
     scaled[-1] = f.b
@@ -347,16 +351,20 @@ def test_inherited_cells_match_a_fresh_lookup(f, data, k):
         envs = _envelopes(f, sems) + integrator.envelopes(sems)
         bps = np.unique(np.concatenate([f.breakpoints, mu.breakpoints]))
         cells = _cells(f, integrator, bps, jump_ts, envs)
+        m = 1
         for _ in range(k):
             mids = 0.5 * (bps[:-1] + bps[1:])
             if not (np.all(bps[:-1] < mids) and np.all(mids < bps[1:])):
                 break
             cells = _bisected_cells(integrator, cells, mids)
             bps = bisect(bps)
+            m *= 2
         expected = _cells(f, integrator, bps, jump_ts, envs)
+        assert len(bps) - 1 == m * len(cells[0])
         assert all(same_bits(a, b) for a, b in
-                   zip(cell_arrays(cells), cell_arrays(expected), strict=True))
-        assert np.array_equal(cells[0], f._piece_at(bps[:-1]))
+                   zip(cell_arrays(cells, m), cell_arrays(expected),
+                       strict=True))
+        assert np.array_equal(np.repeat(cells[0], m), f._piece_at(bps[:-1]))
 
 
 def tagged_sum_per_cell(f, mu, partition):
@@ -434,6 +442,57 @@ def test_vector_stack_values_match_each_coordinate(x, seed):
     stack = _Columns((x,))
     assert same_bits(stack.values_at(ts), x.values_at(ts).T)
     assert same_bits(stack._values_in(idx, ts), x._values_in(idx, ts).T)
+
+
+@st.composite
+def block_lookups(draw):
+    """(stack, rows, piece indices (n0,), points (n0 * m,)): 1-3 scalar
+    integrators on one grid or one vector integrator, some with one-plane
+    (constant) pieces, real or complex, and n0 blocks of m = 1..64 points,
+    block k inside piece idx[k], as the drive's base cells hand them on."""
+    vector = draw(st.booleans())
+    mu = draw(piecewise(dims=(1, 2, 3) if vector else (None,)))
+    if draw(st.booleans()):
+        mu = PiecewiseFunction(mu.breakpoints, mu.coeffs[:, :1])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mus = [mu] if vector else [mu * s for s in
+                               rng.normal(size=draw(st.integers(1, 3)))]
+    n0, m = draw(st.integers(1, 8)), draw(st.integers(1, 64))
+    idx = rng.integers(0, mu.piece_count, n0)
+    widths = np.diff(mu.breakpoints)
+    offsets = np.sort(rng.uniform(size=(n0, m)), axis=1) * widths[idx, None]
+    ts = (mu.breakpoints[idx, None] + offsets).reshape(-1)
+    return _Columns(mus), mus, idx, ts
+
+
+@settings(max_examples=200)
+@given(block_lookups())
+def test_block_horner_matches_a_per_point_lookup(case):
+    # the drive evaluates m points per base cell with the base cell's
+    # piece index broadcast over its block; each value must have the bits
+    # of a lookup with that index repeated for every point, also through
+    # each integrator's own kernel
+    stack, mus, idx, ts = case
+    per_point = np.repeat(idx, len(ts) // len(idx))
+    got = stack._values_in(idx, ts)
+    assert same_bits(got, stack._values_in(per_point, ts))
+    own = np.concatenate([np.atleast_2d(mu._values_in(per_point, ts).T)
+                          for mu in mus])
+    assert same_bits(got, own)
+    got[:] = 0  # a new array, even for one-plane pieces
+    assert same_bits(stack._values_in(idx, ts), own)
+
+
+def test_block_horner_of_no_points():
+    # an empty lookup has no blocks to read ts as
+    mu = PiecewiseFunction([0.0, 0.5, 1.0], [[1.0, 2.0], [3.0, -1.0]])
+    x = PiecewiseFunction(mu.breakpoints, np.stack([mu.coeffs] * 2, axis=2))
+    empty_idx, empty_ts = np.zeros(0, dtype=np.intp), np.zeros(0)
+    for stack, rows in ((_Columns([mu, mu * 2.0]), 2), (_Columns([x]), 2),
+                        (_Columns([mu]), 1)):
+        for out in (stack._values_in(empty_idx, empty_ts),
+                    stack.values_at(empty_ts)):
+            assert out.shape == (rows, 0) and out.dtype == float
 
 
 # n around the blocks of numpy's pairwise sum (8 partial sums, leaves of
