@@ -1,10 +1,12 @@
-"""Static checks of the package source: every import is used, and every
+"""Static checks of the package source: every import is used, every
 private name, at module level or in a class body, is used somewhere in the
-package.
+package, and the slow optional imports happen inside functions.
 
 They catch what a deletion leaves behind, such as a constant or a method
 whose only reader went away.  Names listed in a module's ``__all__`` count
-as used, since they are exported.
+as used, since they are exported.  ``scipy`` and ``jsonschema`` take longer
+to import than a typical CLI problem takes to run, so importing either at
+module level would slow every cold start.
 """
 
 import ast
@@ -76,6 +78,29 @@ def class_private_members(tree):
                         if name.startswith("_") and not name.startswith("__"))
 
 
+def eager_imports(tree, roots=("scipy", "jsonschema")):
+    """(line, module) for each import of a package in ``roots`` that runs
+    when the module or a class body runs, not inside a function body."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                modules = [child.module]
+            else:
+                modules = []
+            found.extend((child.lineno, module) for module in modules
+                         if module.partition(".")[0] in roots)
+            visit(child)
+
+    visit(tree)
+    return found
+
+
 def package_reads():
     used = set()
     for tree in MODULES.values():
@@ -109,6 +134,12 @@ def test_every_private_class_member_is_used():
     assert not unused, f"private class members nothing reads: {unused}"
 
 
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_scipy_and_jsonschema_are_imported_inside_functions(name):
+    eager = eager_imports(MODULES[name])
+    assert not eager, f"{name} imports at load time: {eager}"
+
+
 def test_the_checks_see_a_leftover():
     tree = ast.parse("import os\nfrom math import pi\n_UNUSED = (5, 9)\n"
                      "__all__ = ['pi']\n")
@@ -125,3 +156,12 @@ def test_the_checks_see_a_leftover():
                        ("Norm", "_dual_at")]
     assert [m for _, m in members if m not in loaded_names(tree)] == \
         ["_SCALE", "_dual_at"]
+    tree = ast.parse("import scipy.optimize\nimport numpy, jsonschema\n"
+                     "try:\n    from scipy import linalg\n"
+                     "except ImportError:\n    pass\n"
+                     "class Solver:\n    from jsonschema import validate\n"
+                     "def solve():\n    from scipy.optimize import linprog\n"
+                     "    def inner():\n        import jsonschema\n"
+                     "from . import scipy_free\nimport scipyx\n")
+    assert eager_imports(tree) == [(1, "scipy.optimize"), (2, "jsonschema"),
+                                   (4, "scipy"), (8, "jsonschema")]

@@ -282,6 +282,55 @@ def test_hull_membership_complex():
     assert not outside.member
 
 
+def complex_entries(shape):
+    parts = st.floats(-2.0, 2.0, allow_subnormal=False)
+    return st.lists(st.tuples(parts, parts), min_size=math.prod(shape),
+                    max_size=math.prod(shape)).map(
+        lambda pairs: np.array([complex(*p) for p in pairs]).reshape(shape))
+
+
+@st.composite
+def complex_hull_cases(draw):
+    """Complex generators (k <= 6, d <= 3) and a v that is a scaled
+    combination of them, or arbitrary."""
+    k, d = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    gens = draw(complex_entries((k, d)))
+    if draw(st.booleans()):
+        beta = draw(complex_entries((k,)))
+        budget = float(np.sum(np.abs(beta.real) + np.abs(beta.imag)))
+        v = beta @ gens * (draw(st.floats(0.0, 2.0)) / max(budget, 1.0))
+    else:
+        v = draw(complex_entries((d,)))
+    return v, gens
+
+
+@settings(max_examples=200)
+@given(complex_hull_cases())
+def test_complex_hull_membership_certificates(case):
+    # the certificates are read from the complex data only, so they hold
+    # however the LP lays out its real rows and columns
+    v, gens = case
+    res = hull_membership(v, gens)
+    if res.member:
+        beta = res.coefficients
+        defect = beta @ gens - v
+        # within the solver's primal feasibility tolerance, 1e-7
+        assert max(np.max(np.abs(defect.real)),
+                   np.max(np.abs(defect.imag))) <= res.distance + 1e-7
+        assert np.sum(np.abs(beta.real) + np.abs(beta.imag)) <= 1.0 + 1e-9
+        return
+    u = res.functional
+    assert math.isclose(np.sum(np.abs(u.real) + np.abs(u.imag)), 1.0,
+                        rel_tol=1e-12)
+    # Re<u, z> = Re sum conj(u_j) z_j; the generators are w_k and i w_k
+    reach = max(max(abs(np.vdot(u, w).real), abs(np.vdot(u, 1j * w).real))
+                for w in gens)
+    expected = abs(np.vdot(u, v).real) - reach
+    assert math.isclose(res.separation, expected, rel_tol=1e-12,
+                        abs_tol=1e-12)
+    assert res.separation > 0.0
+
+
 def test_image_check_single_jump():
     T = StieltjesOperator(plane(), single_jump())
     report = weakly_compact_image_check(T, sample_count=10, seed=0)

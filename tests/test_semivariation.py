@@ -11,7 +11,7 @@ from stieltjes.errors import ArgumentError, EnumerationLimitError
 from stieltjes.functions import (PiecewiseFunction, TaggedPartition,
                                  dual_compose, random_spline,
                                  scalar_variation, uniform_tagged_partition)
-from stieltjes.semivariation import (dual_variation_bound, e_set,
+from stieltjes.semivariation import (_dedupe, dual_variation_bound, e_set,
                                      semivariation,
                                      semivariation_on_partition, wcs_check)
 from stieltjes.spaces import Seminorm
@@ -335,6 +335,56 @@ def test_e_set_grid_mode_validation():
         e_set(monotone_pair(), resolution=0)
     with pytest.raises(EnumerationLimitError):
         e_set(monotone_pair(), resolution=21)
+
+
+def e_set_reference(x):
+    """The subset sums of a step's jumps, built from ``jump_points``."""
+    increments = [j for _, j in x.jump_points(atol=0.0)]
+    n, dtype = len(increments), x.values.dtype
+    increments = np.asarray(increments, dtype=dtype).reshape(
+        n, x.values[0].size)
+    bits = (np.arange(2 ** n)[:, np.newaxis] >> np.arange(n)) & 1
+    sums = bits.astype(dtype) @ increments
+    return _dedupe(sums.reshape((-1,) + x.values.shape[1:]))
+
+
+@st.composite
+def padded_steps(draw):
+    """Steps of 1-8 pieces whose levels repeat (zero jumps) and hold
+    signed zeros, each piece padded with 0-3 signed-zero coefficients."""
+    m, pad = draw(st.integers(1, 8)), draw(st.integers(0, 3))
+    shape = draw(st.sampled_from([(), (1,), (2,), (3,)]))
+    size = math.prod(shape)
+    entries = st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.75])
+    parts = 2 if draw(st.booleans()) else 1
+    rows = [np.array(draw(st.lists(entries, min_size=parts * size,
+                                   max_size=parts * size)))]
+    for _ in range(m):
+        rows.append(rows[-1] if draw(st.booleans()) else np.array(
+            draw(st.lists(entries, min_size=parts * size,
+                          max_size=parts * size))))
+    levels = np.array(rows).reshape((m + 1, parts) + shape)
+    if parts == 2:
+        real = levels
+        levels = np.empty((m + 1,) + shape, dtype=complex)
+        levels.real, levels.imag = real[:, 0], real[:, 1]
+    else:
+        levels = levels[:, 0]
+    zeros = draw(st.lists(st.sampled_from([0.0, -0.0]),
+                          min_size=m * pad * size, max_size=m * pad * size))
+    coeffs = np.zeros((m, pad + 1) + shape, dtype=levels.dtype)
+    coeffs[:, 0] = levels[:m]
+    coeffs[:, 1:] = np.reshape(zeros, (m, pad) + shape)
+    return PiecewiseFunction(np.linspace(0.0, 1.0, m + 1), coeffs, levels)
+
+
+@settings(max_examples=300)
+@given(padded_steps())
+def test_e_set_of_a_step_has_the_bits_of_its_jump_sums(x):
+    assert x.is_step
+    got, expected = e_set(x), e_set_reference(x)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("s", [1e-200, 1e-13, 1e-9, 1e-3, 1.0, 1e4, 1e8])

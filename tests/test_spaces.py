@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -232,3 +234,24 @@ def test_sample_dual_ball_deterministic_and_validates():
         np.testing.assert_array_equal(u, v)
     with pytest.raises(ArgumentError):
         sample_dual_ball(np.zeros((2, 2)), 3)
+
+
+@pytest.mark.parametrize("A, seed, digest", [
+    (np.eye(3), 4,
+     "73ecefc5c803113b816d1271b0b2643f74d6bcce3aaf702c6da78cebc4b3eb2c"),
+    (np.eye(5), 0,
+     "093831d65fa68319d64b93742635b4b44b9b7bad472e7595b1811ca081b21f55"),
+    (np.array([[1.0, 2j], [0.5, -1.0]]), 9,
+     "f39a963494e802f034edb8810e2c5dbe62c7bf082417fc2264c3060b25304679"),
+])
+def test_sample_dual_ball_keeps_its_bits(A, seed, digest):
+    # every count >= 1 draws a prefix of one fixed sequence, whose bytes
+    # are pinned
+    full = sample_dual_ball(A, 7, seed=seed)
+    assert hashlib.sha256(np.concatenate(full).tobytes()).hexdigest() \
+        == digest
+    for count in range(1, 7):
+        duals = sample_dual_ball(A, count, seed=seed)
+        assert len(duals) == count
+        assert np.concatenate(duals).tobytes() \
+            == np.concatenate(full[:count]).tobytes()
