@@ -6,7 +6,8 @@ functions, one task tag and its parameters.  ``run_task`` dispatches to the
 library and wraps the outcome in a :class:`RunReport`; ``emit`` renders a
 report either as a stable structured record or as tab-separated tables:
 its convergence traces, suitable for plotting, or, for a report without
-traces, its payload as key/value rows.
+traces, its payload as key/value rows.  Payloads hold the library's
+values as they come, which ``json.dumps`` encodes through one hook.
 
 Problem files are validated by ``_violations``, a small interpreter of the
 keywords that ``problem_schema.json`` uses (``$ref``, ``oneOf``, ``type``,
@@ -25,7 +26,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -369,10 +370,7 @@ def _run_image_check(funcs, space, params):
     rep = weakly_compact_image_check(
         T, sample_count=params.get("sample_count", 10),
         seed=params.get("seed", 0), tol=params.get("tolerance", 1e-9))
-    payload = {"ok": bool(rep.ok), "worst_distance": rep.worst_distance,
-               "checked": rep.checked, "resolutions": list(rep.resolutions),
-               "witness": rep.witness}
-    return payload, {"wcs_bounds": T.wcs_bounds}, []
+    return asdict(rep), {"wcs_bounds": T.wcs_bounds}, []
 
 
 def _run_roundtrip(funcs, space, params):
@@ -383,14 +381,7 @@ def _run_roundtrip(funcs, space, params):
                     dual_count=params.get("dual_count", 20),
                     function_count=params.get("function_count", 20),
                     seed=params.get("seed", 0), seminorms=sems)
-    payload = {"identity_gap": rep.identity_gap,
-               "pairing_gap": rep.pairing_gap,
-               "probe_count": rep.probe_count,
-               "dual_count": rep.dual_count,
-               "function_count": rep.function_count,
-               "worst_pair": list(rep.worst_pair)
-                             if rep.worst_pair is not None else None}
-    return payload, {}, []
+    return asdict(rep), {}, []
 
 
 def _run_measure(funcs, space, params):
@@ -453,24 +444,18 @@ def run_task(problem):
 # -- emission ---------------------------------------------------------------
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
+def _encode(obj):
+    """The ``default`` hook of both ``json.dumps`` calls of :func:`emit`:
+    arrays as nested lists, complex numbers as ``{"re", "im"}`` records,
+    other numpy scalars as Python scalars, and a ``TypeError`` for the
+    rest."""
     if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist())
-    if isinstance(obj, complex):
+        return obj.tolist()
+    if isinstance(obj, (complex, np.complexfloating)):
         return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, np.complexfloating):
-        return {"re": float(obj.real), "im": float(obj.imag)}
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
+    if isinstance(obj, np.generic):
+        return obj.item()
+    return json.JSONEncoder().default(obj)
 
 
 def _cell(v):
@@ -482,13 +467,16 @@ def _cell(v):
 
 
 def emit(report, format="structured"):
-    """Render a report as bytes; wall time is excluded from both formats."""
+    """Render a report as bytes; wall time is excluded from both formats.
+
+    Values go to ``json.dumps`` as they are, with ``_encode`` as its
+    ``default`` hook; table cells of a trace are written by ``_cell``.
+    """
     if format == "structured":
-        doc = {"task": report.task,
-               "payload": _jsonify(report.payload),
-               "diagnostics": _jsonify(report.diagnostics),
-               "traces": _jsonify(report.traces)}
-        return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+        doc = {"task": report.task, "payload": report.payload,
+               "diagnostics": report.diagnostics, "traces": report.traces}
+        return (json.dumps(doc, sort_keys=True, indent=2, default=_encode)
+                + "\n").encode()
     if format != "table":
         raise ArgumentError(f"unknown format {format!r}")
     if report.traces:
@@ -497,11 +485,10 @@ def emit(report, format="structured"):
                   for tr in report.traces]
     else:
         # a report without traces lists its payload, one key a row
-        payload = _jsonify(report.payload)
         blocks = [[["key", "value"]] + [
-            [key, json.dumps(payload[key], sort_keys=True,
-                             separators=(",", ":"))]
-            for key in sorted(payload)]]
+            [key, json.dumps(report.payload[key], sort_keys=True,
+                             separators=(",", ":"), default=_encode)]
+            for key in sorted(report.payload)]]
     return ("\n\n".join("\n".join(map("\t".join, rows)) for rows in blocks)
             + "\n").encode()
 

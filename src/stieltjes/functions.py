@@ -439,11 +439,15 @@ class PiecewiseFunction:
 
     def jump_points(self, atol=1e-12):
         """Ascending list of (t, jump) pairs where the jump exceeds atol."""
-        left = _horner(self.coeffs, np.diff(self.breakpoints))
-        jumps = self.values[1:] - left
+        jumps = self._jumps()
         size = np.max(np.abs(jumps.reshape(self.piece_count, -1)), axis=1)
         return [(float(t), jump) for t, jump, s
                 in zip(self.breakpoints[1:], jumps, size) if s > atol]
+
+    def _jumps(self):
+        """x(b_i) minus the left limit x(b_i-), for i = 1, ..., m."""
+        left = _horner(self.coeffs, np.diff(self.breakpoints))
+        return self.values[1:] - left
 
     @cached_property
     def _jump_times(self):

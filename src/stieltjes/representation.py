@@ -193,7 +193,8 @@ class HullMembership:
     ``distance`` is the optimal max-abs defect; membership holds when it
     is at most tol.  On membership ``coefficients`` reproduce v within
     ``distance``; on rejection ``functional`` is an l1-normalized
-    separating dual with ``separation`` = <u, v> - max_k \\|<u, w_k>\\| > 0.
+    separating dual with ``separation`` = <u, v> - max_k \\|<u, w_k>\\| > 0,
+    for complex data with real parts Re<u, .> and over w_k and i w_k.
     """
 
     member: bool
@@ -203,21 +204,16 @@ class HullMembership:
     separation: float | None = None
 
 
-def _doubled_real(v, gens):
-    v2 = np.concatenate([v.real, v.imag])
-    g2 = np.concatenate([np.concatenate([gens.real, gens.imag], axis=1),
-                         np.concatenate([-gens.imag, gens.real], axis=1)],
-                        axis=0)
-    return v2, g2
-
-
 def hull_membership(v, generators, tol=1e-9):
     """Decide v in { sum_k beta_k w_k : sum \\|beta_k\\| <= 1 } within tol.
 
     Solved as a linear program minimising the max-abs defect t subject to
-    the l1 budget.  Complex data is lifted to a doubled real problem over
-    the generators {w, i w}; membership certificates remain valid complex
-    combinations.
+    the l1 budget.  Complex data is lifted to a real problem over the
+    generators w_k and i w_k, each complex entry read as its (re, im) pair
+    (``view(float)``).  The real coefficients of w_k and i w_k are then
+    the pair of a complex beta_k, and a real separating functional the
+    pairs of a complex u pairing as Re<u, .>, so ``view(complex)`` gives
+    both back; membership certificates remain valid complex combinations.
     """
     v = np.atleast_1d(np.asarray(v))
     gens = np.atleast_2d(np.asarray(generators))
@@ -229,23 +225,18 @@ def hull_membership(v, generators, tol=1e-9):
         )
     if gens.shape[1] != v.size:
         raise ArgumentError("generator dimension mismatch")
-    complex_input = np.iscomplexobj(v) or np.iscomplexobj(gens)
-    if complex_input:
-        v2, g2 = _doubled_real(v.astype(complex), gens.astype(complex))
-    else:
-        v2, g2 = v.astype(float), gens.astype(float)
+    dtype = complex if np.iscomplexobj(v) or np.iscomplexobj(gens) else float
+    if dtype is complex:
+        # rows w_0, i w_0, w_1, ..., so that beta_k's parts sit side by side
+        gens = np.stack([gens, 1j * gens], axis=1).reshape(-1, v.size)
+    v2, g2 = v.astype(dtype).view(float), gens.astype(dtype).view(float)
     k, d = g2.shape
     # variables [beta_plus (k), beta_minus (k), t]
     cost = np.zeros(2 * k + 1)
     cost[-1] = 1.0
-    W = g2.T  # (d, k)
-    a_ub = np.zeros((2 * d + 1, 2 * k + 1))
-    a_ub[:d, :k] = W
-    a_ub[:d, k:2 * k] = -W
-    a_ub[d:2 * d, :k] = -W
-    a_ub[d:2 * d, k:2 * k] = W
-    a_ub[:2 * d, -1] = -1.0
-    a_ub[-1, :2 * k] = 1.0
+    W, minus_t = g2.T, -np.ones((d, 1))
+    a_ub = np.block([[W, -W, minus_t], [-W, W, minus_t],
+                     [np.ones((1, 2 * k)), np.zeros((1, 1))]])
     b_ub = np.concatenate([v2, -v2, [1.0]])
     # Imported on first use: scipy.optimize takes longer to import than a
     # typical CLI problem takes to run, and only this LP needs it.
@@ -255,22 +246,13 @@ def hull_membership(v, generators, tol=1e-9):
     if not res.success:  # pragma: no cover - LP is always feasible (beta=0)
         raise ArgumentError(f"membership LP failed: {res.message}")
     dist = float(res.fun)
-    beta2 = res.x[:k] - res.x[k:2 * k]
-    if complex_input:
-        m = gens.shape[0]
-        beta = beta2[:m] + 1j * beta2[m:]
-    else:
-        beta = beta2
     if dist <= tol:
+        beta = (res.x[:k] - res.x[k:2 * k]).view(dtype)
         return HullMembership(member=True, distance=dist, coefficients=beta)
     u2 = _separating_functional(res, v2, g2, d)
-    if complex_input:
-        u = u2[:v.size] + 1j * u2[v.size:]
-    else:
-        u = u2
     sep = float(np.abs(u2 @ v2) - np.max(np.abs(g2 @ u2)))
-    return HullMembership(member=False, distance=dist, functional=u,
-                          separation=sep)
+    return HullMembership(member=False, distance=dist,
+                          functional=u2.view(dtype), separation=sep)
 
 
 def _separating_functional(res, v, gens, d):

@@ -69,8 +69,7 @@ class SemivariationReport:
 
 
 def _increment_rows(x, points):
-    vals = x.values_at(points)
-    rows = np.diff(vals, axis=0)
+    rows = np.diff(x.values_at(points), axis=0)
     return rows if x.dim is not None else rows[:, np.newaxis]
 
 
@@ -389,12 +388,11 @@ def e_set(x, resolution=None):
     Returns the distinct sums as an array whose row 0 is the empty sum 0.
     """
     if x.is_step:
-        increments = [j for _, j in x.jump_points(atol=0.0)]
-        if len(increments) > MAX_ENUM_INCREMENTS:
+        increments, _ = _nonzero_rows(x._jumps().reshape(x.piece_count, -1))
+        if increments.shape[0] > MAX_ENUM_INCREMENTS:
             raise EnumerationLimitError(
-                f"{len(increments)} jumps exceed the subset-sum cap of "
-                f"{MAX_ENUM_INCREMENTS}"
-            )
+                f"{increments.shape[0]} jumps exceed the subset-sum cap of "
+                f"{MAX_ENUM_INCREMENTS}")
     else:
         if resolution is None:
             raise ArgumentError("a grid resolution is required for non-step "
@@ -407,15 +405,10 @@ def e_set(x, resolution=None):
                 f"resolution {resolution} exceeds the cap "
                 f"of {MAX_ENUM_INCREMENTS}"
             )
-        increments = np.diff(
-            x.values_at(np.linspace(x.a, x.b, resolution)), axis=0)
-    shape, dtype = x.values.shape[1:], x.values.dtype
-    n = len(increments)
-    increments = np.asarray(increments, dtype=dtype).reshape(
-        n, x.values[0].size)
-    sums = np.concatenate([bits.astype(dtype) @ increments
-                           for bits in _digit_chunks(2, n)])
-    return _dedupe(sums.reshape((-1,) + shape))
+        increments = _increment_rows(x, np.linspace(x.a, x.b, resolution))
+    sums = np.concatenate([bits.astype(increments.dtype) @ increments
+                           for bits in _digit_chunks(2, increments.shape[0])])
+    return _dedupe(sums.reshape((-1,) + x.values.shape[1:]))
 
 
 def _dedupe(rows):

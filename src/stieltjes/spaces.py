@@ -239,22 +239,24 @@ def sample_dual_ball(A, count, seed=0):
     e_i / polar_gauge(A, e_i) (in coordinate order, where the gauge is
     nonzero) and continues with random directions scaled to alternate
     between the gauge-one boundary and the interior.  Deterministic for a
-    fixed seed.
+    fixed seed; a count of 0 gives no duals.
     """
     A = np.atleast_2d(np.asarray(A))
     if A.size == 0 or not np.any(np.abs(A) > 0):
         raise ArgumentError("A must contain a nonzero vector")
+    if count < 0:
+        raise ArgumentError(f"count must be nonnegative, not {count}")
     dim = A.shape[1]
     complex_field = np.iscomplexobj(A)
     duals = []
     for i in range(dim):
+        if len(duals) == count:
+            return duals
         e = np.zeros(dim, dtype=complex if complex_field else float)
         e[i] = 1.0
         g = polar_gauge(A, e)
         if g > 1e-12:
             duals.append(e / g)
-        if len(duals) == count:
-            return duals
     rng = np.random.default_rng(seed)
     boundary = True
     while len(duals) < count:

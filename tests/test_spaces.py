@@ -236,6 +236,15 @@ def test_sample_dual_ball_deterministic_and_validates():
         sample_dual_ball(np.zeros((2, 2)), 3)
 
 
+@pytest.mark.parametrize("A", [np.eye(3), np.array([[1.0, 2j]])])
+def test_sample_dual_ball_of_no_duals(A):
+    # a count below the number of coordinate duals used to return them all
+    assert sample_dual_ball(A, 0) == []
+    for count in (-1, -2):
+        with pytest.raises(ArgumentError, match="nonnegative"):
+            sample_dual_ball(A, count)
+
+
 @pytest.mark.parametrize("A, seed, digest", [
     (np.eye(3), 4,
      "73ecefc5c803113b816d1271b0b2643f74d6bcce3aaf702c6da78cebc4b3eb2c"),
