@@ -314,12 +314,12 @@ def test_complex_hull_membership_certificates(case):
     if res.member:
         beta = res.coefficients
         defect = beta @ gens - v
-        # both within the solver's primal feasibility tolerance, 1e-7: a
-        # v of (5e-10j, 1j) over (-0.5j, 1j) and (0, 1j) gets a budget of
-        # 1 + 2e-9
+        # both up to the solver's primal feasibility tolerance, 1e-7 on its
+        # scaled problem, which leaves residuals of a few 1e-7 here: one
+        # v = (1e-7j, 1, 1) got a budget of 1 + 2e-7
         assert max(np.max(np.abs(defect.real)),
-                   np.max(np.abs(defect.imag))) <= res.distance + 1e-7
-        assert np.sum(np.abs(beta.real) + np.abs(beta.imag)) <= 1.0 + 1e-7
+                   np.max(np.abs(defect.imag))) <= res.distance + 1e-6
+        assert np.sum(np.abs(beta.real) + np.abs(beta.imag)) <= 1.0 + 1e-6
         return
     u = res.functional
     assert math.isclose(np.sum(np.abs(u.real) + np.abs(u.imag)), 1.0,
