@@ -70,17 +70,6 @@ def _horner(c, tau):
     return out
 
 
-def _horner_at(c, idx, tau):
-    """``_horner(c[idx], tau)`` with the same bits.  Gathering one
-    coefficient column at a time with ``take`` avoids numpy's slow
-    fancy-indexing path for whole (n, K, ...) rows."""
-    tau = np.reshape(tau, (-1,) + (1,) * (c.ndim - 2))
-    out = c[:, -1].take(idx, axis=0)
-    for k in range(c.shape[1] - 2, -1, -1):
-        out = out * tau + c[:, k].take(idx, axis=0)
-    return out
-
-
 def _kept_terms(c, h):
     """Sizes \\|c_ik\\| h_i^k (m, K) of the terms of the rows of ``c`` on
     [0, h_i], and the number of terms (m,) each row keeps once its leading
@@ -412,8 +401,8 @@ class PiecewiseFunction:
         """Values of the pieces ``idx`` at the points ``ts``; unlike
         :meth:`values_at`, t = b gets the last piece's value, not the
         stored end value."""
-        return _horner_at(self.coeffs, idx,
-                          ts - self.breakpoints.take(idx))
+        return _horner(self.coeffs.take(idx, axis=0),
+                       ts - self.breakpoints.take(idx))
 
     def evaluate(self, t):
         """Function value at a single point (right-continuous convention)."""
@@ -439,15 +428,19 @@ class PiecewiseFunction:
 
     def jump_points(self, atol=1e-12):
         """Ascending list of (t, jump) pairs where the jump exceeds atol."""
-        jumps = self._jumps()
+        jumps = self._jumps
         size = np.max(np.abs(jumps.reshape(self.piece_count, -1)), axis=1)
         return [(float(t), jump) for t, jump, s
                 in zip(self.breakpoints[1:], jumps, size) if s > atol]
 
+    @cached_property
     def _jumps(self):
-        """x(b_i) minus the left limit x(b_i-), for i = 1, ..., m."""
-        left = _horner(self.coeffs, np.diff(self.breakpoints))
-        return self.values[1:] - left
+        """The jump table x(b_i) - x(b_i-), i = 1, ..., m, (m[, dim]); for
+        a step function its increments, its zero jumps with their signs."""
+        jumps = self.values[1:] - _horner(self.coeffs,
+                                          np.diff(self.breakpoints))
+        jumps.flags.writeable = False
+        return jumps
 
     @cached_property
     def _jump_times(self):

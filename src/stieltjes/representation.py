@@ -97,42 +97,44 @@ def apply(T, g, tol=1e-8):
                           tol=tol).value
 
 
-def _positive_part(f):
-    """max(f, 0) of a real scalar piecewise polynomial (root-split pieces)."""
+def _signed_parts(f):
+    """max(f, 0) and max(-f, 0) of a real scalar piecewise polynomial from
+    one root split of its pieces.  Each part shifts its own signed pieces:
+    negating the other part's would turn some of its zeros into -0.0."""
     widths = np.diff(f.breakpoints)
-    bps = [f.a]
-    coeffs = []
-    for i, splits in enumerate(_split_rows(f.coeffs, widths,
-                                                sign_changes=True)):
-        c = f.coeffs[i]
-        edges = np.concatenate([[0.0], splits, [widths[i]]])
-        shifted = _shift_poly(np.broadcast_to(c, (edges.size - 1,) + c.shape),
-                              edges[:-1])
-        keep = _horner(shifted, 0.5 * np.diff(edges)) > 0.0
-        coeffs.extend(np.where(keep[:, np.newaxis], shifted, 0.0))
-        bps.extend((f.breakpoints[i] + edges[1:]).tolist())
-    coeffs = np.asarray(coeffs)
-    values = np.concatenate([coeffs[:, 0], [max(float(f.values[-1]), 0.0)]])
-    return PiecewiseFunction(np.asarray(bps), coeffs, values)
+    edges = [np.concatenate([[0.0], splits, [h]]) for splits, h in
+             zip(_split_rows(f.coeffs, widths, sign_changes=True), widths)]
+    piece = np.repeat(np.arange(f.piece_count), [e.size - 1 for e in edges])
+    lo = np.concatenate([e[:-1] for e in edges])
+    hi = np.concatenate([e[1:] for e in edges])
+    bps = np.concatenate([[f.a], f.breakpoints[piece] + hi])
+    parts = []
+    for c, end in ((f.coeffs, f.values[-1]), (-f.coeffs, -f.values[-1])):
+        shifted = _shift_poly(c[piece], lo)
+        keep = _horner(shifted, 0.5 * (hi - lo)) > 0.0
+        coeffs = np.where(keep[:, np.newaxis], shifted, 0.0)
+        values = np.concatenate([coeffs[:, 0], [max(float(end), 0.0)]])
+        parts.append(PiecewiseFunction(bps, coeffs, values))
+    return parts
 
 
 def decompose(g):
     """Split g with sup-norm <= 1 into four parts with values in [0, 1].
 
-    Returns (g0, g1, g2, g3) with g = g0 - g2 + i (g1 - g3): positive and
-    negative parts of the real and imaginary parts, each obtained by
-    root-splitting the polynomial pieces.
+    Returns (g0, g1, g2, g3) with g = g0 - g2 + i (g1 - g3): the positive
+    and negative parts of the real and of the imaginary part, each pair
+    taken from one root split of that part's pieces at its sign changes.
+    A root closer than 1e-13 * max(1, h) to an end of its piece of width
+    h is not split off, so a kept part can dip to -1e-13 * max(1, h) *
+    sup\\|g'\\| below 0.
     """
     if g.dim is not None:
         raise ArgumentError("decompose expects a scalar function")
     sup = g.sup_abs()
     if sup > 1.0 + 1e-12:
         raise ArgumentError(f"sup-norm {sup:.6f} exceeds 1")
-    re, im = g.real_part(), g.imag_part()
-    g0 = _positive_part(re)
-    g2 = _positive_part(-re)
-    g1 = _positive_part(im)
-    g3 = _positive_part(-im)
+    g0, g2 = _signed_parts(g.real_part())
+    g1, g3 = _signed_parts(g.imag_part())
     return g0, g1, g2, g3
 
 

@@ -154,7 +154,7 @@ def _vertex_variation(x, rows):
     """Var<u, x(.)> for each row u of ``rows``, _CHUNK rows at a time: a
     step x's jump moduli, by one product with its increments, or one
     extreme-value pass over the compositions of any other x."""
-    deltas = _increment_rows(x, x.breakpoints) if x.is_step else None
+    deltas = x._jumps.reshape(x.piece_count, -1) if x.is_step else None
     out = [np.zeros(0)]
     for lo in range(0, rows.shape[0], _CHUNK):
         chunk = rows[lo:lo + _CHUNK]
@@ -348,7 +348,7 @@ def semivariation(x, p, tol=1e-8, max_levels=20, phase_count=16):
             lower_bound_only=any(r.lower_bound_only for r in reports),
             converged=upper - best.value <= tol)
     complex_field = np.iscomplexobj(x.coeffs) or np.iscomplexobj(x.values)
-    deltas = _increment_rows(x, x.breakpoints) if x.is_step else None
+    deltas = x._jumps.reshape(x.piece_count, -1) if x.is_step else None
     if p.kind != "quadratic":
         val, upper, u = _polar_vertex_max(x, p, complex_field, phase_count)
         trace, lower_bound_only = [val], upper > val
@@ -388,7 +388,7 @@ def e_set(x, resolution=None):
     Returns the distinct sums as an array whose row 0 is the empty sum 0.
     """
     if x.is_step:
-        increments, _ = _nonzero_rows(x._jumps().reshape(x.piece_count, -1))
+        increments, _ = _nonzero_rows(x._jumps.reshape(x.piece_count, -1))
         if increments.shape[0] > MAX_ENUM_INCREMENTS:
             raise EnumerationLimitError(
                 f"{increments.shape[0]} jumps exceed the subset-sum cap of "

@@ -19,7 +19,7 @@ from scipy.spatial import cKDTree
 
 from stieltjes import functions
 from stieltjes.functions import (PiecewiseFunction, TaggedPartition,
-                                 _extreme_rows, _horner, _horner_at,
+                                 _extreme_rows, _horner,
                                  _natural_spline, _root_rows, _shift_poly,
                                  _split_rows, _sup_abs_rows, _variations,
                                  bisect, definite_integral, dual_compose,
@@ -100,9 +100,18 @@ def gathers(draw):
 
 @settings(max_examples=150)
 @given(gathers())
-def test_horner_at_known_pieces_matches_gathered_horner(case):
+def test_values_at_matches_a_per_point_horner(case):
+    # pieces of width 2 and points tau in [0, 2] past each piece's start:
+    # t = b_(i+1) lies in piece i + 1, and t = b takes the end value
     c, idx, tau = case
-    assert same_bits(_horner_at(c, idx, tau), _horner(c[idx], tau))
+    f = PiecewiseFunction(2.0 * np.arange(c.shape[0] + 1), c)
+    ts = f.breakpoints[idx] + tau
+    expected = [f.values[-1] if t == f.b else
+                _horner(f.coeffs[i:i + 1], [t - f.breakpoints[i]])[0]
+                for t, i in zip(ts, f._piece_at(ts))]
+    assert same_bits(f.values_at(ts),
+                     np.array(expected, dtype=f.coeffs.dtype).reshape(
+                         (ts.size,) + c.shape[2:]))
 
 
 @st.composite

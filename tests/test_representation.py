@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from stieltjes.errors import ArgumentError, EnumerationLimitError
-from stieltjes.functions import (PiecewiseFunction, _horner, dual_compose,
-                                 random_spline)
+from stieltjes import representation
+from stieltjes.functions import (PiecewiseFunction, _horner, _shift_poly,
+                                 _split_rows, dual_compose, random_spline)
 from stieltjes.integrals import integrate_g_dx
 from stieltjes.representation import (IntervalMeasure, StieltjesOperator,
                                       abel_identity_check, additivity_check,
@@ -191,6 +193,60 @@ def test_decompose_reconstructs_at_multiple_roots(g):
     dip = 1e-13 * max(1.0, float(np.max(widths))) * g.derivative().sup_abs()
     for v in (v0, v1, v2, v3):
         assert np.all((v >= -dip) & (v <= 1.0 + noise))
+
+
+def positive_part_per_piece(f):
+    """max(f, 0) as decompose built each part before its signed parts
+    shared one root split: each piece of f split on its own."""
+    widths = np.diff(f.breakpoints)
+    bps = [f.a]
+    coeffs = []
+    for i, splits in enumerate(_split_rows(f.coeffs, widths,
+                                           sign_changes=True)):
+        c = f.coeffs[i]
+        edges = np.concatenate([[0.0], splits, [widths[i]]])
+        shifted = _shift_poly(np.broadcast_to(c, (edges.size - 1,) + c.shape),
+                              edges[:-1])
+        keep = _horner(shifted, 0.5 * np.diff(edges)) > 0.0
+        coeffs.extend(np.where(keep[:, np.newaxis], shifted, 0.0))
+        bps.extend((f.breakpoints[i] + edges[1:]).tolist())
+    coeffs = np.asarray(coeffs)
+    values = np.concatenate([coeffs[:, 0], [max(float(f.values[-1]), 0.0)]])
+    return PiecewiseFunction(np.asarray(bps), coeffs, values)
+
+
+def assert_parts_per_piece(g):
+    re, im = g.real_part(), g.imag_part()
+    expected = [positive_part_per_piece(h) for h in (re, im, -re, -im)]
+    for got, want in zip(decompose(g), expected, strict=True):
+        for name in ("breakpoints", "coeffs", "values"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), name
+
+
+@settings(max_examples=200)
+@given(rooted_functions())
+def test_decompose_at_multiple_roots_keeps_the_bits_per_piece(g):
+    assert_parts_per_piece(g)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(4, 12), st.booleans())
+def test_decompose_of_splines_keeps_the_bits_per_piece(seed, knots, cplx):
+    rng = np.random.default_rng(seed)
+    assert_parts_per_piece(random_spline((0.0, 1.0), rng, knot_count=knots,
+                                         complex_field=cplx))
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_decompose_splits_the_real_and_imaginary_parts_once(cplx):
+    g = random_spline((0.0, 1.0), np.random.default_rng(4),
+                      complex_field=cplx)
+    with mock.patch.object(representation, "_split_rows",
+                           wraps=_split_rows) as split:
+        decompose(g)
+    assert split.call_count == 2
 
 
 def test_abel_identity_hand_case():

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from numpy.polynomial import polynomial as npoly
 
 from stieltjes.errors import ArgumentError, EnumerationLimitError
 from stieltjes.functions import (PiecewiseFunction, TaggedPartition,
+                                 _extreme_rows, _horner, _path_lengths,
                                  dual_compose, random_spline,
                                  scalar_variation, uniform_tagged_partition)
+from stieltjes.integrals import exact_step_integral
 from stieltjes.semivariation import (_dedupe, dual_variation_bound, e_set,
                                      semivariation,
                                      semivariation_on_partition, wcs_check)
@@ -385,6 +388,97 @@ def test_e_set_of_a_step_has_the_bits_of_its_jump_sums(x):
     got, expected = e_set(x), e_set_reference(x)
     assert got.dtype == expected.dtype and got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
+
+
+# The formulas below are the ones the jump table replaced: jumps
+# recomputed by Horner on every call, and a step's increments for its
+# semivariation taken from values_at at its breakpoints.  values_at drops
+# the sign of a zero level padded with zero coefficients, which the jumps
+# keep; the properties pin that every reader of the table keeps the bits.
+
+
+def fresh_jump_points(x, atol):
+    jumps = x.values[1:] - _horner(x.coeffs, np.diff(x.breakpoints))
+    size = np.max(np.abs(jumps.reshape(x.piece_count, -1)), axis=1)
+    return [(float(t), jump) for t, jump, s
+            in zip(x.breakpoints[1:], jumps, size) if s > atol]
+
+
+def fresh_variation(x):
+    c, h = x.coeffs, np.diff(x.breakpoints)
+    steps = (_path_lengths(c, h) if np.iscomplexobj(c) else np.abs(
+        np.diff(_extreme_rows(c, h)[0], axis=1)).sum(axis=1)).tolist()
+    return float(sum(steps) + sum(abs(jump) for _, jump
+                                  in fresh_jump_points(x, 0.0)))
+
+
+def fresh_step_integral(g, x):
+    total = x.values[-1] * 0
+    if np.iscomplexobj(g.values):
+        total = total * (1 + 0j)
+    for t, jump in fresh_jump_points(x, 0.0):
+        total = total + g(t) * jump
+    if x.dim is None:
+        return complex(total) if np.iscomplexobj(total) else float(total)
+    return total
+
+
+def same_bits(a, b):
+    """Equal type, dtype, shape and bytes: signed zeros must match too."""
+    if type(a) is not type(b):
+        return False
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=300)
+@given(padded_steps(), st.sampled_from([0.0, 1e-12, 1.0]))
+def test_jump_points_of_a_step_keep_their_bits(x, atol):
+    assert not x._jumps.flags.writeable
+    for _ in range(2):  # computed, then read from the cache
+        got, expected = x.jump_points(atol), fresh_jump_points(x, atol)
+        assert [t for t, _ in got] == [t for t, _ in expected]
+        assert all(same_bits(a, b) for (_, a), (_, b) in zip(got, expected))
+
+
+@settings(max_examples=300)
+@given(padded_steps(), st.integers(0, 2 ** 32 - 1))
+def test_step_variation_and_integral_keep_their_bits(x, seed):
+    rng = np.random.default_rng(seed)
+    g = random_spline((0.0, 1.0), rng, complex_field=bool(seed % 2))
+    assert same_bits(exact_step_integral(g, x), fresh_step_integral(g, x))
+    if x.dim is None:
+        assert same_bits(scalar_variation(x), fresh_variation(x))
+
+
+def step_seminorms(x, seed):
+    rng = np.random.default_rng(seed)
+    d = 1 if x.dim is None else x.dim
+    a = rng.standard_normal((d, d))
+    return (Seminorm.weighted_sup(rng.uniform(0.2, 2.0, d)),
+            Seminorm.weighted_one(rng.uniform(0.2, 2.0, d)),
+            Seminorm.quadratic(a @ a.T + 0.1 * np.eye(d)))
+
+
+@settings(max_examples=300)
+@given(padded_steps(), st.integers(0, 2 ** 32 - 1))
+def test_step_semivariation_keeps_its_bits(x, seed):
+    def increments(f):
+        return np.diff(f.values_at(f.breakpoints), axis=0)
+
+    for p in step_seminorms(x, seed):
+        got = semivariation(x, p, max_levels=4)
+        with mock.patch.object(PiecewiseFunction, "_jumps",
+                               property(increments)):
+            expected = semivariation(x, p, max_levels=4)
+        for name in ("value", "upper", "exact", "lower_bound_only",
+                     "converged", "levels", "trace", "seminorm_index"):
+            assert getattr(got, name) == getattr(expected, name), name
+        for name in ("value", "upper"):
+            assert same_bits(getattr(got, name), getattr(expected, name))
+        assert same_bits(got.partition_points, expected.partition_points)
+        assert same_bits(got.coefficients, expected.coefficients)
 
 
 @pytest.mark.parametrize("s", [1e-200, 1e-13, 1e-9, 1e-3, 1.0, 1e4, 1e8])
