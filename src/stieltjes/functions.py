@@ -225,6 +225,16 @@ def _abs_squared(c):
     return out
 
 
+def _freeze(tree):
+    """Mark the arrays of ``tree``, an array or nested tuples and dict
+    values holding arrays, read-only."""
+    if isinstance(tree, np.ndarray):
+        tree.flags.writeable = False
+    elif isinstance(tree, (tuple, dict)):
+        for item in tree.values() if isinstance(tree, dict) else tree:
+            _freeze(item)
+
+
 class PiecewiseFunction:
     """Right-continuous piecewise polynomial on [a, b].
 
@@ -238,9 +248,10 @@ class PiecewiseFunction:
         (right continuity); the value at b is free, which is how a jump at
         the right endpoint is encoded.  Defaults to the continuous choice.
 
-    The constructor keeps its own copies of the arrays and marks them
-    read-only, so the derived data cached on the object (jump times,
-    derivative sups) cannot go stale.
+    The constructor keeps its own copies of the arrays.  They and the
+    derived data cached on the object (the jump table, jump times,
+    derivative sups and envelopes) are read-only, so none of it can go
+    stale.
     """
 
     def __init__(self, breakpoints, coeffs, values=None):
@@ -286,16 +297,14 @@ class PiecewiseFunction:
         if np.iscomplexobj(c) or np.iscomplexobj(vals):
             c = c.astype(complex, copy=False)
             vals = vals.astype(complex, copy=False)
-        for arr in (bps, c, vals):
-            arr.flags.writeable = False
+        _freeze((bps, c, vals))
         self.breakpoints, self.coeffs, self.values = bps, c, vals
 
     def __setstate__(self, state):
-        # copies and unpickled arrays come back writeable; a write would
-        # leave the copied caches stale
+        # copies and unpickled arrays, the cached ones too, come back
+        # writeable; a write would leave the copied caches stale
         self.__dict__.update(state)
-        for arr in (self.breakpoints, self.coeffs, self.values):
-            arr.flags.writeable = False
+        _freeze(state)
 
     @classmethod
     def _trusted(cls, bps, coeffs, end=None):
@@ -466,6 +475,7 @@ class PiecewiseFunction:
         second[:, :max(first.shape[1] - 1, 1)] = _polyder(first)
         sups = _sup_abs_rows(np.concatenate([first, second]),
                              np.concatenate([widths, widths]))
+        sups.flags.writeable = False
         return tuple(sups.reshape(2, -1))
 
     # -- calculus ----------------------------------------------------------

@@ -146,10 +146,6 @@ def _max_abs(dim):
     return (Seminorm.weighted_sup(np.ones(dim)),)
 
 
-def _sem_values(seminorms, v):
-    return np.array([p(v) for p in seminorms])
-
-
 def _envelopes(func, seminorms):
     """Per-piece sups of first and second derivative size, (rows, pieces).
 
@@ -491,12 +487,11 @@ def per_partes(x, g, seminorms=None, tol=1e-8, max_levels=20):
     """
     if g.dim is not None:
         raise ArgumentError("g must be scalar-valued")
+    _, seminorms = _checked(x, (g,), seminorms, tol, max_levels)
     lhs = _drive(x, g, seminorms, tol, max_levels)
     rhs = _drive(g, x, seminorms, tol, max_levels)
     boundary = x(x.b) * g(g.b) - x(x.a) * g(g.a)
-    sems = tuple(seminorms) if seminorms is not None \
-        else _max_abs(x.dim or g.dim or 1)
-    gaps = _sem_values(sems, lhs.value + rhs.value - boundary)
+    gaps = np.array([p(lhs.value + rhs.value - boundary) for p in seminorms])
     return PerPartesResult(x_dg=lhs, g_dx=rhs, boundary=boundary, gaps=gaps)
 
 

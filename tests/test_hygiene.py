@@ -1,18 +1,28 @@
 """Static checks of the package source: every import is used, every
 private name, at module level or in a class body, is used somewhere in the
-package, and the slow optional imports happen inside functions.
+package, and the slow optional imports happen inside functions.  One
+runtime check joins them: every array a function holds or caches is
+read-only, on copies too.
 
 They catch what a deletion leaves behind, such as a constant or a method
 whose only reader went away.  Names listed in a module's ``__all__`` count
 as used, since they are exported.  ``scipy`` and ``jsonschema`` take longer
 to import than a typical CLI problem takes to run, so importing either at
-module level would slow every cold start.
+module level would slow every cold start.  A writeable cached array could
+be changed under the function that computed it, or under its copies.
 """
 
 import ast
+import copy
+import pickle
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from stieltjes.functions import PiecewiseFunction, random_spline
+from stieltjes.integrals import _envelopes
+from stieltjes.spaces import Seminorm
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "stieltjes"
 MODULES = {path.name: ast.parse(path.read_text(), str(path))
@@ -165,3 +175,65 @@ def test_the_checks_see_a_leftover():
                      "from . import scipy_free\nimport scipyx\n")
     assert eager_imports(tree) == [(1, "scipy.optimize"), (2, "jsonschema"),
                                    (4, "scipy"), (8, "jsonschema")]
+
+
+def held_arrays(tree):
+    """The arrays in ``tree``, nested in tuples, lists and dict values."""
+    if isinstance(tree, np.ndarray):
+        yield tree
+    elif isinstance(tree, (tuple, list, dict)):
+        for item in tree.values() if isinstance(tree, dict) else tree:
+            yield from held_arrays(item)
+
+
+def writeable_attributes(f):
+    """Names of the attributes of ``f`` that hold a writeable array."""
+    return sorted({name for name, value in vars(f).items()
+                   for arr in held_arrays(value) if arr.flags.writeable})
+
+
+def with_caches(f):
+    """``f`` with every cache of derived data filled."""
+    f.jump_points()
+    f._jump_times
+    if f.dim is None:
+        f._derivative_sups
+    _envelopes(f, (Seminorm.weighted_sup(np.ones(f.dim or 1)),))
+    return f
+
+
+CACHES = {"_jumps", "_jump_times", "_envelope_cache"}
+
+
+def spline_and_steps():
+    g = random_spline((0.0, 1.0), np.random.default_rng(5),
+                      complex_field=True)
+    return [g + PiecewiseFunction.step((0.0, 1.0), [0.3, 1.0], [2.0, -1.0],
+                                       0.0),
+            PiecewiseFunction.step((0.0, 1.0), [0.5, 1.0],
+                                   [[1.0, -2.0], [0.5, 0.0]], [0.0, 0.0])]
+
+
+@pytest.mark.parametrize("copy_of", [
+    lambda f: f, copy.copy, copy.deepcopy,
+    lambda f: pickle.loads(pickle.dumps(f))],
+    ids=["original", "copy", "deepcopy", "pickle"])
+def test_held_and_cached_arrays_are_read_only(copy_of):
+    for f in spline_and_steps():
+        g = copy_of(with_caches(f))
+        names = set(vars(g))
+        assert CACHES <= names
+        assert f.dim is not None or "_derivative_sups" in names
+        assert writeable_attributes(g) == []
+        # caches filled after the copy are read-only as well
+        h = with_caches(copy_of(PiecewiseFunction(f.breakpoints, f.coeffs,
+                                                  f.values)))
+        assert writeable_attributes(h) == []
+
+
+def test_the_cache_check_sees_a_writeable_cache():
+    f = with_caches(spline_and_steps()[1])
+    assert writeable_attributes(f) == []
+    f.__dict__["_jumps"] = np.zeros(2)
+    f._envelope_cache["probe"] = (np.ones(2),)
+    assert writeable_attributes(f) == ["_envelope_cache", "_jumps"]

@@ -12,7 +12,7 @@ from stieltjes.functions import (PiecewiseFunction, TaggedPartition, _horner,
                                  random_spline, uniform_tagged_partition)
 from stieltjes.integrals import (_INITIAL_UNIFORM_CELLS, _drive,
                                  _drive_columns, _envelopes,
-                                 _require_existence, _sem_values,
+                                 _require_existence,
                                  exact_step_integral, integrate_g_dx,
                                  integrate_x_dg, per_partes, rs_sum_S,
                                  rs_sum_s)
@@ -364,7 +364,7 @@ def test_scalar_estimates_bound_the_error_under_scaled_seminorms(seed):
              for p in sems]
     for seminorms, res in runs:
         for rec in res.trace:
-            true = _sem_values(seminorms, rec.value - exact)
+            true = np.array([p(rec.value - exact) for p in seminorms])
             assert np.all(rec.estimates >= true)
 
 
@@ -466,7 +466,7 @@ def drive_reference(f, mu, seminorms, tol, max_levels):
                      axis=0) * scale
         records.append((level, float(np.max(np.diff(points))), value, est))
         if prev is not None:
-            diffs = _sem_values(seminorms, value - prev)
+            diffs = np.array([p(value - prev) for p in seminorms])
             if np.all(est < tol) and np.all(diffs < tol):
                 converged = True
                 break

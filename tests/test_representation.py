@@ -338,6 +338,28 @@ def test_hull_membership_complex():
     assert not outside.member
 
 
+@pytest.mark.parametrize("v, gens", [([1e-8], [[0.0]]),
+                                     ([1e-8j], [[0j]])])
+def test_hull_membership_sees_a_defect_below_the_solvers_default(v, gens):
+    # HiGHS's default feasibility tolerance, 1e-7, would let t = 0 pass
+    # for |0 - 1e-8| <= t
+    res = hull_membership(np.array(v), np.array(gens))
+    assert not res.member
+    assert math.isclose(res.distance, 1e-8, rel_tol=1e-6)
+    assert math.isclose(res.separation, 1e-8, rel_tol=1e-6)
+
+
+def test_hull_membership_keeps_its_coefficients_in_the_budget():
+    # the solver's default tolerance gave sum |Re b| + |Im b| = 1 + 2e-9
+    v = np.array([5e-10j, 1j])
+    gens = np.array([[-0.5j, 1j], [0j, 1j]])
+    res = hull_membership(v, gens)
+    assert res.member
+    beta = res.coefficients
+    assert np.sum(np.abs(beta.view(float))) <= 1.0
+    assert np.max(np.abs((beta @ gens - v).view(float))) <= res.distance
+
+
 def complex_entries(shape):
     parts = st.floats(-2.0, 2.0, allow_subnormal=False)
     return st.lists(st.tuples(parts, parts), min_size=math.prod(shape),
@@ -370,12 +392,12 @@ def test_complex_hull_membership_certificates(case):
     if res.member:
         beta = res.coefficients
         defect = beta @ gens - v
-        # both up to the solver's primal feasibility tolerance, 1e-7 on its
-        # scaled problem, which leaves residuals of a few 1e-7 here: one
-        # v = (1e-7j, 1, 1) got a budget of 1 + 2e-7
+        # both are recomputed on the LP's real data, whose sums round
+        # apart from these complex ones by an ulp or two: a search that
+        # maximised the excess over 12000 examples found 2.2e-16
         assert max(np.max(np.abs(defect.real)),
-                   np.max(np.abs(defect.imag))) <= res.distance + 1e-6
-        assert np.sum(np.abs(beta.real) + np.abs(beta.imag)) <= 1.0 + 1e-6
+                   np.max(np.abs(defect.imag))) <= res.distance + 1e-14
+        assert np.sum(np.abs(beta.real) + np.abs(beta.imag)) <= 1.0 + 1e-14
         return
     u = res.functional
     assert math.isclose(np.sum(np.abs(u.real) + np.abs(u.imag)), 1.0,
@@ -396,6 +418,20 @@ def test_image_check_single_jump():
     assert report.worst_distance <= 1e-9
     assert report.checked == 40
     assert report.witness is None
+
+
+def test_image_check_solves_no_lp_for_a_zero_part():
+    # on a real space the imaginary parts g1 and g3 are identically zero
+    T = StieltjesOperator(plane(), single_jump())
+    with mock.patch.object(representation, "hull_membership",
+                           wraps=hull_membership) as hull:
+        report = weakly_compact_image_check(T, sample_count=5, seed=0)
+    rng = np.random.default_rng(0)
+    nonzero = sum(part.sup_abs() > 0.0 for _ in range(5) for part in
+                  decompose(random_spline((0.0, 1.0), rng)))
+    assert hull.call_count == nonzero <= 10
+    assert report.ok and report.checked == 20
+    assert report.worst_distance == 0.0
 
 
 def test_image_check_constant_integrator():
