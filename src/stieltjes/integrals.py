@@ -34,21 +34,29 @@ partition up afresh, which gives the same bits as a from-scratch level,
 and its cells become the new base cells.
 
 Every drive, and every plain tagged sum, runs on one layout of
-(rows, cells) arrays.  A scalar factor is one row, k scalar integrators on
-one grid (such as the compositions of one integrator with k duals) are k
-rows, and a vector factor is one row per coordinate, and its envelope
-products and estimates one row per seminorm.  The rows share the
-partition, the piece lookups and f's values; each integrator keeps its
-own values, envelopes, jump-end cells and stop level, and leaves the
-stack once it passes its test.  ``_row_sums`` sums a row along its cells
-in numpy's order for an (n, r) array along axis 0: in sequence from +0.0
-for the r >= 2 rows of a vector, pairwise for r = 1 and for scalar rows,
-which so have the bits of a sum over their own cells alone.  The order is
-pinned: summed pairwise, vector integrals, their estimates and the CLI
-output that ``perfbench/reference`` holds would move.
+(rows, cells) arrays.  A scalar factor is one row, k scalar functions on
+one grid are a stack of k rows, and a vector factor is one row per
+coordinate, and its envelope products and estimates one row per
+seminorm.  A drive runs a stack of integrands against a stack of
+integrators: one function against one, or g scalar integrands on one
+grid (the sampled functions of a roundtrip) against k scalar integrators
+on one grid (the compositions of one integrator with k duals).  Each
+level computes the partition, the piece lookups, the integrators' values
+and differences and, in one Horner pass, the integrands' values once for
+all pairs; the products and estimates are one (rows, cells) block per
+integrand, so no array outgrows one integrand's.  Each pair keeps its own
+trace and stop level, and an integrand or integrator leaves its stack
+once all its pairs have passed their test.  ``_row_sums`` sums a row
+along its cells in numpy's order for an (n, r) array along axis 0: in
+sequence from +0.0 for the r >= 2 rows of a vector, pairwise for r = 1
+and for scalar rows, which so have the bits of a sum over their own cells
+alone.  The order is pinned: summed pairwise, vector integrals, their
+estimates and the CLI output that ``perfbench/reference`` holds would
+move.
 """
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,11 +184,12 @@ def _envelopes(func, seminorms):
 
 
 class _Columns:
-    """Integrators on one breakpoint grid as a stack of rows: k scalar
-    integrators, one row each, or one vector integrator, one row per
-    coordinate; ``len`` counts the integrators.  Values come out as
-    C-ordered (rows, points) arrays, each row with the bits of
-    :meth:`PiecewiseFunction._values_in` on its integrator or coordinate."""
+    """Functions on one breakpoint grid as a stack of rows, the integrands
+    or the integrators of a drive: k scalar functions, one row each, or
+    one vector function, one row per coordinate; ``len`` counts the
+    functions.  Values come out as C-ordered (rows, points) arrays, each
+    row with the bits of :meth:`PiecewiseFunction._values_in` on its
+    function or coordinate."""
 
     def __init__(self, mus):
         self.mus = tuple(mus)
@@ -190,7 +199,7 @@ class _Columns:
                     and np.array_equal(mu.breakpoints, first.breakpoints)
                     and mu.coeffs.shape == first.coeffs.shape
                     and mu.coeffs.dtype == first.coeffs.dtype):
-                raise ArgumentError("stacked integrators must be scalar, "
+                raise ArgumentError("stacked functions must be scalar, "
                                     "on one grid and coefficient layout")
         self.breakpoints, self.b = first.breakpoints, first.b
         self.dim, self.piece_count = first.dim, first.piece_count
@@ -250,33 +259,36 @@ def _row_sums(a, n):
     return np.add.accumulate(a, axis=1, out=a)[:, -1] + 0.0
 
 
-def _tagged_sums(fv, dmu, dim):
+def _tagged_sums(fv, dmu, dim, spare):
     """Row sums sum_i fv_ri dmu_ri of (rows, cells) stacks, one row of
     either factor serving every row of the other, in the module's order
-    for a vector factor of dimension ``dim``.  The products overwrite a
-    factor of their shape and dtype, which the caller is done with; not
-    one element, whose complex product in place can differ in the last bit."""
-    dtype = np.result_type(fv, dmu)
-    out = next((a for a in (dmu, fv) if a.dtype == dtype and a.size > 1
-                and len(a) == max(len(fv), len(dmu))), None)
+    for a vector factor of dimension ``dim``.  The products overwrite the
+    first of the ``spare`` arrays, which the caller is done with, that has
+    their shape and dtype; not one element, whose complex product in place
+    can differ in the last bit."""
+    shape, dtype = (max(len(fv), len(dmu)), fv.shape[1]), \
+        np.result_type(fv, dmu)
+    out = next((a for a in spare if a.dtype == dtype and a.shape == shape
+                and a.size > 1), None)
     return _row_sums(np.multiply(fv, dmu, out=out), dim)
 
 
 def _cells(f, mu, points, jump_ts, envs):
-    """Per-cell piece indices of f and mu, mu at the points, the cells that
-    end at a jump of each row's integrator (``jump_ts`` holds one array
-    of jump times per row) as a (rows, cells) index into the per-cell
-    arrays, and the envelope products d1f d2m + d2f d1m / 2 that bound
-    the error of a cell not ending at a jump, looked up from scratch; its
-    cells are the base cells of the bisections that follow."""
+    """Per-cell piece indices of the integrands ``f`` and of mu, mu at the
+    points, the cells that end at a jump of each row's integrator
+    (``jump_ts`` holds one array of jump times per row) as a (rows, cells)
+    index into the per-cell arrays, and the envelope products d1f d2m +
+    d2f d1m / 2 that bound the error of a cell not ending at a jump, one
+    (rows, cells) block per integrand, looked up from scratch; its cells
+    are the base cells of the bisections that follow."""
     lefts = points[:-1]
     i, j = f._piece_at(lefts), mu._piece_at(lefts)
     ends = [np.flatnonzero(np.isin(points[1:], ts)) for ts in jump_ts]
     at_jumps = (np.repeat(np.arange(len(ends)), [e.size for e in ends]),
                 np.concatenate(ends))
     D1f, D2f, D1m, D2m = envs
-    smooth = D1f.take(i, axis=1) * D2m.take(j, axis=1) \
-        + 0.5 * D2f.take(i, axis=1) * D1m.take(j, axis=1)
+    smooth = D1f.take(i, axis=-1) * D2m.take(j, axis=1) \
+        + 0.5 * D2f.take(i, axis=-1) * D1m.take(j, axis=1)
     return i, j, mu.values_at(points), at_jumps, smooth
 
 
@@ -291,97 +303,131 @@ def _bisected_cells(mu, cells, mids):
             (rows, 2 * ends + 1), smooth)
 
 
-def _kept_columns(cells, keep):
-    """The cells of a stack without the rows that ``keep`` drops."""
+def _kept_columns(cells, keep_f, keep_mu):
+    """The cells of the stacks without the integrands that ``keep_f`` and
+    the integrators that ``keep_mu`` drop."""
     i, j, mu_vals, (rows, ends), smooth = cells
-    kept = keep.take(rows)
-    renumber = np.cumsum(keep) - 1
-    return (i, j, mu_vals[keep], (renumber.take(rows[kept]), ends[kept]),
-            smooth[keep])
+    kept = keep_mu.take(rows)
+    renumber = np.cumsum(keep_mu) - 1
+    return (i, j, mu_vals[keep_mu], (renumber.take(rows[kept]), ends[kept]),
+            smooth[keep_f][:, keep_mu])
 
 
-def _level_sum(f, mu, rights, h, mids, inside, cells, envs, dim):
-    """One level's tagged sums, one per row of the stacks ``f`` and ``mu``,
-    and error estimates, one per row of the envelope products, for cells
-    with right ends ``rights``, widths ``h`` and midpoints ``mids``;
-    ``inside`` says that every midpoint lies strictly inside its cell.
-    The cells are m = cells / base cells contiguous children of each base
-    cell, so per-cell arrays are (rows, base cells, m) broadcasts of the
-    base cells' piece indices and envelope products, and cell e lies in
-    base cell e // m."""
+def _level_sums(f, mu, rights, h, mids, inside, cells, envs, dim):
+    """One level's tagged sums and error estimates for every pair of the
+    stacks ``f`` and ``mu``, one (sums, estimates) per integrand: a sum
+    per row of ``mu`` (or of a vector integrand) and an estimate per row
+    of its envelope products, for cells with right ends ``rights``, widths
+    ``h`` and midpoints ``mids``; ``inside`` says that every midpoint lies
+    strictly inside its cell.  The cells are m = cells / base cells
+    contiguous children of each base cell, so per-cell arrays are (rows,
+    base cells, m) broadcasts of the base cells' piece indices and
+    envelope products, and cell e lies in base cell e // m.  The
+    integrators' differences and every integrand's tags are computed once;
+    products and estimates are one (rows, cells) block per integrand."""
     i, j, mu_vals, (rows, ends), smooth = cells
     m = len(h) // len(i)
-    # other tags go through f.values_at, (points[, d]), which perfbench counts
-    fv = f._values_in(i, mids) if inside \
-        else np.atleast_2d(f.mus[0].values_at(mids).T)
-    est = (smooth[:, :, np.newaxis] * (h ** 3 / 12.0).reshape(len(i), m)) \
-        .reshape(len(smooth), -1)
+    fv = f._values_in(i, mids) if inside else f.values_at(mids)
+    fv = fv.reshape(len(f), -1, fv.shape[1])
+    # np.diff's own subtraction, without its per-call set-up
+    dmu = mu_vals[:, 1:] - mu_vals[:, :-1]
+    h3 = (h ** 3 / 12.0).reshape(len(i), m)
     if ends.size:
         D1f, _, D1m, _ = envs
         base = ends // m
-        rows, fv = (rows, np.repeat(fv, len(mu), axis=0)) if len(mu) > 1 \
-            else (slice(None), fv)
-        fv[rows, ends] = f.mus[0].values_at(rights.take(ends)).T
-        est[rows, ends] = D1f.take(i.take(base), axis=1) \
-            * D1m[rows, j.take(base)] * h.take(ends) ** 2
-    # np.diff's own subtraction, without its per-call set-up
-    return (_tagged_sums(fv, mu_vals[:, 1:] - mu_vals[:, :-1], dim),
-            _row_sums(est, len(est) if dim else None))
+        rows = rows if len(mu) > 1 else slice(None)
+        f_ends = f.values_at(rights.take(ends)).reshape(len(f), -1, ends.size)
+        i_ends, d1m, h2 = i.take(base), D1m[rows, j.take(base)], \
+            h.take(ends) ** 2
+    out = []
+    for g, block in enumerate(smooth):
+        est = (block[:, :, np.newaxis] * h3).reshape(len(block), -1)
+        if ends.size:
+            est[rows, ends] = D1f[g].take(i_ends, axis=1) * d1m * h2
+        ests = _row_sums(est, len(est) if dim else None)
+        fg = fv[g]
+        if ends.size:
+            if len(mu) > 1:
+                fg = np.repeat(fg, len(mu), axis=0)
+            fg[rows, ends] = f_ends[g]
+        # the differences serve every integrand but the last
+        spare = (dmu, fg) if g == len(smooth) - 1 else (est, fg)
+        out.append((_tagged_sums(fg, dmu, dim, spare), ests))
+        # freed before the next integrand's arrays are made
+        del est, fg, spare
+    return out
 
 
 def _refine(f, mu, jump_ts, seminorms, tol, max_levels):
-    """The refinement loop of every drive, against the :class:`_Columns`
-    stack ``mu``.  A row stops at its own level and leaves the stack;
-    returns one IntegralResult per row."""
-    a, b = f.domain
+    """The refinement loop of every drive: each integrand of the
+    :class:`_Columns` stack ``f`` against each integrator of the stack
+    ``mu``, on one partition.  A pair stops at its own level; an integrand
+    or integrator leaves its stack once all its pairs have stopped.
+    Returns one IntegralResult per pair, ``results[g][k]``."""
     points = np.unique(np.concatenate(
         [f.breakpoints, mu.breakpoints,
-         np.linspace(a, b, _INITIAL_UNIFORM_CELLS + 1)]))
-    envs = _envelopes(f, seminorms) + mu.envelopes(seminorms)
+         np.linspace(f.breakpoints[0], f.b, _INITIAL_UNIFORM_CELLS + 1)]))
+    # an integrand's envelope rows are one block, (integrands, rows, pieces)
+    envs = tuple(e.reshape(len(f), -1, e.shape[1])
+                 for e in f.envelopes(seminorms)) + mu.envelopes(seminorms)
     dim = f.dim or mu.dim
     # scalar envelopes bound the modulus of each scalar error e, and
     # p(e) = |e| p(1); a vector factor's envelopes already carry p
     scale = 1.0 if dim else np.array([p(np.ones(1)) for p in seminorms])
-    f_rows = _Columns((f,))
     cells = _cells(f, mu, points, jump_ts, envs)
-    active = list(range(len(jump_ts)))
-    traces = [[] for _ in active]
-    results = [None] * len(active)
+    f_ids, mu_ids = list(range(len(f))), list(range(len(mu)))
+    live = np.ones((len(f), len(mu)), dtype=bool)
+    traces = [[[] for _ in mu_ids] for _ in f_ids]
+    results = [[None] * len(mu) for _ in f_ids]
     prev = None
     for level in range(max_levels):
         lefts, rights = points[:-1], points[1:]
         h = rights - lefts
         mids = 0.5 * (lefts + rights)
         inside = bool((lefts < mids).all() and (mids < rights).all())
-        sums, ests = _level_sum(f_rows, mu, rights, h, mids, inside, cells,
-                                envs, dim)
-        values = sums.reshape(1, -1) if dim else sums
-        ests = ests.reshape(len(active), -1) * scale
+        sums, ests = zip(*_level_sums(f, mu, rights, h, mids, inside, cells,
+                                      envs, dim))
+        # (integrands, integrators, value) and (..., seminorms)
+        values = np.concatenate(sums).reshape(live.shape + (-1,))
+        ests = np.concatenate(ests).reshape(live.shape + (-1,)) * scale
         mesh = float(h.max())
-        for r, c in enumerate(active):
-            traces[c].append(LevelRecord(level, mesh, values[r], ests[r]))
-        stop = np.zeros(len(active), dtype=bool)
+        rows, cols = live.nonzero()
+        pairs = list(zip(rows.tolist(), cols.tolist()))
+        for g, k in pairs:
+            traces[f_ids[g]][mu_ids[k]].append(LevelRecord(
+                level, mesh, values[g, k] if dim else values[g, k, 0],
+                ests[g, k]))
+        stop = np.zeros(len(pairs), dtype=bool)
         if prev is not None:
-            steps = (values - prev).reshape(len(active), -1)
+            steps = (values - prev)[rows, cols]
             diffs = np.stack([p.eval_many(steps) for p in seminorms], axis=1)
-            stop = (ests < tol).all(axis=1) & (diffs < tol).all(axis=1)
+            stop = (ests[rows, cols] < tol).all(axis=1) \
+                & (diffs < tol).all(axis=1)
         last = level == max_levels - 1
-        for r in range(len(active)) if last else np.flatnonzero(stop):
-            c, value = active[r], values[r]
-            results[c] = IntegralResult(
-                value=value if dim else value.item(),
-                error_estimates=ests[r], levels=level + 1,
-                converged=bool(stop[r]), trace=traces[c])
-        if last or stop.all():
+        stopped = stop.tolist()
+        for (g, k), done in zip(pairs, stopped):
+            if done or last:
+                value = values[g, k] if dim else values[g, k, 0].item()
+                results[f_ids[g]][mu_ids[k]] = IntegralResult(
+                    value=value, error_estimates=ests[g, k],
+                    levels=level + 1, converged=done,
+                    trace=traces[f_ids[g]][mu_ids[k]])
+        if last or all(stopped):
             break
-        if stop.any():
-            keep = ~stop
-            active = [c for c, k in zip(active, keep) if k]
-            jump_ts = [ts for ts, k in zip(jump_ts, keep) if k]
-            mu = mu.take(keep)
-            envs = envs[:2] + mu.envelopes(seminorms)
-            cells = _kept_columns(cells, keep)
-            values = values[keep]
+        if any(stopped):
+            live[rows[stop], cols[stop]] = False
+            keep_f, keep_mu = live.any(axis=1), live.any(axis=0)
+            # a row of either stack leaves once all its pairs have stopped
+            if not (keep_f.all() and keep_mu.all()):
+                f_ids = [c for c, k in zip(f_ids, keep_f) if k]
+                mu_ids = [c for c, k in zip(mu_ids, keep_mu) if k]
+                jump_ts = [ts for ts, k in zip(jump_ts, keep_mu) if k]
+                f, mu = f.take(keep_f), mu.take(keep_mu)
+                envs = tuple(e[keep_f] for e in envs[:2]) \
+                    + mu.envelopes(seminorms)
+                cells = _kept_columns(cells, keep_f, keep_mu)
+                values = values[keep_f][:, keep_mu]
+                live = live[keep_f][:, keep_mu]
         prev = values
         points = _interleave(points, mids)
         cells = (_bisected_cells(mu, cells, mids) if inside
@@ -389,44 +435,45 @@ def _refine(f, mu, jump_ts, seminorms, tol, max_levels):
     return results
 
 
-def _checked(f, mus, seminorms, tol, max_levels):
-    """Validate drives of f against each of ``mus``; return the jump times
-    of each and the seminorm tuple."""
-    jump_ts = []
-    for mu in mus:
+def _checked(fs, mus, seminorms, tol, max_levels):
+    """Validate drives of each of ``fs`` against each of ``mus``; return the
+    jump times of each of ``mus`` and the seminorm tuple."""
+    for f, mu in itertools.product(fs, mus):
         _ensure_compatible(f, mu)
-        jump_ts.append(_require_existence(f, mu))
+        _require_existence(f, mu)
     if tol <= 0:
         raise ArgumentError("tol must be positive")
     if max_levels < 2:
         raise ArgumentError("need at least two refinement levels")
-    dim = f.dim or mus[0].dim
+    dim = fs[0].dim or mus[0].dim
     seminorms = tuple(seminorms) if seminorms is not None \
         else _max_abs(dim or 1)
     for p in seminorms:
         if p.dimension != (dim or 1):
             raise ArgumentError("seminorm dimension does not match the "
                                 "vector-valued factor")
-    return jump_ts, seminorms
+    return [np.array(mu._jump_times) for mu in mus], seminorms
 
 
 def _drive(f, mu, seminorms, tol, max_levels):
-    jump_ts, seminorms = _checked(f, (mu,), seminorms, tol, max_levels)
-    return _refine(f, _Columns((mu,)), jump_ts, seminorms, tol,
-                   max_levels)[0]
+    jump_ts, seminorms = _checked((f,), (mu,), seminorms, tol, max_levels)
+    return _refine(_Columns((f,)), _Columns((mu,)), jump_ts, seminorms, tol,
+                   max_levels)[0][0]
 
 
-def _drive_columns(f, mus, tol, max_levels=20):
-    """Drives of the scalar f against each scalar integrator of ``mus``
-    under the max-abs seminorm, in one refinement loop over the
-    breakpoints the integrators share.  Result c has the bits of
-    ``integrate_g_dx(f, mus[c], tol=tol, max_levels=max_levels)``."""
-    if f.dim is not None or any(mu.dim is not None for mu in mus):
+def _drive_columns(fs, mus, tol, max_levels=20):
+    """Drives of each scalar integrand of ``fs`` against each scalar
+    integrator of ``mus`` under the max-abs seminorm, in one refinement
+    loop: the integrands share one breakpoint grid, and so do the
+    integrators.  ``results[g][k]`` has the bits of
+    ``integrate_g_dx(fs[g], mus[k], tol=tol, max_levels=max_levels)``."""
+    if any(func.dim is not None for func in (*fs, *mus)):
         raise ArgumentError("stacked drives take scalar factors")
-    if not mus:
-        return []
-    jump_ts, seminorms = _checked(f, mus, None, tol, max_levels)
-    return _refine(f, _Columns(mus), jump_ts, seminorms, tol, max_levels)
+    if not (fs and mus):
+        return [[] for _ in fs]
+    jump_ts, seminorms = _checked(fs, mus, None, tol, max_levels)
+    return _refine(_Columns(fs), _Columns(mus), jump_ts, seminorms, tol,
+                   max_levels)
 
 
 def _plain_sum(f, mu, partition):
@@ -435,8 +482,9 @@ def _plain_sum(f, mu, partition):
     if pts[0] != f.a or pts[-1] != f.b:
         raise ArgumentError("partition does not cover the common domain")
     dim = f.dim or mu.dim
-    out = _tagged_sums(_Columns((f,)).values_at(partition.tags),
-                       np.diff(_Columns((mu,)).values_at(pts), axis=1), dim)
+    fv = _Columns((f,)).values_at(partition.tags)
+    dmu = np.diff(_Columns((mu,)).values_at(pts), axis=1)
+    out = _tagged_sums(fv, dmu, dim, (dmu, fv))
     return out if dim else out.item()
 
 
@@ -487,7 +535,7 @@ def per_partes(x, g, seminorms=None, tol=1e-8, max_levels=20):
     """
     if g.dim is not None:
         raise ArgumentError("g must be scalar-valued")
-    _, seminorms = _checked(x, (g,), seminorms, tol, max_levels)
+    _, seminorms = _checked((x,), (g,), seminorms, tol, max_levels)
     lhs = _drive(x, g, seminorms, tol, max_levels)
     rhs = _drive(g, x, seminorms, tol, max_levels)
     boundary = x(x.b) * g(g.b) - x(x.a) * g(g.a)

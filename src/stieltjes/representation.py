@@ -421,12 +421,17 @@ def roundtrip(x, probe_count=20, tol=1e-8, dual_count=20, function_count=20,
     breakpoints, measured by every seminorm; (ii) for sampled duals xp in
     the max-abs polar ball and sampled continuous g,
     pair(xp, Tg) = integral of g against d(xp o y) within integration
-    accuracy.  Returns the max discrepancy of each kind.
+    accuracy, every g against every dual in one stacked drive.  Returns the
+    max discrepancy of each kind; with no g or no dual the pairing gap is
+    0.0 and ``worst_pair`` None.
     """
     if x.dim is None:
         raise ArgumentError("integrator must be vector-valued")
     if probe_count < 2:
         raise ArgumentError("probe_count must be >= 2")
+    if function_count < 0:
+        raise ArgumentError(
+            f"function_count must be nonnegative, not {function_count}")
     field = "complex" if np.iscomplexobj(x.coeffs) else "real"
     sems = tuple(seminorms) if seminorms is not None \
         else (Seminorm.weighted_sup(np.ones(x.dim)),)
@@ -446,14 +451,15 @@ def roundtrip(x, probe_count=20, tol=1e-8, dual_count=20, function_count=20,
     gs = [random_spline(x.domain, rng, complex_field=(field == "complex"))
           for _ in range(function_count)]
     # each composed integrator is built once, so its cached jump times and
-    # derivative sups serve every g; one stacked drive per g gives every
-    # dual the bits of its own integrate_g_dx(g, yd, tol=tol)
+    # derivative sups serve every g; the g share random_spline's knots, so
+    # one stacked drive of every g against every dual gives each pair the
+    # bits of its own integrate_g_dx(g, yd, tol=tol)
     composed = [dual_compose(y, np.asarray(d)) for d in duals]
+    drives = _drive_columns(gs, composed, tol)
     pairing_gap, worst = 0.0, None
-    for j, g in enumerate(gs):
+    for j, (g, row) in enumerate(zip(gs, drives)):
         tg = apply(T, g, tol=tol)
-        drives = _drive_columns(g, composed, tol)
-        for i, (d, rhs) in enumerate(zip(duals, drives)):
+        for i, (d, rhs) in enumerate(zip(duals, row)):
             gap = abs(pair(np.asarray(d), tg) - rhs.value)
             if gap > pairing_gap:
                 pairing_gap, worst = float(gap), (i, j)

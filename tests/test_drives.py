@@ -1,5 +1,6 @@
 """Properties of whole refinement drives: their error estimates bound the
-true error, and a deep drive stays within its memory."""
+true error, and a deep drive and a deep pairing stack stay within their
+memory."""
 
 import tracemalloc
 
@@ -8,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stieltjes.functions import (PiecewiseFunction, product_integral,
-                                 random_spline)
-from stieltjes.integrals import (_drive, _max_abs, integrate_g_dx,
-                                 integrate_x_dg)
-from stieltjes.spaces import Seminorm
+from stieltjes.functions import (PiecewiseFunction, dual_compose,
+                                 product_integral, random_spline)
+from stieltjes.integrals import (_drive, _drive_columns, _max_abs,
+                                 integrate_g_dx, integrate_x_dg)
+from stieltjes.spaces import Seminorm, sample_dual_ball
 from test_integrals import assert_matches_reference, drive_reference
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -147,3 +148,37 @@ def test_a_deep_vector_drive_stays_within_its_memory():
         tracemalloc.stop()
     assert res.levels >= 14 and res.converged
     assert peak <= 1.1 * DEEP_DRIVE_PEAK, peak
+
+
+def pairing_stack(seed):
+    """Five spline integrands on one knot grid and the compositions of a
+    3-dim spline with five duals of the max-abs polar ball: the pairing
+    drives of one roundtrip item."""
+    rng = np.random.default_rng(seed)
+    _, x = spline_pair(seed)
+    gs = [random_spline((0.0, 1.0), rng) for _ in range(5)]
+    duals = sample_dual_ball(np.eye(3), 5, seed=seed)
+    return gs, [dual_compose(x, np.asarray(d)) for d in duals]
+
+
+# the traced peak of the stack below, in bytes, with numpy 2.4 on CPython
+# 3.11; one (25, cells) block per level for all pairs took it to 17.49e6
+PAIRING_STACK_PEAK = 9.63e6
+
+
+def test_a_deep_pairing_stack_stays_within_its_memory():
+    # 12-14 levels, 98304 cells at the last: the products and estimates
+    # are one (integrators, cells) block per integrand, so the peak may
+    # not grow past the figure measured for that
+    _drive_columns(*pairing_stack(0), 1e-7)  # lazy imports and caches
+    gs, columns = pairing_stack(1)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        results = _drive_columns(gs, columns, 1e-7)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert max(r.levels for row in results for r in row) >= 13
+    assert all(r.converged for row in results for r in row)
+    assert peak <= 1.1 * PAIRING_STACK_PEAK, peak

@@ -10,8 +10,8 @@ from stieltjes.errors import ArgumentError, ExistenceError
 from stieltjes.functions import (PiecewiseFunction, TaggedPartition, _horner,
                                  bisect, dual_compose, product_integral,
                                  random_spline, uniform_tagged_partition)
-from stieltjes.integrals import (_INITIAL_UNIFORM_CELLS, _drive,
-                                 _drive_columns, _envelopes,
+from stieltjes.integrals import (_INITIAL_UNIFORM_CELLS, _Columns,
+                                 _drive, _drive_columns, _envelopes,
                                  _require_existence,
                                  exact_step_integral, integrate_g_dx,
                                  integrate_x_dg, per_partes, rs_sum_S,
@@ -666,20 +666,25 @@ def assert_same_drive(got, expected):
         assert same_bits(rec.estimates, ref.estimates)
 
 
-def assert_columns_match_single_drives(f, columns, tol, levels):
-    """The stacked drive gives every column the bits of its own drive, or
-    refuses the pair as that drive does, and each column agrees with the
-    from-scratch loop; returns the single drives."""
+def assert_columns_match_single_drives(fs, columns, tol, levels):
+    """The stacked drive gives every pair of an integrand of ``fs`` and a
+    column the bits of its own drive, or refuses the stack as one of those
+    drives does, and the first integrand's pairs agree with the
+    from-scratch loop; returns the single drives, one row per integrand."""
     try:
-        expected = [_drive(f, mu, None, tol, levels) for mu in columns]
+        expected = [[_drive(f, mu, None, tol, levels) for mu in columns]
+                    for f in fs]
     except ExistenceError:
         with pytest.raises(ExistenceError):
-            _drive_columns(f, columns, tol, levels)
+            _drive_columns(fs, columns, tol, levels)
         return None
-    got = _drive_columns(f, columns, tol, levels)
-    for g, e, mu in zip(got, expected, columns, strict=True):
-        assert_same_drive(g, e)
-        assert_matches_reference(g, drive_reference(f, mu, None, tol, levels))
+    got = _drive_columns(fs, columns, tol, levels)
+    for row, singles in zip(got, expected, strict=True):
+        for g, e in zip(row, singles, strict=True):
+            assert_same_drive(g, e)
+    for g, mu in zip(got[0], columns, strict=True):
+        assert_matches_reference(g, drive_reference(fs[0], mu, None, tol,
+                                                    levels))
     return expected
 
 
@@ -695,12 +700,15 @@ def orthogonal_dual(jump):
 
 @st.composite
 def column_drives(draw):
-    """(f, columns): a scalar f and the compositions dual_compose(y, d) of
-    one vector y with 1-5 duals, as in the roundtrip pairing loop.  y is a
-    step, a spline plus steps, or continuous pieces with cells one ulp
-    wide; one dual may be orthogonal to a jump of y, so that the columns'
-    jump sets differ, and dual scales from 1e-3 to 1e2 spread the
-    columns' stop levels."""
+    """(fs, columns): 1-5 scalar integrands on one grid and the
+    compositions dual_compose(y, d) of one vector y with 1-5 duals, as in
+    the roundtrip pairing loop.  y is a step, a spline plus steps, or
+    continuous pieces with cells one ulp wide; one dual may be orthogonal
+    to a jump of y, so that the columns' jump sets differ, and scales from
+    1e-3 to 1e2 on the duals and on the integrands spread the pairs' stop
+    levels.  The integrands are splines on random_spline's knots,
+    continuous pieces on one grid padded to one degree, or steps with
+    common jump times, which may meet a jump of y."""
     complex_field = draw(st.booleans())
     kind = draw(st.sampled_from(["step", "spline", "ulp"]))
     rng = np.random.default_rng(draw(SEEDS))
@@ -721,31 +729,40 @@ def column_drives(draw):
     if kind != "ulp" and draw(st.booleans()):
         duals[rng.integers(k)] = orthogonal_dual(jumps[0])
     columns = [dual_compose(y, d) for d in duals]
+    n = draw(st.integers(1, 5))
     f_kind = draw(st.sampled_from(["spline", "poly", "step"]))
     if f_kind == "spline":
-        f = random_spline((0.0, 1.0), rng, complex_field=complex_field)
+        fs = [random_spline((0.0, 1.0), rng, complex_field=complex_field)
+              for _ in range(n)]
     elif f_kind == "poly":
         bps = np.unique(np.concatenate([y.breakpoints, draw(TIMES)]))
-        f = continuous_pieces(draw, bps, None, complex_field)
+        fs = [continuous_pieces(draw, bps, None, complex_field)
+              for _ in range(n)]
+        terms = max(f.coeffs.shape[1] for f in fs)
+        fs = [PiecewiseFunction(bps, np.pad(f.coeffs, ((0, 0), (
+            0, terms - f.coeffs.shape[1]))), f.values) for f in fs]
     else:
         times = draw(STEP_TIMES)
-        f = PiecewiseFunction.step((0.0, 1.0), times,
-                                   rng.normal(size=len(times)) * unit, 1.0)
-    return f, columns
+        fs = [PiecewiseFunction.step((0.0, 1.0), times,
+                                     rng.normal(size=len(times)) * unit, 1.0)
+              for _ in range(n)]
+    return [f * s for f, s in zip(fs, 10.0 ** rng.integers(-3, 3, n))], \
+        columns
 
 
 @settings(max_examples=200)
 @given(column_drives(), st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12]),
        st.integers(2, 10))
 def test_stacked_drive_matches_one_drive_per_column(case, tol, levels):
-    f, columns = case
-    assert_columns_match_single_drives(f, columns, tol, levels)
+    fs, columns = case
+    assert_columns_match_single_drives(fs, columns, tol, levels)
 
 
 def test_stacked_drive_examples_cover_each_column_path():
-    # one example of each path the columns of a stack can take apart from
-    # each other: a jump set without one jump, stops at different levels,
-    # a column that runs out of levels, cells one ulp wide
+    # one example of each path the pairs of a stack can take apart from
+    # each other: a jump set without one jump, stops at different levels
+    # along an integrand's row and down a column's, a pair that runs out
+    # of levels, cells one ulp wide
     jumps = np.array([[1.0, -2.0], [0.5, 0.25]])
     s = random_spline((0.0, 1.0), np.random.default_rng(3))
     y = PiecewiseFunction.step((0.0, 1.0), [0.3, 0.7], jumps, np.zeros(2)) \
@@ -756,16 +773,49 @@ def test_stacked_drive_examples_cover_each_column_path():
     columns = [dual_compose(y, d) for d in duals]
     assert len(columns[0]._jump_times) == 2
     assert columns[1]._jump_times == (0.7,)
-    g = random_spline((0.0, 1.0), np.random.default_rng(4),
-                      complex_field=True)
-    for k in (1, 4):
-        single = assert_columns_match_single_drives(g, columns[:k], 1e-5, 10)
-    assert len({r.levels for r in single}) > 1
-    assert not all(r.converged for r in single)
-    assert any(r.converged for r in single)
+    rng = np.random.default_rng(4)
+    g = random_spline((0.0, 1.0), rng, complex_field=True)
+    gs = [g, g * 1e-3, random_spline((0.0, 1.0), rng, complex_field=True)]
+    for n, k in ((1, 1), (1, 4), (3, 1), (3, 4)):
+        single = assert_columns_match_single_drives(gs[:n], columns[:k],
+                                                    1e-5, 10)
+    levels = np.array([[r.levels for r in row] for row in single])
+    assert len(set(levels[0])) > 1 and len(set(levels[:, 0])) > 1
+    flat = [r for row in single for r in row]
+    assert not all(r.converged for r in flat)
+    assert any(r.converged for r in flat)
 
     u = PiecewiseFunction(ULP_GRID,
                           np.random.default_rng(5).normal(size=(4, 2, 2)))
     columns = [dual_compose(u, d) for d in duals]
-    single = assert_columns_match_single_drives(g, columns, 1e-300, 4)
-    assert all(r.levels == 4 and not r.converged for r in single)
+    single = assert_columns_match_single_drives(gs, columns, 1e-300, 4)
+    assert all(r.levels == 4 and not r.converged
+               for row in single for r in row)
+
+
+def test_a_stack_refuses_integrands_off_one_grid():
+    # the integrands of a stack share one partition and one Horner pass,
+    # so they must be scalar, on one grid and of one coefficient layout
+    rng = np.random.default_rng(8)
+    g = random_spline((0.0, 1.0), rng)
+    mu = dual_compose(single_jump(), np.array([1.0, 0.5]))
+    for other in (random_spline((0.0, 1.0), rng, knot_count=7),
+                  PiecewiseFunction(g.breakpoints, g.coeffs[:, :2]),
+                  g * (1 + 0j)):
+        with pytest.raises(ArgumentError, match="one grid"):
+            _Columns([g, other])
+        with pytest.raises(ArgumentError, match="one grid"):
+            _drive_columns([g, other], [mu], 1e-6)
+    vector = PiecewiseFunction(g.breakpoints, np.stack([g.coeffs] * 2, 2))
+    for stack in ([g, vector], [vector, g]):
+        with pytest.raises(ArgumentError, match="one grid"):
+            _Columns(stack)
+    with pytest.raises(ArgumentError, match="scalar factors"):
+        _drive_columns([g, vector], [mu], 1e-6)
+
+
+def test_a_stack_of_no_integrands_or_no_columns_drives_nothing():
+    g = random_spline((0.0, 1.0), np.random.default_rng(9))
+    mu = dual_compose(single_jump(), np.array([1.0, 0.5]))
+    assert _drive_columns([], [mu], 1e-6) == []
+    assert _drive_columns([g, g], [], 1e-6) == [[], []]

@@ -560,6 +560,18 @@ def test_roundtrip_without_duals_pairs_nothing():
         roundtrip(x, probe_count=10, dual_count=-1, function_count=2)
 
 
+def test_roundtrip_without_functions_pairs_nothing():
+    # no g: the stacked drive takes no integrands and pairs nothing; a
+    # negative count is refused, as sample_dual_ball refuses one
+    x = spline_plus_steps(3, 3, False)
+    report = roundtrip(x, probe_count=10, dual_count=2, function_count=0,
+                       seed=3)
+    assert report.function_count == 0
+    assert report.pairing_gap == 0.0 and report.worst_pair is None
+    with pytest.raises(ArgumentError, match="nonnegative, not -3"):
+        roundtrip(x, probe_count=10, dual_count=2, function_count=-3)
+
+
 def pairing_by_single_drives(x, tol, dual_count, function_count, seed):
     """roundtrip's (pairing_gap, worst_pair) from one integrate_g_dx per
     (dual, g), drawing the duals and the g as roundtrip does."""
@@ -602,8 +614,9 @@ def spline_plus_steps(seed, dim, complex_field):
                             [0.0, 0.0]), 1e-8),
 ])
 def test_roundtrip_pairing_matches_single_drives(x, tol):
-    # the stacked drive per g must reproduce the pairing loop with one
-    # scalar drive per dual to the last bit, worst pair included
+    # the one stacked drive of every g against every dual must reproduce
+    # the pairing loop with one scalar drive per pair to the last bit,
+    # worst pair included
     report = roundtrip(x, probe_count=10, tol=tol, dual_count=6,
                        function_count=3, seed=11)
     gap, worst = pairing_by_single_drives(x, tol, 6, 3, 11)
