@@ -459,8 +459,6 @@ def _encode(obj):
 
 
 def _cell(v):
-    if isinstance(v, bool):
-        return str(v).lower()
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return repr(float(v))

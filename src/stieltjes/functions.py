@@ -179,16 +179,11 @@ def _extreme_rows(c, h):
     """
     c = np.asarray(c, dtype=float)
     h = np.asarray(h, dtype=float)
-    # np.polynomial.polynomial.polyder's products j * c_j, for all rows
-    der = c[:, 1:] * np.arange(1.0, c.shape[1]) if c.shape[1] > 1 \
-        else np.zeros_like(c)
-    roots, count = _root_rows(der, h)
-    x = np.repeat(h[:, np.newaxis], roots.shape[1] + 2, axis=1)
-    x[:, 0] = 0.0
-    for d in sorted(set(count.tolist()) - {0}):
-        rows = np.flatnonzero(count == d)
-        x[rows, 1:d + 1] = np.sort(np.clip(roots[rows, :d].real, 0.0,
-                                           h[rows, np.newaxis]), axis=1)
+    roots, count = _root_rows(_polyder(c), h)
+    hs = h[:, np.newaxis]
+    # the NaN that pads a row's roots sorts last, and fmin makes it h_i
+    x = np.fmin(np.sort(np.clip(roots.real, 0.0, hs), axis=1), hs)
+    x = np.column_stack([np.zeros_like(h), x, h])
     vals = c[:, -1:] + x * 0
     for k in range(c.shape[1] - 2, -1, -1):
         vals = c[:, k:k + 1] + vals * x

@@ -44,15 +44,15 @@ on one grid (the compositions of one integrator with k duals).  Each
 level computes the partition, the piece lookups, the integrators' values
 and differences and, in one Horner pass, the integrands' values once for
 all pairs; the products and estimates are one (rows, cells) block per
-integrand, so no array outgrows one integrand's.  Each pair keeps its own
-trace and stop level, and an integrand or integrator leaves its stack
-once all its pairs have passed their test.  ``_row_sums`` sums a row
-along its cells in numpy's order for an (n, r) array along axis 0: in
-sequence from +0.0 for the r >= 2 rows of a vector, pairwise for r = 1
-and for scalar rows, which so have the bits of a sum over their own cells
-alone.  The order is pinned: summed pairwise, vector integrals, their
-estimates and the CLI output that ``perfbench/reference`` holds would
-move.
+integrand, so no array outgrows one integrand's.  Each pair's result is
+made with the stacks and kept current, a trace record a level, until the
+pair stops; an integrand or integrator leaves its stack once all its
+pairs have passed their test.  ``_row_sums`` sums a row along its cells
+in numpy's order for an (n, r) array along axis 0: in sequence from +0.0
+for the r >= 2 rows of a vector, pairwise for r = 1 and for scalar rows,
+which so have the bits of a sum over their own cells alone.  The order is
+pinned: summed pairwise, vector integrals, their estimates and the CLI
+output that ``perfbench/reference`` holds would move.
 """
 
 import functools
@@ -363,7 +363,8 @@ def _refine(f, mu, jump_ts, seminorms, tol, max_levels):
     :class:`_Columns` stack ``f`` against each integrator of the stack
     ``mu``, on one partition.  A pair stops at its own level; an integrand
     or integrator leaves its stack once all its pairs have stopped.
-    Returns one IntegralResult per pair, ``results[g][k]``."""
+    Returns one IntegralResult per pair, ``results[g][k]``, each made when
+    the stacks are and kept current until its pair stops."""
     points = np.unique(np.concatenate(
         [f.breakpoints, mu.breakpoints,
          np.linspace(f.breakpoints[0], f.b, _INITIAL_UNIFORM_CELLS + 1)]))
@@ -377,8 +378,8 @@ def _refine(f, mu, jump_ts, seminorms, tol, max_levels):
     cells = _cells(f, mu, points, jump_ts, envs)
     f_ids, mu_ids = list(range(len(f))), list(range(len(mu)))
     live = np.ones((len(f), len(mu)), dtype=bool)
-    traces = [[[] for _ in mu_ids] for _ in f_ids]
-    results = [[None] * len(mu) for _ in f_ids]
+    results = [[IntegralResult(None, None, 0, False) for _ in mu_ids]
+               for _ in f_ids]
     prev = None
     for level in range(max_levels):
         lefts, rights = points[:-1], points[1:]
@@ -392,29 +393,22 @@ def _refine(f, mu, jump_ts, seminorms, tol, max_levels):
         ests = np.concatenate(ests).reshape(live.shape + (-1,)) * scale
         mesh = float(h.max())
         rows, cols = live.nonzero()
-        pairs = list(zip(rows.tolist(), cols.tolist()))
-        for g, k in pairs:
-            traces[f_ids[g]][mu_ids[k]].append(LevelRecord(
-                level, mesh, values[g, k] if dim else values[g, k, 0],
-                ests[g, k]))
-        stop = np.zeros(len(pairs), dtype=bool)
+        stop = np.zeros(rows.size, dtype=bool)
         if prev is not None:
             steps = (values - prev)[rows, cols]
             diffs = np.stack([p.eval_many(steps) for p in seminorms], axis=1)
             stop = (ests[rows, cols] < tol).all(axis=1) \
                 & (diffs < tol).all(axis=1)
-        last = level == max_levels - 1
-        stopped = stop.tolist()
-        for (g, k), done in zip(pairs, stopped):
-            if done or last:
-                value = values[g, k] if dim else values[g, k, 0].item()
-                results[f_ids[g]][mu_ids[k]] = IntegralResult(
-                    value=value, error_estimates=ests[g, k],
-                    levels=level + 1, converged=done,
-                    trace=traces[f_ids[g]][mu_ids[k]])
-        if last or all(stopped):
+        for g, k, done in zip(rows.tolist(), cols.tolist(), stop.tolist()):
+            res = results[f_ids[g]][mu_ids[k]]
+            value = values[g, k] if dim else values[g, k, 0]
+            res.trace.append(LevelRecord(level, mesh, value, ests[g, k]))
+            res.value = value if dim else value.item()
+            res.error_estimates, res.levels, res.converged = \
+                ests[g, k], level + 1, done
+        if level == max_levels - 1 or stop.all():
             break
-        if any(stopped):
+        if stop.any():
             live[rows[stop], cols[stop]] = False
             keep_f, keep_mu = live.any(axis=1), live.any(axis=0)
             # a row of either stack leaves once all its pairs have stopped
@@ -476,6 +470,13 @@ def _drive_columns(fs, mus, tol, max_levels=20):
                    max_levels)
 
 
+def _scalar(g):
+    """``g``, refused unless it is scalar-valued."""
+    if g.dim is not None:
+        raise ArgumentError("g must be scalar-valued")
+    return g
+
+
 def _plain_sum(f, mu, partition):
     _ensure_compatible(f, mu)
     pts = partition.points
@@ -490,16 +491,12 @@ def _plain_sum(f, mu, partition):
 
 def rs_sum_S(x, g, partition):
     """Tagged sum sum_i x(s_i)[g(t_i) - g(t_{i-1})] for scalar g."""
-    if g.dim is not None:
-        raise ArgumentError("g must be scalar-valued")
-    return _plain_sum(x, g, partition)
+    return _plain_sum(x, _scalar(g), partition)
 
 
 def rs_sum_s(g, x, partition):
     """Tagged sum sum_i g(s_i)[x(t_i) - x(t_{i-1})] for scalar g."""
-    if g.dim is not None:
-        raise ArgumentError("g must be scalar-valued")
-    return _plain_sum(g, x, partition)
+    return _plain_sum(_scalar(g), x, partition)
 
 
 def integrate_g_dx(g, x, seminorms=None, tol=1e-8, max_levels=20):
@@ -511,16 +508,12 @@ def integrate_g_dx(g, x, seminorms=None, tol=1e-8, max_levels=20):
     trace; ``converged`` means every estimate and the last two levels'
     difference dropped below ``tol``.
     """
-    if g.dim is not None:
-        raise ArgumentError("g must be scalar-valued")
-    return _drive(g, x, seminorms, tol, max_levels)
+    return _drive(_scalar(g), x, seminorms, tol, max_levels)
 
 
 def integrate_x_dg(x, g, seminorms=None, tol=1e-8, max_levels=20):
     """Mesh limit of the sums sum x(s_i) [g(t_i) - g(t_{i-1})]."""
-    if g.dim is not None:
-        raise ArgumentError("g must be scalar-valued")
-    return _drive(x, g, seminorms, tol, max_levels)
+    return _drive(x, _scalar(g), seminorms, tol, max_levels)
 
 
 def per_partes(x, g, seminorms=None, tol=1e-8, max_levels=20):
@@ -533,9 +526,7 @@ def per_partes(x, g, seminorms=None, tol=1e-8, max_levels=20):
 
     Pairs with a common jump are refused with the offending points named.
     """
-    if g.dim is not None:
-        raise ArgumentError("g must be scalar-valued")
-    _, seminorms = _checked((x,), (g,), seminorms, tol, max_levels)
+    _, seminorms = _checked((x,), (_scalar(g),), seminorms, tol, max_levels)
     lhs = _drive(x, g, seminorms, tol, max_levels)
     rhs = _drive(g, x, seminorms, tol, max_levels)
     boundary = x(x.b) * g(g.b) - x(x.a) * g(g.a)
@@ -550,15 +541,13 @@ def exact_step_integral(g, x):
     must be continuous at every jump point.  Serves as an independent
     oracle for the refinement driver.
     """
-    if g.dim is not None:
-        raise ArgumentError("g must be scalar-valued")
+    _ensure_compatible(_scalar(g), x)
     if not x.is_step:
         raise ArgumentError("x must be a pure step function")
-    _ensure_compatible(g, x)
     _require_existence(g, x)
     jumps = x.jump_points(atol=0.0)
     zero = x.values[-1] * 0
-    if g.dim is None and np.iscomplexobj(g.values):
+    if np.iscomplexobj(g.values):
         zero = zero * (1 + 0j)
     total = zero
     for t, jump in jumps:

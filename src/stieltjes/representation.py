@@ -87,8 +87,6 @@ class StieltjesOperator:
 
 def apply(T, g, tol=1e-8):
     """Tg = integral(g dx) as a coordinate vector; g must be continuous."""
-    if g.dim is not None:
-        raise ArgumentError("g must be scalar-valued")
     if g._jump_times:
         raise ArgumentError("operator domain is C[a,b]; g has jumps")
     if g.domain != T.domain:
