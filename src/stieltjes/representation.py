@@ -15,6 +15,7 @@ measure through its cumulative y(t) = x(t) - x(a).
 """
 
 import functools
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,7 +193,9 @@ class HullMembership:
 
     ``distance`` is the larger of the LP's optimal max-abs defect and the
     defect of its coefficients, recomputed after they are scaled into the
-    l1 budget; membership holds when it is at most tol.  On membership
+    l1 budget; membership holds when it is at most tol times the power of
+    two just above the largest entry of v and the generators, the LP's unit.
+    ``distance`` and ``separation`` are in the data's units.  On membership
     ``coefficients``, of l1 norm at most 1, reproduce v within
     ``distance``; on rejection ``functional`` is an l1-normalized
     separating dual with ``separation`` = <u, v> - max_k \\|<u, w_k>\\| > 0,
@@ -208,10 +211,13 @@ class HullMembership:
 
 
 def hull_membership(v, generators, tol=1e-9):
-    """Decide v in { sum_k beta_k w_k : sum \\|beta_k\\| <= 1 } within tol.
+    """Decide v in { sum_k beta_k w_k : sum \\|beta_k\\| <= 1 } within tol,
+    relative to the size of the data.
 
     Solved as a linear program minimising the max-abs defect t subject to
-    the l1 budget, at primal and dual feasibility tolerances of 1e-10, so
+    the l1 budget, on the data divided by the power of two just above its
+    largest entry, which is exact and makes every decision scale-free.
+    Its primal and dual feasibility tolerances are 1e-10 of that unit, so
     that no defect above that passes as the solver's slack.  The
     certificates are recomputed from the solution (see
     :class:`HullMembership`), so they hold for any tol; a tol below about
@@ -239,6 +245,11 @@ def hull_membership(v, generators, tol=1e-9):
         # rows w_0, i w_0, w_1, ..., so that beta_k's parts sit side by side
         gens = np.stack([gens, 1j * gens], axis=1).reshape(-1, v.size)
     v2, g2 = v.astype(dtype).view(float), gens.astype(dtype).view(float)
+    # the LP runs on the data divided by the power of two just above its
+    # largest entry, which is exact, so that its tolerances and tol are
+    # relative
+    e = np.frexp(max(np.max(np.abs(v2)), np.max(np.abs(g2))))[1]
+    v2, g2 = np.ldexp(v2, -e), np.ldexp(g2, -e)
     k, d = g2.shape
     # variables [beta_plus (k), beta_minus (k), t]
     cost = np.zeros(2 * k + 1)
@@ -249,12 +260,17 @@ def hull_membership(v, generators, tol=1e-9):
     b_ub = np.concatenate([v2, -v2, [1.0]])
     # Imported on first use: scipy.optimize takes longer to import than a
     # typical CLI problem takes to run, and only this LP needs it.
-    from scipy.optimize import linprog
-    # HiGHS's default feasibility tolerances, 1e-7, exceed every tol in use
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub,
-                  bounds=[(0, None)] * (2 * k + 1), method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
+    from scipy.optimize import OptimizeWarning, linprog
+    # HiGHS's default feasibility tolerances, 1e-7, exceed every tol in
+    # use, and it drops matrix entries up to 1e-9, which shifts the optimum
+    # by as much; scipy passes the lowest drop level on with a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OptimizeWarning)
+        res = linprog(cost, A_ub=a_ub, b_ub=b_ub,
+                      bounds=[(0, None)] * (2 * k + 1), method="highs",
+                      options={"primal_feasibility_tolerance": 1e-10,
+                               "dual_feasibility_tolerance": 1e-10,
+                               "small_matrix_value": 1e-12})
     if not res.success:  # pragma: no cover - LP is always feasible (beta=0)
         raise ArgumentError(f"membership LP failed: {res.message}")
     # the solver meets its constraints only within those tolerances: beta
@@ -263,12 +279,13 @@ def hull_membership(v, generators, tol=1e-9):
     beta = beta / max(1.0, float(np.sum(np.abs(beta))))
     dist = max(float(res.fun),
                float(np.max(np.abs(beta @ g2 - v2), initial=0.0)))
+    distance = float(np.ldexp(dist, e))
     if dist <= tol:
-        return HullMembership(member=True, distance=dist,
+        return HullMembership(member=True, distance=distance,
                               coefficients=beta.view(dtype))
     u2 = _separating_functional(res, v2, g2, d)
-    sep = float(np.abs(u2 @ v2) - np.max(np.abs(g2 @ u2)))
-    return HullMembership(member=False, distance=dist,
+    sep = float(np.ldexp(np.abs(u2 @ v2) - np.max(np.abs(g2 @ u2)), e))
+    return HullMembership(member=False, distance=distance,
                           functional=u2.view(dtype), separation=sep)
 
 
@@ -303,7 +320,11 @@ def weakly_compact_image_check(T, sample_count=10, seed=0, tol=1e-9):
     hull of e_set(x), which holds 0: a part that is identically zero is
     counted in ``checked`` without an LP.  The set is exact for step
     integrators; for others it is sampled on one uniform grid of 9 points,
-    reported in ``resolutions``.
+    reported in ``resolutions``.  ``tol`` is relative to the size of the
+    set: :func:`hull_membership` holds each image to ``tol`` times the
+    power of two just above the largest entry of the image and the set,
+    which for an image near the hull is that of the set.
+    ``worst_distance`` is in the data's units.
     """
     if sample_count < 1:
         raise ArgumentError("sample_count must be >= 1")

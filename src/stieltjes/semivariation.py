@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ArgumentError, EnumerationLimitError
-from .functions import _variations, dual_compose
+from .functions import TaggedPartition, _variations, dual_compose
 from .spaces import polar_gauge
 
 __all__ = [
@@ -293,8 +293,9 @@ def semivariation_on_partition(x, partition, p, phase_count=16):
     Returns ``(value, coefficients)`` with one coefficient per cell.
     """
     _check_pair(x, p)
-    pts = partition.points if hasattr(partition, "points") \
-        else np.asarray(partition, dtype=float)
+    # raw points are checked as a TaggedPartition's are
+    pts = (partition if isinstance(partition, TaggedPartition)
+           else TaggedPartition.from_points(partition)).points
     if pts[0] != x.a or pts[-1] != x.b:
         raise ArgumentError("partition does not cover the function domain")
     if pts.size - 1 > MAX_ENUM_INCREMENTS:

@@ -33,7 +33,9 @@ DualVector = np.ndarray
 
 _KINDS = ("weighted-sup", "weighted-one", "quadratic", "max")
 
-# eigenvalue floor below which a quadratic form is rejected as indefinite
+# eigenvalue floor, relative to a quadratic form's largest entry, below
+# which the form is rejected as indefinite; eigenvalues up to it count as
+# zero when the kernels of a family are intersected
 _PSD_TOL = 1e-10
 
 
@@ -65,11 +67,12 @@ class Seminorm:
             q = np.asarray(self.matrix)
             if q.ndim != 2 or q.shape[0] != q.shape[1]:
                 raise ArgumentError("quadratic form requires a square matrix")
-            if not np.allclose(q, q.conj().T, atol=1e-12):
+            size = float(np.max(np.abs(q), initial=0.0))
+            if not np.allclose(q, q.conj().T, atol=1e-12 * size):
                 raise ArgumentError("quadratic form matrix must be Hermitian")
             q = 0.5 * (q + q.conj().T)
             lo = np.linalg.eigvalsh(q)[0]
-            if lo < -_PSD_TOL:
+            if lo < -_PSD_TOL * size:
                 raise ArgumentError(
                     f"quadratic form is not positive semidefinite "
                     f"(smallest eigenvalue {lo:.3e})"
@@ -136,7 +139,10 @@ class SpaceModel:
 
     ``separating`` is computed at construction: the family separates points
     iff the intersection of the seminorm kernels is trivial, which is
-    checked exactly by a stacked-matrix rank computation.
+    checked by the rank of unit rows spanning their complements: the
+    coordinates of positive weights, and the eigenvectors of a form whose
+    eigenvalues exceed 1e-10 of its largest entry.  No scale of the
+    weights or matrices moves the decision.
     """
 
     dimension: int
@@ -169,13 +175,13 @@ class SpaceModel:
     def _separating(self):
         rows = []
         for p in self._flat_seminorms():
+            # unit rows spanning the complement of the kernel
             if p.kind in ("weighted-sup", "weighted-one"):
-                active = p.weights > 0
-                rows.append(np.diag(p.weights)[active])
+                rows.append(np.eye(self.dimension)[p.weights > 0])
             else:
                 vals, vecs = np.linalg.eigh(p.matrix)
-                keep = vals > _PSD_TOL
-                rows.append((vecs[:, keep] * np.sqrt(vals[keep])).conj().T)
+                keep = vals > _PSD_TOL * np.max(np.abs(p.matrix))
+                rows.append(vecs[:, keep].conj().T)
         stacked = np.vstack([r for r in rows if r.size] or
                             [np.zeros((1, self.dimension))])
         return int(np.linalg.matrix_rank(stacked, tol=1e-12)) == self.dimension
@@ -227,19 +233,24 @@ def polar_gauge(A, xp):
     functionals bounded by 1 on A, i.e. the polar of A.
     """
     A = np.atleast_2d(np.asarray(A))
+    xp = np.asarray(xp)
     if A.size == 0:
         raise ArgumentError("A must be nonempty")
-    return float(np.max(np.abs(A.conj() @ np.asarray(xp))))
+    if xp.shape != A.shape[1:]:
+        raise ArgumentError(f"dual shape {xp.shape} does not match the "
+                            f"vectors of A, {A.shape[1:]}")
+    return float(np.max(np.abs(A.conj() @ xp)))
 
 
 def sample_dual_ball(A, count, seed=0):
     """Sample ``count`` duals from the polar ball {xp : polar_gauge(A, xp) <= 1}.
 
     The sample starts with the coordinate-aligned boundary duals
-    e_i / polar_gauge(A, e_i) (in coordinate order, where the gauge is
-    nonzero) and continues with random directions scaled to alternate
-    between the gauge-one boundary and the interior.  Deterministic for a
-    fixed seed; a count of 0 gives no duals.
+    e_i / polar_gauge(A, e_i) (in coordinate order, where the gauge
+    exceeds 1e-12 of A's largest entry) and continues with random
+    directions scaled to alternate between the gauge-one boundary and the
+    interior.  Deterministic for a fixed seed; a count of 0 gives no
+    duals.
     """
     A = np.atleast_2d(np.asarray(A))
     if A.size == 0 or not np.any(np.abs(A) > 0):
@@ -248,6 +259,8 @@ def sample_dual_ball(A, count, seed=0):
         raise ArgumentError(f"count must be nonnegative, not {count}")
     dim = A.shape[1]
     complex_field = np.iscomplexobj(A)
+    # gauges below this share of A's size are taken for zero
+    floor = 1e-12 * float(np.max(np.abs(A)))
     duals = []
     for i in range(dim):
         if len(duals) == count:
@@ -255,7 +268,7 @@ def sample_dual_ball(A, count, seed=0):
         e = np.zeros(dim, dtype=complex if complex_field else float)
         e[i] = 1.0
         g = polar_gauge(A, e)
-        if g > 1e-12:
+        if g > floor:
             duals.append(e / g)
     rng = np.random.default_rng(seed)
     boundary = True
@@ -264,7 +277,7 @@ def sample_dual_ball(A, count, seed=0):
         if complex_field:
             z = z + 1j * rng.standard_normal(dim)
         g = polar_gauge(A, z)
-        if g <= 1e-12:
+        if g <= floor:
             # direction invisible to A; any scale is feasible
             duals.append(z)
             continue

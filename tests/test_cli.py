@@ -8,6 +8,9 @@ import pytest
 
 from stieltjes.cli import emit, load_problem, main, run_task
 from stieltjes.errors import SchemaError
+from stieltjes.functions import PiecewiseFunction
+from stieltjes.semivariation import semivariation
+from stieltjes.spaces import Seminorm
 
 STEP = {
     "domain": [0.0, 1.0],
@@ -69,6 +72,22 @@ def test_run_semivariation_exact():
     assert report.payload["value"] == 3.0
     assert report.payload["exact"]
     assert report.payload["seminorm_index"] == 0
+
+
+def test_run_semivariation_max_seminorm(tmp_path):
+    parts = [{"kind": "weighted-sup", "weights": [1.0, 1.0]},
+             {"kind": "weighted-one", "weights": [1.0, 2.0]}]
+    space = {"dimension": 2, "field": "real",
+             "seminorms": [{"kind": "max", "parts": parts}]}
+    doc = problem("semivariation", {"x": STEP}, {"function": "x"},
+                  space=space)
+    report = run_task(load_problem(write_problem(tmp_path, doc)))
+    x = PiecewiseFunction.step((0.0, 1.0), [0.5], [[1.0, -2.0]], [0.0, 0.0])
+    # the jump (1, -2): 2 under the sup, 1 + 4 under the weighted one
+    parts = [semivariation(x, Seminorm.weighted_sup([1.0, 1.0])),
+             semivariation(x, Seminorm.weighted_one([1.0, 2.0]))]
+    assert report.payload["value"] == max(r.value for r in parts) == 5.0
+    assert report.payload["exact"]
 
 
 def test_run_perpartes_gap():

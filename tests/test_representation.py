@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
@@ -384,6 +384,9 @@ def complex_hull_cases(draw):
 
 @settings(max_examples=200)
 @given(complex_hull_cases())
+# HiGHS drops matrix entries up to 1e-9 by default, which rejected this
+# member at distance 1e-9 with a separation of 0
+@example(case=(np.array([1j, 1e-9j]), np.array([[1.25j, 1e-9j]])))
 def test_complex_hull_membership_certificates(case):
     # the certificates are read from the complex data only, so they hold
     # however the LP lays out its real rows and columns
@@ -418,6 +421,20 @@ def test_image_check_single_jump():
     assert report.worst_distance <= 1e-9
     assert report.checked == 40
     assert report.witness is None
+
+
+def test_image_check_reports_a_witness_on_rejection():
+    # the LP's defect on these images is rounding, far above 1e-300
+    jumps = np.random.default_rng(3).standard_normal((4, 2))
+    x = PiecewiseFunction.step((0.0, 1.0), [0.2, 0.45, 0.7, 0.9], jumps,
+                               [0.0, 0.0])
+    report = weakly_compact_image_check(StieltjesOperator(plane(), x),
+                                        sample_count=5, seed=1, tol=1e-300)
+    assert not report.ok
+    assert 0.0 < report.worst_distance <= 1e-14
+    assert report.witness["distance"] == report.worst_distance
+    assert 0 <= report.witness["sample"] < 5
+    assert 0 <= report.witness["part"] < 4
 
 
 def test_image_check_solves_no_lp_for_a_zero_part():

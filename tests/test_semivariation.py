@@ -99,6 +99,49 @@ def test_on_partition_cell_cap():
         raise AssertionError("expected refusal above 20 cells")
 
 
+def test_on_partition_checks_raw_points():
+    p = Seminorm.weighted_sup([1.0, 1.0])
+    # points that do not increase are refused as a TaggedPartition's are
+    with pytest.raises(ArgumentError, match="strictly increase"):
+        semivariation_on_partition(single_jump(), [0.0, 0.7, 0.3, 1.0], p)
+    value, _ = semivariation_on_partition(single_jump(),
+                                          [0.0, 0.3, 0.7, 1.0], p)
+    assert value == semivariation(single_jump(), p).value == 2.0
+
+
+def test_on_partition_complex_matches_a_brute_force_phase_grid():
+    rng = np.random.default_rng(21)
+    coeffs = rng.standard_normal((2, 3, 2)) \
+        + 1j * rng.standard_normal((2, 3, 2))
+    x = PiecewiseFunction(np.array([0.0, 0.4, 1.0]), coeffs)
+    p = Seminorm.weighted_one([1.0, 0.5])
+    points = np.array([0.0, 0.3, 0.55, 1.0])
+    value, alpha = semivariation_on_partition(x, points, p, phase_count=8)
+    deltas = np.diff(x.values_at(points), axis=0)
+    phases = np.exp(2j * np.pi * np.arange(8) / 8)
+    best = max(p(np.array((1.0,) + rest) @ deltas)
+               for rest in itertools.product(phases, repeat=2))
+    assert value == pytest.approx(best, rel=1e-14)
+    assert p(alpha @ deltas) == pytest.approx(value, rel=1e-14)
+    np.testing.assert_allclose(np.abs(alpha), 1.0, rtol=1e-15)
+
+
+def test_on_partition_complex_combination_cap():
+    x = PiecewiseFunction(np.array([0.0, 1.0]), [[0.0, 1.0 + 1.0j]])
+    p = Seminorm.weighted_sup([1.0])
+    # seven nonzero cells: 16^6 = 2^24 phase rows exceed the 2^20 cap
+    with pytest.raises(EnumerationLimitError, match="combination cap"):
+        semivariation_on_partition(x, np.linspace(0.0, 1.0, 8), p)
+    value, _ = semivariation_on_partition(x, np.linspace(0.0, 1.0, 6), p,
+                                          phase_count=4)
+    assert value == pytest.approx(np.sqrt(2.0), rel=1e-14)
+
+
+def test_dual_variation_bound_refuses_a_dual_of_another_dimension():
+    with pytest.raises(ArgumentError, match="dual shape"):
+        dual_variation_bound(single_jump(), np.eye(2), [np.ones(3)])
+
+
 def test_on_partition_monotone_under_refinement():
     rng = np.random.default_rng(15)
     x = PiecewiseFunction(np.array([0.0, 0.5, 1.0]),

@@ -95,6 +95,11 @@ def test_polar_gauge_examples():
     assert polar_gauge(np.array([[1.0, -2.0]]), np.array([1.0, 1.0])) == 1.0
 
 
+def test_polar_gauge_refuses_a_dual_of_another_dimension():
+    with pytest.raises(ArgumentError, match="dual shape"):
+        polar_gauge(np.eye(2), np.ones(3))
+
+
 def test_polar_gauge_is_seminorm_on_duals():
     rng = np.random.default_rng(11)
     A = rng.standard_normal((4, 3))
