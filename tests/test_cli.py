@@ -84,9 +84,9 @@ def test_run_semivariation_max_seminorm(tmp_path):
     report = run_task(load_problem(write_problem(tmp_path, doc)))
     x = PiecewiseFunction.step((0.0, 1.0), [0.5], [[1.0, -2.0]], [0.0, 0.0])
     # the jump (1, -2): 2 under the sup, 1 + 4 under the weighted one
-    parts = [semivariation(x, Seminorm.weighted_sup([1.0, 1.0])),
-             semivariation(x, Seminorm.weighted_one([1.0, 2.0]))]
-    assert report.payload["value"] == max(r.value for r in parts) == 5.0
+    reports = [semivariation(x, Seminorm.weighted_sup([1.0, 1.0])),
+               semivariation(x, Seminorm.weighted_one([1.0, 2.0]))]
+    assert report.payload["value"] == max(r.value for r in reports) == 5.0
     assert report.payload["exact"]
 
 

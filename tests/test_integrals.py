@@ -34,6 +34,21 @@ def ramp():
     return PiecewiseFunction.from_global_polynomial([0.0, 1.0], (0.0, 1.0))
 
 
+@pytest.mark.parametrize("call", [
+    lambda g, x: rs_sum_S(x, g, uniform_tagged_partition(0.0, 1.0, 4)),
+    lambda g, x: rs_sum_s(g, x, uniform_tagged_partition(0.0, 1.0, 4)),
+    lambda g, x: integrate_g_dx(g, x),
+    lambda g, x: integrate_x_dg(x, g),
+    lambda g, x: per_partes(x, g),
+    lambda g, x: exact_step_integral(g, x),
+    lambda g, x: StieltjesOperator(SpaceModel(
+        2, "real", (Seminorm.weighted_sup([1.0, 1.0]),)), x).apply(g),
+])
+def test_the_scalar_slot_refuses_a_vector(call):
+    with pytest.raises(ArgumentError, match="g must be scalar-valued"):
+        call(monotone_pair(), single_jump())
+
+
 def test_rs_sum_S_constant_integrand():
     x = PiecewiseFunction.constant([2.0, -1.0], (0.0, 1.0))
     part = uniform_tagged_partition(0.0, 1.0, 5, rule="right")

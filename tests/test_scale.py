@@ -70,21 +70,14 @@ def test_a_point_outside_a_tiny_hull_is_refused():
     assert res.separation == pytest.approx(9.9e-11, rel=1e-9)
 
 
-@pytest.mark.parametrize("k", POWERS)
-def test_image_check_of_a_step_does_not_depend_on_scale(k):
-    T = StieltjesOperator(PLANE, random_step(2.0 ** k))
-    report = weakly_compact_image_check(T, sample_count=3, seed=1)
-    assert report.ok and report.witness is None
-    assert report.worst_distance <= 1e-14 * 2.0 ** k
-
-
-@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e6, 1e9])
-def test_image_check_of_a_step_at_any_size(scale):
+@pytest.mark.parametrize("scale", [2.0 ** k for k in POWERS]
+                         + [1e-12, 1e6, 1e9])
+def test_image_check_of_a_step_does_not_depend_on_scale(scale):
     # every image of a step integrator lies in the hull exactly, so the
     # LP's defect is rounding, relative to the size of the jumps
     T = StieltjesOperator(PLANE, random_step(scale))
     report = weakly_compact_image_check(T, sample_count=5, seed=1)
-    assert report.ok
+    assert report.ok and report.witness is None
     assert report.worst_distance <= 1e-14 * scale
 
 
