@@ -245,9 +245,7 @@ def hull_membership(v, generators, tol=1e-9):
         # rows w_0, i w_0, w_1, ..., so that beta_k's parts sit side by side
         gens = np.stack([gens, 1j * gens], axis=1).reshape(-1, v.size)
     v2, g2 = v.astype(dtype).view(float), gens.astype(dtype).view(float)
-    # the LP runs on the data divided by the power of two just above its
-    # largest entry, which is exact, so that its tolerances and tol are
-    # relative
+    # exact scaling: the LP's unit is the power of two above the data
     e = np.frexp(max(np.max(np.abs(v2)), np.max(np.abs(g2))))[1]
     v2, g2 = np.ldexp(v2, -e), np.ldexp(g2, -e)
     k, d = g2.shape
