@@ -32,7 +32,8 @@ __all__ = [
 
 MAX_DEGREE = 6
 
-# tolerance for validating user-supplied right-continuity of values
+# user-supplied values at piece starts may differ from the piece constants
+# by this share of the largest of either
 _RC_TOL = 1e-9
 
 # Jumps below this share of a function's size are treated as float
@@ -40,6 +41,12 @@ _RC_TOL = 1e-9
 # polynomial pieces can disagree with their stored breakpoint values by a
 # few ulp of the magnitudes involved.
 _JUMP_RTOL = 1e-12
+
+
+def _inexact(a):
+    """``a`` as an array of floats, or of complex numbers if it holds any."""
+    a = np.asarray(a)
+    return a if np.iscomplexobj(a) else a.astype(float, copy=False)
 
 
 def _shift_poly(c, dt):
@@ -255,9 +262,7 @@ class PiecewiseFunction:
             raise ArgumentError("need at least two breakpoints")
         if not np.all(np.diff(bps) > 0):
             raise ArgumentError("breakpoints must be strictly increasing")
-        c = np.array(coeffs)
-        if not np.iscomplexobj(c):
-            c = c.astype(float, copy=False)
+        c = _inexact(np.array(coeffs))
         if c.ndim not in (2, 3) or c.shape[0] != bps.size - 1:
             raise ArgumentError(
                 "coeffs must have shape (pieces, K) or (pieces, K, dim)"
@@ -268,13 +273,12 @@ class PiecewiseFunction:
             raise ArgumentError("empty coefficient arrays")
         end = None
         if values is not None:
-            vals = np.asarray(values)
-            if not np.iscomplexobj(vals):
-                vals = vals.astype(float)
+            vals = _inexact(values)
             if vals.shape != (bps.size,) + c.shape[2:]:
                 raise ArgumentError("values shape does not match coeffs")
             gap = np.abs(vals[:-1] - c[:, 0])
-            if np.max(gap) > _RC_TOL:
+            size = max(np.max(np.abs(vals[:-1])), np.max(np.abs(c[:, 0])))
+            if np.max(gap) > _RC_TOL * size:
                 raise ArgumentError(
                     "values at piece starts violate right continuity "
                     f"(max deviation {np.max(gap):.2e})"
@@ -321,7 +325,7 @@ class PiecewiseFunction:
     def from_global_polynomial(cls, coeffs, domain):
         """Single-piece function from ascending coefficients in t itself."""
         a, b = float(domain[0]), float(domain[1])
-        local = _shift_poly(np.asarray(coeffs)[np.newaxis], [a])
+        local = _shift_poly(_inexact(coeffs)[np.newaxis], [a])
         return cls(np.array([a, b]), local)
 
     @classmethod
@@ -333,9 +337,7 @@ class PiecewiseFunction:
         """
         a, b = float(domain[0]), float(domain[1])
         times = np.asarray(times, dtype=float)
-        start = np.asarray(start)
-        if not np.iscomplexobj(start):
-            start = start.astype(float)
+        start = _inexact(start)
         jumps = np.asarray(jumps).reshape((times.size,) + start.shape)
         if times.size and (not np.all(np.diff(times) > 0)
                            or times[0] <= a or times[-1] > b):
@@ -464,14 +466,7 @@ class PiecewiseFunction:
     @cached_property
     def _derivative_sups(self):
         """Per-piece sups of \\|q'\\| and of \\|q''\\| (scalar functions)."""
-        widths = np.diff(self.breakpoints)
-        first = _polyder(self.coeffs)
-        second = np.zeros_like(first)  # zero-padded to first's length
-        second[:, :max(first.shape[1] - 1, 1)] = _polyder(first)
-        sups = _sup_abs_rows(np.concatenate([first, second]),
-                             np.concatenate([widths, widths]))
-        sups.flags.writeable = False
-        return tuple(sups.reshape(2, -1))
+        return _derivative_sups_of((self,))[0]
 
     # -- calculus ----------------------------------------------------------
 
@@ -549,12 +544,7 @@ class PiecewiseFunction:
 
     def sup_abs(self):
         """Exact sup of \\|f\\| (scalar) or max-abs over coordinates (vector)."""
-        c = self.coeffs.reshape(self.coeffs.shape[:2] + (-1,))
-        rows = c.transpose(0, 2, 1).reshape(-1, c.shape[1])  # piece-major
-        sups = _sup_abs_rows(rows, np.repeat(np.diff(self.breakpoints),
-                                             c.shape[2]))
-        end = float(np.max(np.abs(np.atleast_1d(self.values[-1]))))
-        return max(max(sups.tolist()), end)
+        return _sups_abs((self,))[0]
 
     def range_bounds(self):
         """Exact (min, max) over [a, b]; real scalar functions only."""
@@ -565,6 +555,53 @@ class PiecewiseFunction:
             [vals[np.arange(vals.shape[1]) < count[:, np.newaxis]],
              self.values[-1:]])
         return float(np.min(vals)), float(np.max(vals))
+
+
+def _row_starts(blocks):
+    """Offsets 0, n_0, n_0 + n_1, ... of consecutive blocks of rows."""
+    return np.cumsum([0] + [len(b) for b in blocks]).tolist()
+
+
+def _sups_abs(fs):
+    """:meth:`PiecewiseFunction.sup_abs` of each function of ``fs``, all
+    real or all complex with coefficient arrays of one width, from one
+    :func:`_sup_abs_rows` pass over the piece-major rows of them all.  That
+    pass acts row by row, so each value has the bits of a pass over its
+    own function's rows alone."""
+    if not fs:
+        return []
+    rows, widths = [], []
+    for f in fs:
+        c = f.coeffs.reshape(f.coeffs.shape[:2] + (-1,))
+        rows.append(c.transpose(0, 2, 1).reshape(-1, c.shape[1]))
+        widths.append(np.repeat(np.diff(f.breakpoints), c.shape[2]))
+    sups = _sup_abs_rows(np.concatenate(rows), np.concatenate(widths)).tolist()
+    starts = _row_starts(rows)
+    return [max(max(sups[lo:hi]),
+                float(np.max(np.abs(np.atleast_1d(f.values[-1])))))
+            for lo, hi, f in zip(starts, starts[1:], fs)]
+
+
+def _derivative_sups_of(fs):
+    """The ``_derivative_sups`` of each scalar function of ``fs``, all real
+    or all complex with coefficient arrays of one width.  The functions not
+    yet holding theirs get them from one :func:`_sup_abs_rows` pass over
+    all their first- and second-derivative rows, and each caches its own
+    read-only pair, with the bits of a pass over its rows alone."""
+    new = [f for f in fs if "_derivative_sups" not in vars(f)]
+    if new:
+        widths = np.concatenate([np.diff(f.breakpoints) for f in new])
+        first = _polyder(np.concatenate([f.coeffs for f in new]))
+        second = np.zeros_like(first)  # zero-padded to first's length
+        second[:, :max(first.shape[1] - 1, 1)] = _polyder(first)
+        sups = _sup_abs_rows(np.concatenate([first, second]),
+                             np.concatenate([widths, widths])).reshape(2, -1)
+        starts = _row_starts([f.coeffs for f in new])
+        for lo, hi, f in zip(starts, starts[1:], new):
+            own = sups[:, lo:hi].copy()
+            own.flags.writeable = False
+            vars(f)["_derivative_sups"] = tuple(own)
+    return [f._derivative_sups for f in fs]
 
 
 @dataclass(frozen=True, eq=False)
@@ -681,7 +718,7 @@ def _variations(fs):
     # padded extreme-value candidates add zero steps at the end of a row
     steps = (_path_lengths(c, h) if np.iscomplexobj(c) else np.abs(
         np.diff(_extreme_rows(c, h)[0], axis=1)).sum(axis=1)).tolist()
-    starts = np.cumsum([0] + [w.size for w in widths]).tolist()
+    starts = _row_starts(widths)
     return [float(sum(steps[lo:hi])
                   + sum(abs(jump) for _, jump in f.jump_points(atol=0.0)))
             for lo, hi, f in zip(starts, starts[1:], fs)]
@@ -810,6 +847,14 @@ def random_spline(domain, rng, knot_count=6, sup_bound=1.0,
     [-1, 1], rescaled by its exact sup; a complex sample combines two real
     splines.  Returns the zero function when every sampled value is zero.
     """
+    return _random_splines(domain, rng, 1, knot_count, sup_bound,
+                           complex_field)[0]
+
+
+def _random_splines(domain, rng, count, knot_count=6, sup_bound=1.0,
+                    complex_field=False):
+    """``count`` successive :func:`random_spline` samples, with its draws in
+    its order and its bits, normalised by one sup pass over them all."""
     a, b = float(domain[0]), float(domain[1])
     if knot_count < 4:
         raise ArgumentError("need at least four knots")
@@ -819,8 +864,8 @@ def random_spline(domain, rng, knot_count=6, sup_bound=1.0,
         vals = rng.uniform(-1.0, 1.0, knot_count)
         return PiecewiseFunction(knots, _natural_spline(knots, vals))
 
-    f = one()
-    if complex_field:
-        f = f + 1j * one()
-    s = f.sup_abs()
-    return f * (sup_bound / s) if s > 0 else f
+    # g_1 real, g_1 imaginary, g_2 real, ...: the left operand draws first
+    fs = [one() + 1j * one() if complex_field else one()
+          for _ in range(count)]
+    return [f * (sup_bound / s) if s > 0 else f
+            for f, s in zip(fs, _sups_abs(fs))]

@@ -62,7 +62,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, ExistenceError
-from .functions import PiecewiseFunction, _interleave, _polyder
+from .functions import (PiecewiseFunction, _derivative_sups_of, _interleave,
+                        _polyder)
 from .spaces import Seminorm
 
 __all__ = [
@@ -189,7 +190,9 @@ class _Columns:
     one vector function, one row per coordinate; ``len`` counts the
     functions.  Values come out as C-ordered (rows, points) arrays, each
     row with the bits of :meth:`PiecewiseFunction._values_in` on its
-    function or coordinate."""
+    function or coordinate.  Derived data is computed once per stack: the
+    derivative sups of the scalar functions not yet holding theirs come
+    from one pass over all their rows, and each function caches its own."""
 
     def __init__(self, mus):
         self.mus = tuple(mus)
@@ -222,6 +225,8 @@ class _Columns:
     def envelopes(self, seminorms):
         """The integrators' envelope rows, (rows, pieces): one per scalar
         integrator, or one per seminorm for a vector one."""
+        if self.dim is None:
+            _derivative_sups_of(self.mus)
         return tuple(np.concatenate(e) for e in
                      zip(*(_envelopes(mu, seminorms) for mu in self.mus)))
 

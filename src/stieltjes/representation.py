@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, EnumerationLimitError
-from .functions import (PiecewiseFunction, _horner, _shift_poly,
-                        _split_rows, dual_compose, random_spline)
+from .functions import (PiecewiseFunction, _horner, _random_splines,
+                        _shift_poly, _split_rows, dual_compose)
 from .integrals import _drive_columns, integrate_g_dx
 from .semivariation import e_set, wcs_check
 from .spaces import Seminorm, SpaceModel, pair, sample_dual_ball
@@ -246,7 +246,7 @@ def hull_membership(v, generators, tol=1e-9):
         gens = np.stack([gens, 1j * gens], axis=1).reshape(-1, v.size)
     v2, g2 = v.astype(dtype).view(float), gens.astype(dtype).view(float)
     # exact scaling: the LP's unit is the power of two above the data
-    e = np.frexp(max(np.max(np.abs(v2)), np.max(np.abs(g2))))[1]
+    e = _unit_exponent(v2, g2)
     v2, g2 = np.ldexp(v2, -e), np.ldexp(g2, -e)
     k, d = g2.shape
     # variables [beta_plus (k), beta_minus (k), t]
@@ -287,6 +287,12 @@ def hull_membership(v, generators, tol=1e-9):
                           functional=u2.view(dtype), separation=sep)
 
 
+def _unit_exponent(*arrays):
+    """The exponent e of 2^e, the power of two just above the largest entry
+    of the real ``arrays``: the hull LP's unit."""
+    return np.frexp(max(np.max(np.abs(a)) for a in arrays))[1]
+
+
 def _separating_functional(res, v, gens, d):
     marg = res.ineqlin.marginals
     u = marg[d:2 * d] - marg[:d]
@@ -321,25 +327,26 @@ def weakly_compact_image_check(T, sample_count=10, seed=0, tol=1e-9):
     reported in ``resolutions``.  ``tol`` is relative to the size of the
     set: :func:`hull_membership` holds each image to ``tol`` times the
     power of two just above the largest entry of the image and the set,
-    which for an image near the hull is that of the set.
-    ``worst_distance`` is in the data's units.
+    which for an image near the hull is that of the set, and T is applied
+    at ``tol / 10`` in the set's unit.  ``worst_distance`` is in the data's
+    units.
     """
     if sample_count < 1:
         raise ArgumentError("sample_count must be >= 1")
     x = T.integrator
-    complex_field = T.space.field == "complex"
+    gens = e_set(x, _IMAGE_RESOLUTION)
+    gens = gens.reshape(gens.shape[0], -1)
+    drive_tol = np.ldexp(tol * 0.1, _unit_exponent(gens.real, gens.imag))
     rng = np.random.default_rng(seed)
-    gs = [random_spline(x.domain, rng, complex_field=complex_field)
-          for _ in range(sample_count)]
+    gs = _random_splines(x.domain, rng, sample_count,
+                         complex_field=T.space.field == "complex")
     # a part that is identically zero has the image 0, which every
     # absolutely convex hull holds
-    images = [(i, part_idx, apply(T, part, tol=tol * 0.1))
+    images = [(i, part_idx, apply(T, part, tol=drive_tol))
               for i, g in enumerate(gs)
               for part_idx, part in enumerate(decompose(g))
               if part.sup_abs() > 0.0]
 
-    gens = e_set(x, _IMAGE_RESOLUTION)
-    gens = gens.reshape(gens.shape[0], -1)
     ok, worst, witness = True, 0.0, None
     for i, part_idx, v in images:
         hm = hull_membership(v, gens, tol=tol)
@@ -465,12 +472,14 @@ def roundtrip(x, probe_count=20, tol=1e-8, dual_count=20, function_count=20,
 
     rng = np.random.default_rng(seed)
     duals = sample_dual_ball(np.eye(x.dim), dual_count, seed=seed)
-    gs = [random_spline(x.domain, rng, complex_field=(field == "complex"))
-          for _ in range(function_count)]
-    # each composed integrator is built once, so its cached jump times and
-    # derivative sups serve every g; the g share random_spline's knots, so
-    # one stacked drive of every g against every dual gives each pair the
-    # bits of its own integrate_g_dx(g, yd, tol=tol)
+    gs = _random_splines(x.domain, rng, function_count,
+                         complex_field=(field == "complex"))
+    # derived data is computed once per stack: the g are normalised by one
+    # sup pass, and each stack's derivative sups come from one pass too,
+    # cached on each g and each composed integrator for every drive that
+    # follows; the g share their knots, so one stacked drive of every g
+    # against every dual gives each pair the bits of its own
+    # integrate_g_dx(g, yd, tol=tol)
     composed = [dual_compose(y, np.asarray(d)) for d in duals]
     drives = _drive_columns(gs, composed, tol)
     pairing_gap, worst = 0.0, None

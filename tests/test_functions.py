@@ -60,6 +60,21 @@ def test_global_polynomial_evaluation():
     assert h(2.5) == 2.5
 
 
+@pytest.mark.parametrize("coeffs", [[0, 1], [3, -2, 1], [0, 1j], [2, 1 + 1j]])
+def test_global_polynomial_of_integer_coefficients(coeffs):
+    # integers are cast once, as by the constructor; complex stays complex
+    exact = [complex(c) if isinstance(c, complex) else float(c)
+             for c in coeffs]
+    for domain in ((0, 1), (2.0, 3.0)):
+        g = PiecewiseFunction.from_global_polynomial(coeffs, domain)
+        h = PiecewiseFunction.from_global_polynomial(exact, domain)
+        assert g.coeffs.dtype == h.coeffs.dtype
+        assert g.coeffs.dtype == (complex if any(isinstance(c, complex)
+                                                 for c in coeffs) else float)
+        np.testing.assert_array_equal(g.coeffs, h.coeffs)
+        np.testing.assert_array_equal(g.values, h.values)
+
+
 def test_one_sided_limits():
     x = single_jump()
     left, right = x.one_sided_limits(0.5)

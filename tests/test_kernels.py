@@ -19,14 +19,15 @@ from scipy.spatial import cKDTree
 
 from stieltjes import functions
 from stieltjes.functions import (PiecewiseFunction, TaggedPartition,
-                                 _extreme_rows, _horner,
-                                 _natural_spline, _root_rows, _shift_poly,
-                                 _split_rows, _sup_abs_rows, _variations,
-                                 bisect, definite_integral, dual_compose,
+                                 _derivative_sups_of, _extreme_rows, _horner,
+                                 _natural_spline, _random_splines, _root_rows,
+                                 _shift_poly, _split_rows, _sup_abs_rows,
+                                 _sups_abs, _variations, bisect,
+                                 definite_integral, dual_compose,
                                  product_integral, random_spline,
                                  scalar_variation)
 from stieltjes.integrals import (_bisected_cells, _cells, _Columns,
-                                 _envelopes, rs_sum_S, rs_sum_s)
+                                 _envelopes, _max_abs, rs_sum_S, rs_sum_s)
 from stieltjes.semivariation import (_CHUNK, _aligning, _dedupe,
                                      _digit_chunks, e_set)
 from stieltjes.spaces import Seminorm
@@ -636,6 +637,25 @@ def test_random_spline_matches_the_scipy_construction(seed, knots, a, width,
         assert same_bits(getattr(got, name), getattr(expected, name))
 
 
+@settings(max_examples=100)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 5),
+       st.sampled_from([4, 6, 9, 13]), st.sampled_from([1.0, 0.25, 3.0]),
+       st.booleans())
+def test_batched_splines_match_successive_calls(seed, count, knots, bound,
+                                                complex_field):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _random_splines((0.0, 2.0), rng, count, knots, bound,
+                          complex_field)
+    expected = [random_spline((0.0, 2.0), ref, knots, bound, complex_field)
+                for _ in range(count)]
+    assert len(got) == count
+    for f, g in zip(got, expected):
+        for name in ("breakpoints", "coeffs", "values"):
+            assert same_bits(getattr(f, name), getattr(g, name))
+    # the generators drew alike: count = 0 draws nothing
+    assert rng.uniform() == ref.uniform()
+
+
 # -- the batched extreme-value kernel against the per-piece code it replaced --
 #
 # poly_roots, split_points, poly_extreme_values, poly_sup_abs and
@@ -856,6 +876,58 @@ def test_function_extremes_match_per_piece_loops(f):
     assert same_bits(scalar_variation(f), variation_per_piece(f))
     if not np.iscomplexobj(f.coeffs):
         assert same_bits(f.range_bounds(), range_bounds_per_piece(f))
+
+
+@st.composite
+def function_stacks(draw, dims=(None,)):
+    """Functions on one grid with one coefficient layout, all real or all
+    complex, some with constant or zero pieces."""
+    m, k = draw(st.integers(1, 5)), draw(st.integers(1, 7))
+    dim = draw(st.sampled_from(dims))
+    complex_field = draw(st.booleans())
+    shape = (m, k) if dim is None else (m, k, dim)
+    widths = draw(hnp.arrays(float, (m,),
+                             elements=st.floats(0.01, 2.0, allow_nan=False)))
+    bps = np.concatenate([[0.0], np.cumsum(widths)])
+    stack = []
+    for _ in range(draw(st.integers(1, 6))):
+        c = draw(hnp.arrays(float, shape, elements=FINITE))
+        if complex_field:
+            c = c + 1j * draw(hnp.arrays(float, shape, elements=FINITE))
+        c[draw(hnp.arrays(bool, (m,))), 1:] = 0.0  # constant pieces
+        c[draw(hnp.arrays(bool, (m,)))] = 0.0  # zero pieces
+        stack.append(PiecewiseFunction(bps, c))
+    return stack
+
+
+@settings(max_examples=150)
+@given(function_stacks(dims=(None, 1, 3)))
+def test_stacked_sups_match_one_function_at_a_time(fs):
+    assert all(same_bits(got, sup_abs_per_piece(f))
+               for got, f in zip(_sups_abs(fs), fs, strict=True))
+    assert _sups_abs([]) == []
+
+
+@settings(max_examples=150)
+@given(function_stacks(), st.booleans())
+def test_stacked_derivative_sups_match_one_function_at_a_time(fs, cached):
+    held = fs[0]._derivative_sups if cached else None
+    envs = _Columns(fs).envelopes(_max_abs(1))
+    if cached:
+        assert fs[0]._derivative_sups is held
+    for f in fs:
+        assert "_derivative_sups" in vars(f)
+        assert all(same_bits(a, b) and not a.flags.writeable
+                   for a, b in zip(f._derivative_sups,
+                                   derivative_sups_per_piece(f), strict=True))
+        # each function holds its own arrays
+        assert not any(np.shares_memory(a, b) for g in fs if g is not f
+                       for a in f._derivative_sups
+                       for b in g._derivative_sups)
+    for env, sups in zip(envs, zip(*(f._derivative_sups for f in fs))):
+        assert same_bits(env, np.stack(sups))
+    assert all(a is b for f, sups in zip(fs, _derivative_sups_of(fs))
+               for a, b in zip(f._derivative_sups, sups))
 
 
 @settings(max_examples=100)

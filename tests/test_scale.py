@@ -6,13 +6,15 @@ subnormal numbers.  So multiplying the data by 2^k, k in [-40, 40], must
 leave each decision unchanged, and each reported size must scale by 2^k:
 hull membership, the image check, the sampled duals, the validity checks
 of a quadratic form, the separation flag of a family and the
-semivariation of a step.  The explicit cases at 1e-13 to 1e12 are the
-scales at which absolute thresholds decided wrongly.
+semivariation of a step, the image check of a polynomial integrator and
+the right-continuity check of user values.  The explicit cases at 1e-13
+to 1e13 are the scales at which absolute thresholds decided wrongly.
 """
 
 import numpy as np
 import pytest
 
+from stieltjes import representation
 from stieltjes.errors import ArgumentError
 from stieltjes.functions import PiecewiseFunction
 from stieltjes.representation import (StieltjesOperator, hull_membership,
@@ -79,6 +81,64 @@ def test_image_check_of_a_step_does_not_depend_on_scale(scale):
     report = weakly_compact_image_check(T, sample_count=5, seed=1)
     assert report.ok and report.witness is None
     assert report.worst_distance <= 1e-14 * scale
+
+
+def polynomial_image_check(k, seed, monkeypatch):
+    """The image check of x = 2^k (t, t^2), and the images of T it made."""
+    images = []
+
+    def recording_apply(T, g, tol):
+        images.append(apply(T, g, tol))
+        return images[-1]
+
+    apply = representation.apply
+    monkeypatch.setattr(representation, "apply", recording_apply)
+    x = PiecewiseFunction.from_global_polynomial(
+        np.ldexp([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], k), (0.0, 1.0))
+    report = weakly_compact_image_check(StieltjesOperator(PLANE, x),
+                                        sample_count=2, seed=seed)
+    monkeypatch.undo()
+    return report, images
+
+
+@pytest.mark.parametrize("k", [-30, -10, 10, 30])
+@pytest.mark.parametrize("seed", [3, 4])
+def test_image_check_of_a_polynomial_does_not_depend_on_scale(seed, k,
+                                                              monkeypatch):
+    # T is applied at a tol relative to the increment sums, so every drive
+    # stops at the same level with 2^k times the value
+    base, base_images = polynomial_image_check(0, seed, monkeypatch)
+    report, images = polynomial_image_check(k, seed, monkeypatch)
+    assert report.ok == base.ok
+    assert report.worst_distance == np.ldexp(base.worst_distance, k)
+    assert len(images) == len(base_images) > 0
+    for v, w in zip(images, base_images):
+        np.testing.assert_array_equal(v, np.ldexp(w, k))
+
+
+@pytest.mark.parametrize("scale", [2.0 ** k for k in POWERS] + [1e13])
+def test_right_continuity_accepts_a_one_ulp_disagreement(scale):
+    level = 1.5 * scale
+    nudged = np.nextafter(level, np.inf)
+    f = PiecewiseFunction([0.0, 0.5, 1.0], [[level], [level]],
+                          [level, nudged, -level])
+    assert f.values[1] == level
+
+
+def test_right_continuity_accepts_zero_data():
+    f = PiecewiseFunction([0.0, 0.5, 1.0], [[0.0], [0.0]], [0.0, -0.0, 1.0])
+    assert f.values[-1] == 1.0
+
+
+@pytest.mark.parametrize("scale", [2.0 ** k for k in POWERS] + [1e-12])
+@pytest.mark.parametrize("share", [1e-6, 50.0])
+def test_right_continuity_refuses_a_disagreement_at_any_scale(scale, share):
+    # at scale 1e-12 and share 50: a value of 1e-10 against a piece
+    # constant of 2e-12
+    level = 2.0 * scale
+    with pytest.raises(ArgumentError, match="right continuity"):
+        PiecewiseFunction([0.0, 0.5, 1.0], [[level], [level]],
+                          [level, level * (1.0 + share), level])
 
 
 @pytest.mark.parametrize("k", POWERS)
