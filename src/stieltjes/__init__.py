@@ -3,9 +3,9 @@ and the operator/measure correspondences they support."""
 
 from .errors import (ArgumentError, EnumerationLimitError, ExistenceError,
                      SchemaError, StieltjesError)
-from .functions import (PiecewiseFunction, TaggedPartition, definite_integral,
-                        dual_compose, product_integral, random_spline, refine,
-                        scalar_variation, uniform_tagged_partition)
+from .functions import (PiecewiseFunction, TaggedPartition, dual_compose,
+                        product_integral, random_spline, scalar_variation,
+                        uniform_tagged_partition)
 from .integrals import (IntegralResult, LevelRecord, PerPartesResult,
                         exact_step_integral, integrate_g_dx, integrate_x_dg,
                         per_partes, rs_sum_S, rs_sum_s)
@@ -19,17 +19,17 @@ from .representation import (AbelIdentityResult, HullMembership,
 from .semivariation import (SemivariationReport, dual_variation_bound, e_set,
                             semivariation, semivariation_on_partition,
                             wcs_check)
-from .spaces import (DualVector, Seminorm, SpaceModel, eval_seminorm, pair,
-                     polar_gauge, sample_dual_ball)
+from .spaces import (Seminorm, SpaceModel, pair, polar_gauge,
+                     sample_dual_ball)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArgumentError", "EnumerationLimitError", "ExistenceError",
     "SchemaError", "StieltjesError",
-    "PiecewiseFunction", "TaggedPartition", "definite_integral",
-    "dual_compose", "product_integral", "random_spline", "refine",
-    "scalar_variation", "uniform_tagged_partition",
+    "PiecewiseFunction", "TaggedPartition", "dual_compose",
+    "product_integral", "random_spline", "scalar_variation",
+    "uniform_tagged_partition",
     "IntegralResult", "LevelRecord", "PerPartesResult",
     "exact_step_integral", "integrate_g_dx", "integrate_x_dg",
     "per_partes", "rs_sum_S", "rs_sum_s",
@@ -40,6 +40,5 @@ __all__ = [
     "roundtrip", "weakly_compact_image_check",
     "SemivariationReport", "dual_variation_bound", "e_set", "semivariation",
     "semivariation_on_partition", "wcs_check",
-    "DualVector", "Seminorm", "SpaceModel", "eval_seminorm", "pair",
-    "polar_gauge", "sample_dual_ball",
+    "Seminorm", "SpaceModel", "pair", "polar_gauge", "sample_dual_ball",
 ]

@@ -22,10 +22,8 @@ __all__ = [
     "PiecewiseFunction",
     "TaggedPartition",
     "uniform_tagged_partition",
-    "refine",
     "scalar_variation",
     "dual_compose",
-    "definite_integral",
     "product_integral",
     "random_spline",
 ]
@@ -36,10 +34,11 @@ MAX_DEGREE = 6
 # by this share of the largest of either
 _RC_TOL = 1e-9
 
-# Jumps below this share of a function's size are treated as float
-# evaluation noise, not as genuine discontinuities; scaled or summed
-# polynomial pieces can disagree with their stored breakpoint values by a
-# few ulp of the magnitudes involved.
+# Jumps below this share of a function's size, the larger of 1 and
+# max_i sum_k |c_ik| h_i^k (which bounds each piece and each of its Horner
+# terms), are float evaluation noise, not genuine discontinuities: scaled
+# or summed polynomial pieces can disagree with their stored breakpoint
+# values by a few ulp of the magnitudes involved.
 _JUMP_RTOL = 1e-12
 
 
@@ -379,9 +378,6 @@ class PiecewiseFunction:
     def is_step(self):
         return self.coeffs.shape[1] == 1 or not np.any(self.coeffs[:, 1:])
 
-    def is_continuous(self, atol=1e-12):
-        return not self.jump_points(atol)
-
     def _check_domain(self, ts):
         ts = np.asarray(ts, dtype=float)
         if ts.size and (ts.min() < self.a or ts.max() > self.b):
@@ -419,21 +415,12 @@ class PiecewiseFunction:
 
     __call__ = evaluate
 
-    def one_sided_limits(self, t):
-        """(left, right) limits at t; None for the missing side at a or b."""
-        t = float(t)
-        self._check_domain(np.array([t]))
-        left = right = None
-        if t > self.a:
-            j = np.searchsorted(self.breakpoints, t, side="left") - 1
-            left = npoly.polyval(t - self.breakpoints[j], self.coeffs[j])
-        if t < self.b:
-            i = self._piece_at(t)
-            right = npoly.polyval(t - self.breakpoints[i], self.coeffs[i])
-        return left, right
-
-    def jump_points(self, atol=1e-12):
-        """Ascending list of (t, jump) pairs where the jump exceeds atol."""
+    def jump_points(self, atol=None):
+        """Ascending list of (t, jump) pairs where the jump exceeds atol,
+        by default the function's noise floor (see ``_JUMP_RTOL``)."""
+        if atol is None:
+            bound = _horner(np.abs(self.coeffs), np.diff(self.breakpoints))
+            atol = _JUMP_RTOL * max(1.0, float(np.max(bound)))
         jumps = self._jumps
         size = np.max(np.abs(jumps.reshape(self.piece_count, -1)), axis=1)
         return [(float(t), jump) for t, jump, s
@@ -450,12 +437,8 @@ class PiecewiseFunction:
 
     @cached_property
     def _jump_times(self):
-        """Times of the jumps above the function's noise floor.  The floor
-        scales with max_i sum_k \\|c_ik\\| h_i^k, which bounds each piece and
-        each of its Horner terms."""
-        size = _horner(np.abs(self.coeffs), np.diff(self.breakpoints))
-        atol = _JUMP_RTOL * max(1.0, float(np.max(size)))
-        return tuple(t for t, _ in self.jump_points(atol=atol))
+        """Times of the jumps above the function's noise floor."""
+        return tuple(t for t, _ in self.jump_points())
 
     @cached_property
     def _envelope_cache(self):
@@ -606,11 +589,12 @@ def _derivative_sups_of(fs):
 
 @dataclass(frozen=True, eq=False)
 class TaggedPartition:
-    """Partition a = t_0 < ... < t_n = b with one tag s_i in [t_{i-1}, t_i]."""
+    """Partition a = t_0 < ... < t_n = b with one tag s_i in [t_{i-1}, t_i],
+    given explicitly or by :meth:`from_points`'s rule (midpoint, left or
+    right end of each cell)."""
 
     points: np.ndarray
     tags: np.ndarray
-    rule: str | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -626,37 +610,10 @@ class TaggedPartition:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "tags", tgs)
 
-    @property
-    def mesh(self):
-        return float(np.max(np.diff(self.points)))
-
-    @property
-    def cell_count(self):
-        return self.points.size - 1
-
     @classmethod
     def from_points(cls, points, rule="midpoint"):
         points = np.asarray(points, dtype=float)
-        tags = _tags_by_rule(points, rule)
-        return cls(points, tags, rule)
-
-    def refine(self):
-        """Bisect every cell; tag rule (or custom tag placement) is kept."""
-        new = bisect(self.points)
-        if self.rule is not None:
-            return TaggedPartition.from_points(new, self.rule)
-        # custom tags: each old tag stays in the child cell containing it,
-        # the sibling cell is tagged at its midpoint
-        tags = _tags_by_rule(new, "midpoint")
-        for i, s in enumerate(self.tags):
-            child = 2 * i if s <= new[2 * i + 1] else 2 * i + 1
-            tags[child] = s
-        return TaggedPartition(new, tags, None)
-
-
-def bisect(points):
-    """Points with each cell's midpoint inserted: t_0, m_1, t_1, ..., t_n."""
-    return _interleave(points, 0.5 * (points[:-1] + points[1:]))
+        return cls(points, _tags_by_rule(points, rule))
 
 
 def _interleave(a, b, axis=0):
@@ -688,11 +645,6 @@ def uniform_tagged_partition(a, b, n, rule="midpoint"):
     if not b > a:
         raise ArgumentError("empty interval")
     return TaggedPartition.from_points(np.linspace(a, b, n + 1), rule)
-
-
-def refine(partition):
-    """Bisection refinement; see :meth:`TaggedPartition.refine`."""
-    return partition.refine()
 
 
 def scalar_variation(f):
@@ -771,12 +723,6 @@ def dual_compose(x, dual):
     coeffs = np.tensordot(x.coeffs, dual.conj(), axes=([2], [0]))
     values = x.values @ dual.conj()
     return PiecewiseFunction._trusted(x.breakpoints, coeffs, values[-1:])
-
-
-def definite_integral(f):
-    """Exact Riemann integral of f over its domain (jumps are null sets)."""
-    anti = npoly.polyint(f.coeffs, axis=1)
-    return sum(_horner(anti, np.diff(f.breakpoints)), 0.0)
 
 
 def product_integral(f, g):

@@ -340,12 +340,12 @@ def weakly_compact_image_check(T, sample_count=10, seed=0, tol=1e-9):
     rng = np.random.default_rng(seed)
     gs = _random_splines(x.domain, rng, sample_count,
                          complex_field=T.space.field == "complex")
-    # a part that is identically zero has the image 0, which every
-    # absolutely convex hull holds
+    # a part is identically zero exactly when its arrays are; its image 0
+    # lies in every absolutely convex hull
     images = [(i, part_idx, apply(T, part, tol=drive_tol))
               for i, g in enumerate(gs)
               for part_idx, part in enumerate(decompose(g))
-              if part.sup_abs() > 0.0]
+              if np.any(part.coeffs) or np.any(part.values)]
 
     ok, worst, witness = True, 0.0, None
     for i, part_idx, v in images:

@@ -7,8 +7,8 @@ Three concrete seminorm kinds are supported,
 * ``weighted-one``:   p(v) = sum_i w_i |v_i|,   w_i >= 0,
 * ``quadratic``:      p(v) = sqrt(v^H Q v),     Q Hermitian PSD,
 
-plus the composite ``max`` kind used to close a family under pairwise
-maxima.  Dual vectors are plain coordinate arrays; the pairing is the
+plus the composite ``max`` kind, the pointwise maximum of several of
+them.  Dual vectors are plain coordinate arrays; the pairing is the
 standard (conjugate-linear in the dual) inner product.
 """
 
@@ -21,15 +21,10 @@ from .errors import ArgumentError
 __all__ = [
     "Seminorm",
     "SpaceModel",
-    "DualVector",
-    "eval_seminorm",
     "pair",
     "polar_gauge",
     "sample_dual_ball",
 ]
-
-# A dual vector is just a coordinate array of the space dimension.
-DualVector = np.ndarray
 
 _KINDS = ("weighted-sup", "weighted-one", "quadratic", "max")
 
@@ -192,28 +187,6 @@ class SpaceModel:
                 yield from p.parts
             else:
                 yield p
-
-    def directed_closure(self):
-        """Return a model whose family is closed under pairwise maxima.
-
-        The closure of a family of size k consists of the maxima over all
-        nonempty subsets; families with more than 10 members are rejected
-        to keep the closure size bounded.
-        """
-        base = list(self.seminorms)
-        if len(base) > 10:
-            raise ArgumentError("closure of more than 10 seminorms refused")
-        closed = list(base)
-        for mask in range(1, 1 << len(base)):
-            members = [base[i] for i in range(len(base)) if mask >> i & 1]
-            if len(members) >= 2:
-                closed.append(Seminorm.max_of(*members))
-        return SpaceModel(self.dimension, self.field, tuple(closed))
-
-
-def eval_seminorm(p, v):
-    """Value of the seminorm ``p`` at the coordinate vector ``v``."""
-    return p(v)
 
 
 def pair(xp, v):

@@ -1,8 +1,9 @@
 """Static checks of the package source: every import is used, every
 private name, at module level or in a class body, is used somewhere in the
-package, and the slow optional imports happen inside functions.  One
-runtime check joins them: every array a function holds or caches is
-read-only, on copies too.
+package, and the slow optional imports happen inside functions.  Two
+runtime checks join them: the package exports exactly the names its
+modules export, each of which resolves, and every array a function holds
+or caches is read-only, on copies too.
 
 They catch what a deletion leaves behind, such as a constant or a method
 whose only reader went away.  Names listed in a module's ``__all__`` count
@@ -14,12 +15,14 @@ be changed under the function that computed it, or under its copies.
 
 import ast
 import copy
+import importlib
 import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stieltjes
 from stieltjes.functions import PiecewiseFunction, random_spline
 from stieltjes.integrals import _envelopes
 from stieltjes.spaces import Seminorm
@@ -175,6 +178,24 @@ def test_the_checks_see_a_leftover():
                      "from . import scipy_free\nimport scipyx\n")
     assert eager_imports(tree) == [(1, "scipy.optimize"), (2, "jsonschema"),
                                    (4, "scipy"), (8, "jsonschema")]
+
+
+def test_the_package_exports_what_its_modules_export():
+    # a name deleted from a module but left in the package's list, or the
+    # reverse, fails here; the package's name semivariation is the function
+    modules = tuple(importlib.import_module(f"stieltjes.{name}") for name in
+                    ("functions", "integrals", "representation",
+                     "semivariation", "spaces"))
+    errors = importlib.import_module("stieltjes.errors")
+    error_classes = {name for name, obj in vars(errors).items()
+                     if isinstance(obj, type)
+                     and issubclass(obj, errors.StieltjesError)}
+    assert len(set(stieltjes.__all__)) == len(stieltjes.__all__)
+    assert set(stieltjes.__all__) == error_classes.union(
+        *(m.__all__ for m in modules))
+    for module in (stieltjes,) + modules:
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
 def held_arrays(tree):

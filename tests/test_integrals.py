@@ -8,7 +8,7 @@ from numpy.polynomial import polynomial as npoly
 
 from stieltjes.errors import ArgumentError, ExistenceError
 from stieltjes.functions import (PiecewiseFunction, TaggedPartition, _horner,
-                                 bisect, dual_compose, product_integral,
+                                 _interleave, dual_compose, product_integral,
                                  random_spline, uniform_tagged_partition)
 from stieltjes.integrals import (_INITIAL_UNIFORM_CELLS, _Columns,
                                  _drive, _drive_columns, _envelopes,
@@ -487,7 +487,7 @@ def drive_reference(f, mu, seminorms, tol, max_levels):
                 break
         prev = value
         if level < max_levels - 1:
-            points = bisect(points)
+            points = _interleave(points, 0.5 * (points[:-1] + points[1:]))
     return value, est, len(records), converged, records
 
 

@@ -22,8 +22,7 @@ from stieltjes.functions import (PiecewiseFunction, TaggedPartition,
                                  _derivative_sups_of, _extreme_rows, _horner,
                                  _natural_spline, _random_splines, _root_rows,
                                  _shift_poly, _split_rows, _sup_abs_rows,
-                                 _sups_abs, _variations, bisect,
-                                 definite_integral, dual_compose,
+                                 _sups_abs, _variations, dual_compose,
                                  product_integral, random_spline,
                                  scalar_variation)
 from stieltjes.integrals import (_bisected_cells, _cells, _Columns,
@@ -137,7 +136,8 @@ def test_jump_points_matches_one_sided_limits(f, atol):
     expected = []
     for i in range(1, f.breakpoints.size):
         t = f.breakpoints[i]
-        left, _ = f.one_sided_limits(t)
+        # the left limit at t, from the piece that ends there
+        left = npoly.polyval(t - f.breakpoints[i - 1], f.coeffs[i - 1])
         jump = f.values[i] - left
         if np.max(np.abs(np.atleast_1d(jump))) > atol:
             expected.append((float(t), jump))
@@ -150,7 +150,7 @@ def test_jump_points_matches_one_sided_limits(f, atol):
 @given(hnp.arrays(float, st.integers(2, 30), elements=FINITE, unique=True))
 def test_bisect_interleaves_points_and_midpoints(raw):
     pts = np.sort(raw)
-    out = bisect(pts)
+    out = functions._interleave(pts, 0.5 * (pts[:-1] + pts[1:]))
     assert out.size == 2 * pts.size - 1
     assert np.array_equal(out[0::2], pts)
     assert np.array_equal(out[1::2], 0.5 * (pts[:-1] + pts[1:]))
@@ -193,17 +193,6 @@ def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape \
         and a.tobytes() == b.tobytes()
-
-
-@settings(max_examples=150)
-@given(piecewise())
-def test_definite_integral_matches_per_piece_polyval(f):
-    widths = np.diff(f.breakpoints)
-    anti = npoly.polyint(f.coeffs, axis=1)
-    expected = 0.0
-    for i in range(f.piece_count):
-        expected = expected + npoly.polyval(widths[i], anti[i])
-    assert same_bits(definite_integral(f), expected)
 
 
 def envelopes_per_piece(func, seminorms):
@@ -367,7 +356,7 @@ def test_inherited_cells_match_a_fresh_lookup(f, data, k):
             if not (np.all(bps[:-1] < mids) and np.all(mids < bps[1:])):
                 break
             cells = _bisected_cells(integrator, cells, mids)
-            bps = bisect(bps)
+            bps = functions._interleave(bps, mids)
             m *= 2
         expected = _cells(f, integrator, bps, jump_ts, envs)
         assert len(bps) - 1 == m * len(cells[0])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from stieltjes.errors import ArgumentError, EnumerationLimitError
-from stieltjes import representation
+from stieltjes import functions, representation
 from stieltjes.functions import (PiecewiseFunction, _horner, _shift_poly,
                                  _split_rows, dual_compose, random_spline)
 from stieltjes.integrals import integrate_g_dx
@@ -449,6 +449,24 @@ def test_image_check_solves_no_lp_for_a_zero_part():
     assert hull.call_count == nonzero <= 10
     assert report.ok and report.checked == 20
     assert report.worst_distance == 0.0
+
+
+def test_image_check_takes_no_sup_pass_to_find_a_zero_part():
+    # one sup pass normalises the samples, one per sample bounds its sup
+    # in decompose and one per applied part gives its derivative sups; a
+    # part is zero exactly when its arrays are, which needs no pass
+    jumps = np.random.default_rng(3).standard_normal((4, 2))
+    x = PiecewiseFunction.step((0.0, 1.0), [0.2, 0.45, 0.7, 0.9], jumps,
+                               [0.0, 0.0])
+    with mock.patch.object(functions, "_sup_abs_rows",
+                           wraps=functions._sup_abs_rows) as sups, \
+            mock.patch.object(representation, "hull_membership",
+                              wraps=hull_membership) as hull:
+        report = weakly_compact_image_check(StieltjesOperator(plane(), x),
+                                            sample_count=10, seed=0)
+    assert report.ok and report.checked == 40
+    assert hull.call_count == 20
+    assert sups.call_count == 1 + 10 + hull.call_count
 
 
 def test_image_check_constant_integrator():

@@ -6,8 +6,8 @@ subnormal numbers.  So multiplying the data by 2^k, k in [-40, 40], must
 leave each decision unchanged, and each reported size must scale by 2^k:
 hull membership, the image check, the sampled duals, the validity checks
 of a quadratic form, the separation flag of a family and the
-semivariation of a step, the image check of a polynomial integrator and
-the right-continuity check of user values.  The explicit cases at 1e-13
+semivariation of a step, the image check of a polynomial integrator, the
+right-continuity check of user values and the jump list of a spline.  The explicit cases at 1e-13
 to 1e13 are the scales at which absolute thresholds decided wrongly.
 """
 
@@ -16,7 +16,7 @@ import pytest
 
 from stieltjes import representation
 from stieltjes.errors import ArgumentError
-from stieltjes.functions import PiecewiseFunction
+from stieltjes.functions import PiecewiseFunction, random_spline
 from stieltjes.representation import (StieltjesOperator, hull_membership,
                                       weakly_compact_image_check)
 from stieltjes.semivariation import semivariation
@@ -139,6 +139,18 @@ def test_right_continuity_refuses_a_disagreement_at_any_scale(scale, share):
     with pytest.raises(ArgumentError, match="right continuity"):
         PiecewiseFunction([0.0, 0.5, 1.0], [[level], [level]],
                           [level, level * (1.0 + share), level])
+
+
+@pytest.mark.parametrize("k", [0, 20, 40])
+def test_a_scaled_spline_lists_no_jumps(k):
+    # a spline's pieces meet to rounding of their own size, which an
+    # absolute floor of 1e-12 took for jumps from 2^20 on
+    for seed in range(200):
+        f = 2.0 ** k * random_spline((0.0, 1.0), np.random.default_rng(seed),
+                                     knot_count=9)
+        assert f.jump_points() == [] and f._jump_times == ()
+    times = [t for t, _ in random_step(2.0 ** k).jump_points()]
+    assert times == [0.2, 0.45, 0.7, 0.9]
 
 
 @pytest.mark.parametrize("k", POWERS)

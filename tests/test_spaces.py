@@ -4,23 +4,23 @@ import numpy as np
 import pytest
 
 from stieltjes.errors import ArgumentError
-from stieltjes.spaces import (Seminorm, SpaceModel, eval_seminorm, pair,
-                              polar_gauge, sample_dual_ball)
+from stieltjes.spaces import (Seminorm, SpaceModel, pair, polar_gauge,
+                              sample_dual_ball)
 
 
 def test_weighted_one_at_zero():
     p = Seminorm.weighted_one([1.0, 1.0])
-    assert eval_seminorm(p, np.array([0.0, 0.0])) == 0.0
+    assert p(np.array([0.0, 0.0])) == 0.0
 
 
 def test_weighted_one_unit_weights():
     p = Seminorm.weighted_one([1.0, 1.0])
-    assert eval_seminorm(p, np.array([1.0, -2.0])) == 3.0
+    assert p(np.array([1.0, -2.0])) == 3.0
 
 
 def test_weighted_sup_unit_weights():
     p = Seminorm.weighted_sup([1.0, 1.0])
-    assert eval_seminorm(p, np.array([1.0, -2.0])) == 2.0
+    assert p(np.array([1.0, -2.0])) == 2.0
 
 
 def test_quadratic_form_value():
@@ -187,24 +187,6 @@ def test_complex_quadratic_on_real_space_rejected():
     with pytest.raises(ArgumentError):
         SpaceModel(2, "real", (Seminorm.quadratic(q),))
     SpaceModel(2, "complex", (Seminorm.quadratic(q),))
-
-
-def test_directed_closure():
-    p1 = Seminorm.weighted_sup([1.0, 0.0])
-    p2 = Seminorm.weighted_one([0.0, 1.0])
-    model = SpaceModel(2, "real", (p1, p2)).directed_closure()
-    vals = sorted(p(np.array([2.0, -3.0])) for p in model.seminorms)
-    assert vals == [2.0, 3.0, 3.0]
-    rng = np.random.default_rng(5)
-    for _ in range(30):
-        v = rng.standard_normal(2)
-        closed_max = max(p(v) for p in model.seminorms)
-        assert closed_max == max(p1(v), p2(v))
-    big = SpaceModel(2, "real",
-                     tuple(Seminorm.weighted_sup([1.0, float(i)])
-                           for i in range(11)))
-    with pytest.raises(ArgumentError):
-        big.directed_closure()
 
 
 def test_sample_dual_ball_contract():
