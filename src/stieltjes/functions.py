@@ -419,12 +419,17 @@ class PiecewiseFunction:
         """Ascending list of (t, jump) pairs where the jump exceeds atol,
         by default the function's noise floor (see ``_JUMP_RTOL``)."""
         if atol is None:
-            bound = _horner(np.abs(self.coeffs), np.diff(self.breakpoints))
-            atol = _JUMP_RTOL * max(1.0, float(np.max(bound)))
+            atol = self._noise_floor()
         jumps = self._jumps
         size = np.max(np.abs(jumps.reshape(self.piece_count, -1)), axis=1)
         return [(float(t), jump) for t, jump, s
                 in zip(self.breakpoints[1:], jumps, size) if s > atol]
+
+    def _noise_floor(self):
+        """``_JUMP_RTOL`` times the function's size: differences below it
+        are float evaluation noise."""
+        bound = _horner(np.abs(self.coeffs), np.diff(self.breakpoints))
+        return _JUMP_RTOL * max(1.0, float(np.max(bound)))
 
     @cached_property
     def _jumps(self):

@@ -37,17 +37,20 @@ Every drive, and every plain tagged sum, runs on one layout of
 (rows, cells) arrays.  A scalar factor is one row, k scalar functions on
 one grid are a stack of k rows, and a vector factor is one row per
 coordinate, and its envelope products and estimates one row per
-seminorm.  A drive runs a stack of integrands against a stack of
-integrators: one function against one, or g scalar integrands on one
-grid (the sampled functions of a roundtrip) against k scalar integrators
-on one grid (the compositions of one integrator with k duals).  Each
-level computes the partition, the piece lookups, the integrators' values
-and differences and, in one Horner pass, the integrands' values once for
-all pairs; the products and estimates are one (rows, cells) block per
-integrand, so no array outgrows one integrand's.  Each pair's result is
-made with the stacks and kept current, a trace record a level, until the
-pair stops; an integrand or integrator leaves its stack once all its
-pairs have passed their test.  ``_row_sums`` sums a row along its cells
+seminorm.  ``_drive`` is the one entry of every drive, and runs a stack
+of integrands against a stack of integrators: one function against one,
+g scalar integrands on one grid (the sampled functions of a roundtrip)
+against k scalar integrators on one grid (the compositions of one
+integrator with k duals), or g scalar integrands on one grid against one
+vector integrator (the images T g of a roundtrip); the public integrals
+are stacks of one.  Each level computes the partition, the piece
+lookups, the integrators' values and differences and, in one Horner
+pass, the integrands' values once for all pairs; the products and
+estimates are one (rows, cells) block per integrand, so no array
+outgrows one integrand's.  Each pair's result is made with the stacks
+and kept current, a trace record a level, until the pair stops; an
+integrand or integrator leaves its stack once all its pairs have passed
+their test.  ``_row_sums`` sums a row along its cells
 in numpy's order for an (n, r) array along axis 0: in sequence from +0.0
 for the r >= 2 rows of a vector, pairwise for r = 1 and for scalar rows,
 which so have the bits of a sum over their own cells alone.  The order is
@@ -310,12 +313,19 @@ def _bisected_cells(mu, cells, mids):
 
 def _kept_columns(cells, keep_f, keep_mu):
     """The cells of the stacks without the integrands that ``keep_f`` and
-    the integrators that ``keep_mu`` drop."""
-    i, j, mu_vals, (rows, ends), smooth = cells
-    kept = keep_mu.take(rows)
-    renumber = np.cumsum(keep_mu) - 1
-    return (i, j, mu_vals[keep_mu], (renumber.take(rows[kept]), ends[kept]),
-            smooth[keep_f][:, keep_mu])
+    the integrators that ``keep_mu`` drop.  A vector integrator is alone
+    in its stack and stays while any of its pairs runs, so nothing is
+    taken from its rows, which are coordinates, nor from the rows of its
+    envelope products, which are seminorms."""
+    i, j, mu_vals, at_jumps, smooth = cells
+    smooth = smooth[keep_f]
+    if not keep_mu.all():
+        rows, ends = at_jumps
+        kept = keep_mu.take(rows)
+        renumber = np.cumsum(keep_mu) - 1
+        at_jumps = (renumber.take(rows[kept]), ends[kept])
+        mu_vals, smooth = mu_vals[keep_mu], smooth[:, keep_mu]
+    return i, j, mu_vals, at_jumps, smooth
 
 
 def _level_sums(f, mu, rights, h, mids, inside, cells, envs, dim):
@@ -454,25 +464,37 @@ def _checked(fs, mus, seminorms, tol, max_levels):
     return [np.array(mu._jump_times) for mu in mus], seminorms
 
 
-def _drive(f, mu, seminorms, tol, max_levels):
-    jump_ts, seminorms = _checked((f,), (mu,), seminorms, tol, max_levels)
-    return _refine(_Columns((f,)), _Columns((mu,)), jump_ts, seminorms, tol,
-                   max_levels)[0][0]
+@dataclass
+class _Drive:
+    """A drive's results, ``results[g][k]`` for its integrand g and
+    integrator k, with the deepest level any pair ran and whether every
+    pair converged."""
+
+    results: list
+    levels: int
+    converged: bool
 
 
-def _drive_columns(fs, mus, tol, max_levels=20):
-    """Drives of each scalar integrand of ``fs`` against each scalar
-    integrator of ``mus`` under the max-abs seminorm, in one refinement
-    loop: the integrands share one breakpoint grid, and so do the
-    integrators.  ``results[g][k]`` has the bits of
-    ``integrate_g_dx(fs[g], mus[k], tol=tol, max_levels=max_levels)``."""
-    if any(func.dim is not None for func in (*fs, *mus)):
+def _drive(fs, mus, seminorms, tol, max_levels=20):
+    """The one entry of every refinement drive: each integrand of ``fs``
+    against each integrator of ``mus``, in one refinement loop.  The
+    stacks are one function against one, scalar integrands on one grid
+    against scalar integrators on one grid (the pairings of a roundtrip),
+    or scalar integrands on one grid against one vector integrator (its
+    images T g).  ``results[g][k]`` has the bits of the drive of
+    ``fs[g]`` against ``mus[k]`` alone."""
+    fs, mus = tuple(fs), tuple(mus)
+    if ((len(fs) + len(mus) > 2 and any(f.dim is not None for f in fs))
+            or (len(mus) > 1 and any(mu.dim is not None for mu in mus))):
         raise ArgumentError("stacked drives take scalar factors")
     if not (fs and mus):
-        return [[] for _ in fs]
-    jump_ts, seminorms = _checked(fs, mus, None, tol, max_levels)
-    return _refine(_Columns(fs), _Columns(mus), jump_ts, seminorms, tol,
-                   max_levels)
+        return _Drive([[] for _ in fs], 0, True)
+    jump_ts, seminorms = _checked(fs, mus, seminorms, tol, max_levels)
+    results = _refine(_Columns(fs), _Columns(mus), jump_ts, seminorms, tol,
+                      max_levels)
+    pairs = [res for row in results for res in row]
+    return _Drive(results, max(res.levels for res in pairs),
+                  all(res.converged for res in pairs))
 
 
 def _scalar(g):
@@ -513,12 +535,14 @@ def integrate_g_dx(g, x, seminorms=None, tol=1e-8, max_levels=20):
     trace; ``converged`` means every estimate and the last two levels'
     difference dropped below ``tol``.
     """
-    return _drive(_scalar(g), x, seminorms, tol, max_levels)
+    return _drive((_scalar(g),), (x,), seminorms, tol,
+                  max_levels).results[0][0]
 
 
 def integrate_x_dg(x, g, seminorms=None, tol=1e-8, max_levels=20):
     """Mesh limit of the sums sum x(s_i) [g(t_i) - g(t_{i-1})]."""
-    return _drive(x, _scalar(g), seminorms, tol, max_levels)
+    return _drive((x,), (_scalar(g),), seminorms, tol,
+                  max_levels).results[0][0]
 
 
 def per_partes(x, g, seminorms=None, tol=1e-8, max_levels=20):
@@ -532,8 +556,8 @@ def per_partes(x, g, seminorms=None, tol=1e-8, max_levels=20):
     Pairs with a common jump are refused with the offending points named.
     """
     _, seminorms = _checked((x,), (_scalar(g),), seminorms, tol, max_levels)
-    lhs = _drive(x, g, seminorms, tol, max_levels)
-    rhs = _drive(g, x, seminorms, tol, max_levels)
+    lhs = _drive((x,), (g,), seminorms, tol, max_levels).results[0][0]
+    rhs = _drive((g,), (x,), seminorms, tol, max_levels).results[0][0]
     boundary = x(x.b) * g(g.b) - x(x.a) * g(g.a)
     gaps = np.array([p(lhs.value + rhs.value - boundary) for p in seminorms])
     return PerPartesResult(x_dg=lhs, g_dx=rhs, boundary=boundary, gaps=gaps)

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ArgumentError, EnumerationLimitError
 from .functions import (PiecewiseFunction, _horner, _random_splines,
                         _shift_poly, _split_rows, dual_compose)
-from .integrals import _drive_columns, integrate_g_dx
+from .integrals import _drive, _scalar, integrate_g_dx
 from .semivariation import e_set, wcs_check
 from .spaces import Seminorm, SpaceModel, pair, sample_dual_ball
 
@@ -88,12 +88,18 @@ class StieltjesOperator:
 
 def apply(T, g, tol=1e-8):
     """Tg = integral(g dx) as a coordinate vector; g must be continuous."""
+    return integrate_g_dx(_operand(T, g), T.integrator,
+                          seminorms=T.space.seminorms, tol=tol).value
+
+
+def _operand(T, g):
+    """``g``, refused unless it is a continuous scalar function on the
+    domain of T."""
     if g._jump_times:
         raise ArgumentError("operator domain is C[a,b]; g has jumps")
     if g.domain != T.domain:
         raise ArgumentError("g is not defined on the operator domain")
-    return integrate_g_dx(g, T.integrator, seminorms=T.space.seminorms,
-                          tol=tol).value
+    return _scalar(g)
 
 
 def _signed_parts(f):
@@ -120,6 +126,10 @@ def _signed_parts(f):
 def decompose(g):
     """Split g with sup-norm <= 1 into four parts with values in [0, 1].
 
+    The sup may exceed 1 by g's noise floor, ``_JUMP_RTOL`` times the size
+    of its coefficients, the rounding of the sup kernel: a g normalised by
+    its own ``sup_abs`` passes.
+
     Returns (g0, g1, g2, g3) with g = g0 - g2 + i (g1 - g3): the positive
     and negative parts of the real and of the imaginary part, each pair
     taken from one root split of that part's pieces at its sign changes.
@@ -130,7 +140,7 @@ def decompose(g):
     if g.dim is not None:
         raise ArgumentError("decompose expects a scalar function")
     sup = g.sup_abs()
-    if sup > 1.0 + 1e-12:
+    if sup > 1.0 + g._noise_floor():
         raise ArgumentError(f"sup-norm {sup:.6f} exceeds 1")
     g0, g2 = _signed_parts(g.real_part())
     g1, g3 = _signed_parts(g.imag_part())
@@ -445,9 +455,10 @@ def roundtrip(x, probe_count=20, tol=1e-8, dual_count=20, function_count=20,
     breakpoints, measured by every seminorm; (ii) for sampled duals xp in
     the max-abs polar ball and sampled continuous g,
     pair(xp, Tg) = integral of g against d(xp o y) within integration
-    accuracy, every g against every dual in one stacked drive.  Returns the
-    max discrepancy of each kind; with no g or no dual the pairing gap is
-    0.0 and ``worst_pair`` None.
+    accuracy.  Two stacked drives serve every g: one gives every image Tg,
+    and one every g against every dual.  Returns the max discrepancy of
+    each kind; with no g or no dual the pairing gap is 0.0 and
+    ``worst_pair`` None.
     """
     if x.dim is None:
         raise ArgumentError("integrator must be vector-valued")
@@ -477,16 +488,18 @@ def roundtrip(x, probe_count=20, tol=1e-8, dual_count=20, function_count=20,
     # derived data is computed once per stack: the g are normalised by one
     # sup pass, and each stack's derivative sups come from one pass too,
     # cached on each g and each composed integrator for every drive that
-    # follows; the g share their knots, so one stacked drive of every g
-    # against every dual gives each pair the bits of its own
-    # integrate_g_dx(g, yd, tol=tol)
+    # follows; the g share their knots, so one drive of every g against x
+    # gives each image T g the bits of its own apply(T, g, tol=tol), and
+    # one of every g against every dual gives each pair the bits of its
+    # own integrate_g_dx(g, yd, tol=tol)
+    images = _drive([_operand(T, g) for g in gs], (x,), T.space.seminorms,
+                    tol).results
     composed = [dual_compose(y, np.asarray(d)) for d in duals]
-    drives = _drive_columns(gs, composed, tol)
+    drives = _drive(gs, composed, None, tol).results
     pairing_gap, worst = 0.0, None
-    for j, (g, row) in enumerate(zip(gs, drives)):
-        tg = apply(T, g, tol=tol)
+    for j, ((tg,), row) in enumerate(zip(images, drives)):
         for i, (d, rhs) in enumerate(zip(duals, row)):
-            gap = abs(pair(np.asarray(d), tg) - rhs.value)
+            gap = abs(pair(np.asarray(d), tg.value) - rhs.value)
             if gap > pairing_gap:
                 pairing_gap, worst = float(gap), (i, j)
     return RoundtripReport(identity_gap=identity_gap,

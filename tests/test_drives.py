@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from stieltjes.functions import (PiecewiseFunction, dual_compose,
                                  product_integral, random_spline)
-from stieltjes.integrals import (_drive, _drive_columns, _max_abs,
-                                 integrate_g_dx, integrate_x_dg)
+from stieltjes.integrals import (_drive, _max_abs, integrate_g_dx,
+                                 integrate_x_dg)
 from stieltjes.spaces import Seminorm, sample_dual_ball
-from test_integrals import assert_matches_reference, drive_reference
+from test_integrals import (assert_images_match_single_drives,
+                               assert_matches_reference, drive_reference)
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
 JUMP_TIMES = st.lists(st.one_of(st.floats(0.01, 0.99), st.just(1.0)),
@@ -114,9 +115,33 @@ def test_cells_that_reach_float_resolution_after_bisections(k):
                           np.stack([f.coeffs, -2 * f.coeffs], axis=2))
     steps = PiecewiseFunction.step((0.0, 1.0), [p, u], [1.0, -2.0], 0.0)
     for a, b in ((f, mu), (mu, f), (x, mu), (mu, x), (mu, steps + mu)):
-        got = _drive(a, b, None, 1e-300, 8)
+        got = _drive((a,), (b,), None, 1e-300, 8).results[0][0]
         assert (got.levels, got.converged) == (8, False)
         assert_matches_reference(got, drive_reference(a, b, None, 1e-300, 8))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 8])
+def test_an_image_stack_through_cells_at_float_resolution(k):
+    # the cells of the test above, under a stack of scalar integrands
+    # against one vector integrator: every integrand keeps the bits of its
+    # own drive through the levels whose midpoints fall on an end
+    p, u = 0.5, 0.5
+    for _ in range(k):
+        p, u = np.nextafter(p, 0.0), np.nextafter(u, 1.0)
+    f = PiecewiseFunction([0.0, p, 0.5, u, 1.0],
+                          [[1.0, 2.0], [-2.0, 1.0], [3.0, -1.0], [0.5, 4.0]])
+    on_ulps = [f, f * 1e-3, PiecewiseFunction(f.breakpoints, f.coeffs[::-1])]
+    smooth = [PiecewiseFunction.from_global_polynomial(c, (0.0, 1.0))
+              for c in ([0.0, 1.0, 3.0, 0.0], [2.0, -1.0, 0.0, 0.0],
+                        [0.5, 0.0, 0.0, 4.0])]
+    x = PiecewiseFunction(f.breakpoints,
+                          np.stack([f.coeffs, -2 * f.coeffs], axis=2))
+    v = PiecewiseFunction([0.0, 1.0], [[[0.0, 1.0], [1.0, 2.0], [3.0, -1.0]]])
+    steps = PiecewiseFunction.step((0.0, 1.0), [p, u],
+                                   [[1.0, 0.5], [-2.0, 1.0]], [0.0, 0.0])
+    for gs, mu in ((smooth, x), (smooth, steps + v), (on_ulps, v)):
+        single = assert_images_match_single_drives(gs, mu, None, 1e-300, 8)
+        assert all((r.levels, r.converged) == (8, False) for r in single)
 
 
 def spline_pair(seed):
@@ -150,13 +175,19 @@ def test_a_deep_vector_drive_stays_within_its_memory():
     assert peak <= 1.1 * DEEP_DRIVE_PEAK, peak
 
 
-def pairing_stack(seed):
-    """Five spline integrands on one knot grid and the compositions of a
-    3-dim spline with five duals of the max-abs polar ball: the pairing
-    drives of one roundtrip item."""
+def image_stack(seed):
+    """Five spline integrands on one knot grid and the 3-dim spline x of
+    ``spline_pair(seed)``: the image drive of one roundtrip item."""
     rng = np.random.default_rng(seed)
     _, x = spline_pair(seed)
-    gs = [random_spline((0.0, 1.0), rng) for _ in range(5)]
+    return [random_spline((0.0, 1.0), rng) for _ in range(5)], x
+
+
+def pairing_stack(seed):
+    """The integrands of ``image_stack(seed)`` and the compositions of its
+    x with five duals of the max-abs polar ball: the pairing drives of one
+    roundtrip item."""
+    gs, x = image_stack(seed)
     duals = sample_dual_ball(np.eye(3), 5, seed=seed)
     return gs, [dual_compose(x, np.asarray(d)) for d in duals]
 
@@ -170,15 +201,39 @@ def test_a_deep_pairing_stack_stays_within_its_memory():
     # 12-14 levels, 98304 cells at the last: the products and estimates
     # are one (integrators, cells) block per integrand, so the peak may
     # not grow past the figure measured for that
-    _drive_columns(*pairing_stack(0), 1e-7)  # lazy imports and caches
+    _drive(*pairing_stack(0), None, 1e-7)  # lazy imports and caches
     gs, columns = pairing_stack(1)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        results = _drive_columns(gs, columns, 1e-7)
+        results = _drive(gs, columns, None, 1e-7).results
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     assert max(r.levels for row in results for r in row) >= 13
     assert all(r.converged for row in results for r in row)
     assert peak <= 1.1 * PAIRING_STACK_PEAK, peak
+
+
+# the traced peak of the stack below, in bytes, with numpy 2.4 on CPython
+# 3.11; one drive of each integrand alone peaks at 9.45e6
+IMAGE_STACK_PEAK = 15.00e6
+
+
+def test_a_deep_image_stack_stays_within_its_memory():
+    # 14 levels, 98304 cells at the last: the integrands' values are one
+    # (integrands, cells) array, and their products and estimates one
+    # (coordinates or seminorms, cells) block per integrand, so the peak
+    # may not grow past the figure measured for that
+    gs, x = image_stack(0)
+    _drive(gs, (x,), None, 1e-7)  # lazy imports and caches
+    gs, x = image_stack(1)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        drive = _drive(gs, (x,), None, 1e-7)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert drive.levels >= 14 and drive.converged
+    assert peak <= 1.1 * IMAGE_STACK_PEAK, peak

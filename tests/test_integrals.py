@@ -11,7 +11,7 @@ from stieltjes.functions import (PiecewiseFunction, TaggedPartition, _horner,
                                  _interleave, dual_compose, product_integral,
                                  random_spline, uniform_tagged_partition)
 from stieltjes.integrals import (_INITIAL_UNIFORM_CELLS, _Columns,
-                                 _drive, _drive_columns, _envelopes,
+                                 _drive, _envelopes,
                                  _require_existence,
                                  exact_step_integral, integrate_g_dx,
                                  integrate_x_dg, per_partes, rs_sum_S,
@@ -591,9 +591,10 @@ def test_incremental_drive_matches_a_from_scratch_loop(pair, tol, levels,
         expected = drive_reference(f, mu, sems, tol, levels)
     except ExistenceError:
         with pytest.raises(ExistenceError):
-            _drive(f, mu, sems, tol, levels)
+            _drive((f,), (mu,), sems, tol, levels)
         return
-    assert_matches_reference(_drive(f, mu, sems, tol, levels), expected)
+    assert_matches_reference(
+        _drive((f,), (mu,), sems, tol, levels).results[0][0], expected)
 
 
 def assert_matches_reference(got, expected):
@@ -627,7 +628,7 @@ def test_a_zero_coordinate_sums_to_the_reference_zero(dim, complex_field):
     assert not np.any(x.coeffs[..., -1]) and not np.any(x.values[:, -1])
     partition = uniform_tagged_partition(0.0, 1.0, 300)
     for f, mu, plain in ((x, g, rs_sum_S), (g, x, rs_sum_s)):
-        got = _drive(f, mu, None, 1e-300, 6)
+        got = _drive((f,), (mu,), None, 1e-300, 6).results[0][0]
         assert_matches_reference(got,
                                  drive_reference(f, mu, None, 1e-300, 6))
         fv = values_reference(f, partition.tags)
@@ -654,7 +655,7 @@ def test_drive_with_cells_narrower_than_float_resolution():
     x = PiecewiseFunction(f.breakpoints,
                           np.stack([f.coeffs, -2 * f.coeffs], axis=2))
     for a, b in ((f, mu), (mu, f), (x, mu), (mu, x)):
-        got = _drive(a, b, None, 1e-300, 6)
+        got = _drive((a,), (b,), None, 1e-300, 6).results[0][0]
         assert (got.levels, got.converged) == (6, False)
         assert_matches_reference(got, drive_reference(a, b, None, 1e-300, 6))
 
@@ -687,13 +688,13 @@ def assert_columns_match_single_drives(fs, columns, tol, levels):
     drives does, and the first integrand's pairs agree with the
     from-scratch loop; returns the single drives, one row per integrand."""
     try:
-        expected = [[_drive(f, mu, None, tol, levels) for mu in columns]
-                    for f in fs]
+        expected = [[_drive((f,), (mu,), None, tol, levels).results[0][0]
+                     for mu in columns] for f in fs]
     except ExistenceError:
         with pytest.raises(ExistenceError):
-            _drive_columns(fs, columns, tol, levels)
+            _drive(fs, columns, None, tol, levels)
         return None
-    got = _drive_columns(fs, columns, tol, levels)
+    got = _drive(fs, columns, None, tol, levels).results
     for row, singles in zip(got, expected, strict=True):
         for g, e in zip(row, singles, strict=True):
             assert_same_drive(g, e)
@@ -820,17 +821,99 @@ def test_a_stack_refuses_integrands_off_one_grid():
         with pytest.raises(ArgumentError, match="one grid"):
             _Columns([g, other])
         with pytest.raises(ArgumentError, match="one grid"):
-            _drive_columns([g, other], [mu], 1e-6)
+            _drive([g, other], [mu], None, 1e-6)
     vector = PiecewiseFunction(g.breakpoints, np.stack([g.coeffs] * 2, 2))
     for stack in ([g, vector], [vector, g]):
         with pytest.raises(ArgumentError, match="one grid"):
             _Columns(stack)
-    with pytest.raises(ArgumentError, match="scalar factors"):
-        _drive_columns([g, vector], [mu], 1e-6)
+    # a vector function is alone in its stack, and only a vector
+    # integrator takes more than one integrand
+    for fs, mus in (([g, vector], [mu]), ([vector], [mu, mu]),
+                    ([g], [vector, vector])):
+        with pytest.raises(ArgumentError, match="scalar factors"):
+            _drive(fs, mus, None, 1e-6)
 
 
 def test_a_stack_of_no_integrands_or_no_columns_drives_nothing():
     g = random_spline((0.0, 1.0), np.random.default_rng(9))
     mu = dual_compose(single_jump(), np.array([1.0, 0.5]))
-    assert _drive_columns([], [mu], 1e-6) == []
-    assert _drive_columns([g, g], [], 1e-6) == [[], []]
+    assert _drive([], [mu], None, 1e-6).results == []
+    assert _drive([g, g], [], None, 1e-6).results == [[], []]
+
+
+# -- a stack of integrands against one vector integrator ----------------------
+
+
+def assert_images_match_single_drives(gs, x, sems, tol, levels):
+    """The drive of the scalar integrands ``gs`` against the one vector
+    integrator x gives every integrand the bits of its own drive, with the
+    deepest level of any and whether all converged, and the first one
+    agrees with the from-scratch loop; returns the single drives."""
+    expected = [_drive((g,), (x,), sems, tol, levels).results[0][0]
+                for g in gs]
+    drive = _drive(gs, (x,), sems, tol, levels)
+    for row, e in zip(drive.results, expected, strict=True):
+        (got,) = row
+        assert_same_drive(got, e)
+    assert drive.levels == max(e.levels for e in expected)
+    assert drive.converged == all(e.converged for e in expected)
+    assert_matches_reference(drive.results[0][0],
+                             drive_reference(gs[0], x, sems, tol, levels))
+    return expected
+
+
+@st.composite
+def image_drives(draw):
+    """(gs, x, seminorms): 1-5 splines on random_spline's knots against one
+    vector integrator x of dimension 1-3, a step or a spline plus steps,
+    all real or all complex, as in the image drive of a roundtrip.  Scales
+    from 1e-8 to 1e2 on the integrands spread their stop levels, so that
+    some leave the stack while others run on; the seminorms are None
+    (max-abs) or 1-3 of each kind."""
+    complex_field = draw(st.booleans())
+    dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(SEEDS))
+    unit = 1 + 1j * complex_field
+    times = draw(STEP_TIMES)
+    x = PiecewiseFunction.step((0.0, 1.0), times,
+                               rng.normal(size=(len(times), dim)) * unit,
+                               np.zeros(dim))
+    if draw(st.booleans()):
+        parts = [random_spline((0.0, 1.0), rng, complex_field=complex_field)
+                 for _ in range(dim)]
+        x = x + PiecewiseFunction(parts[0].breakpoints,
+                                  np.stack([p.coeffs for p in parts], axis=2))
+    n = draw(st.integers(1, 5))
+    gs = [random_spline((0.0, 1.0), rng, complex_field=complex_field) * s
+          for s in 10.0 ** rng.integers(-8, 3, n)]
+    return gs, x, draw(seminorm_families(dim))
+
+
+@settings(max_examples=200)
+@given(image_drives(), st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12]),
+       st.integers(2, 10))
+def test_an_image_stack_matches_one_drive_per_integrand(case, tol, levels):
+    gs, x, sems = case
+    assert_images_match_single_drives(gs, x, sems, tol, levels)
+
+
+def test_an_image_stack_keeps_its_integrator_when_integrands_stop():
+    # integrands that stop at different levels leave the stack while the
+    # vector integrator stays, with its coordinate rows and its seminorm
+    # rows of envelope products
+    rng = np.random.default_rng(6)
+    parts = [random_spline((0.0, 1.0), rng, complex_field=True)
+             for _ in range(3)]
+    x = PiecewiseFunction.step((0.0, 1.0), [0.3, 0.7],
+                               rng.normal(size=(2, 3)) * (1 + 1j),
+                               np.zeros(3)) \
+        + PiecewiseFunction(parts[0].breakpoints,
+                            np.stack([p.coeffs for p in parts], axis=2))
+    g = random_spline((0.0, 1.0), rng, complex_field=True)
+    gs = [g, g * 1e-3, random_spline((0.0, 1.0), rng, complex_field=True)]
+    sems = (Seminorm.weighted_sup(np.ones(3)),
+            Seminorm.weighted_one([1.0, 0.0, 2.0]))
+    single = assert_images_match_single_drives(gs, x, sems, 1e-5, 10)
+    assert len({r.levels for r in single}) > 1
+    assert any(r.converged for r in single)
+    assert not all(r.converged for r in single)

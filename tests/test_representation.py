@@ -231,6 +231,26 @@ def test_decompose_at_multiple_roots_keeps_the_bits_per_piece(g):
     assert_parts_per_piece(g)
 
 
+def test_decompose_takes_a_g_normalised_by_its_own_sup():
+    # one complex degree-6 piece with coefficients up to 2361, as
+    # rooted_functions draws it: the complex sup kernel rounds in proportion
+    # to the coefficients, so the sup that normalised g reads 1 + 1.2e-12
+    # for it; decompose allows the function's own noise floor above 1, as
+    # jump_points does, and still refuses a sup above that floor
+    re = [0.0, 0.0, 24.59043083544626, -283.75098305864674,
+          1227.8346340117198, -2361.347297828238, 1702.986167631033]
+    im = [0.017323671138824798, -0.6236521609976927, 8.869719623078296,
+          -62.088037361548075, 212.8732709538791, -283.8310279385055, 0.0]
+    g = PiecewiseFunction(
+        [0.0, 0.47728539153584726], [[complex(r, i) for r, i in zip(re, im)]],
+        [complex(0.0, 0.017323671138824798),
+         complex(0.11298916940094408, -0.9935962195973197)])
+    assert 1.0 + 1e-12 < g.sup_abs() < 1.0 + g._noise_floor()
+    assert_parts_per_piece(g)
+    with pytest.raises(ArgumentError, match="exceeds 1"):
+        decompose(g * (1.0 + 1e-9))
+
+
 @settings(max_examples=200)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(4, 12), st.booleans())
 def test_decompose_of_splines_keeps_the_bits_per_piece(seed, knots, cplx):
