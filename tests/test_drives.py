@@ -1,6 +1,7 @@
 """Properties of whole refinement drives: their error estimates bound the
-true error, and a deep drive and a deep pairing stack stay within their
-memory."""
+true error, an image stack keeps each integrand's bits through cells at
+float resolution, and a deep drive, a deep pairing stack and a deep image
+stack stay within their memory."""
 
 import tracemalloc
 
@@ -15,7 +16,7 @@ from stieltjes.integrals import (_drive, _max_abs, integrate_g_dx,
                                  integrate_x_dg)
 from stieltjes.spaces import Seminorm, sample_dual_ball
 from test_integrals import (assert_images_match_single_drives,
-                               assert_matches_reference, drive_reference)
+                            assert_matches_reference, drive_reference)
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
 JUMP_TIMES = st.lists(st.one_of(st.floats(0.01, 0.99), st.just(1.0)),

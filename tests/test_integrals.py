@@ -826,8 +826,8 @@ def test_a_stack_refuses_integrands_off_one_grid():
     for stack in ([g, vector], [vector, g]):
         with pytest.raises(ArgumentError, match="one grid"):
             _Columns(stack)
-    # a vector function is alone in its stack, and only a vector
-    # integrator takes more than one integrand
+    # a vector function is alone in its stack, and a vector integrand
+    # runs against one integrator only
     for fs, mus in (([g, vector], [mu]), ([vector], [mu, mu]),
                     ([g], [vector, vector])):
         with pytest.raises(ArgumentError, match="scalar factors"):
