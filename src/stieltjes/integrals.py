@@ -56,6 +56,16 @@ for the r >= 2 rows of a vector, pairwise for r = 1 and for scalar rows,
 which so have the bits of a sum over their own cells alone.  The order is
 pinned: summed pairwise, vector integrals, their estimates and the CLI
 output that ``perfbench/reference`` holds would move.
+
+A pure step integrator x needs no drive: integral(g dx) is the finite sum
+sum_j g(tau_j) J_j over its nonzero jumps.  ``_step_integrals`` computes it
+for a stack of integrands on one grid, with one evaluation pass at the
+jump times and each integrand's products added in sequence, in jump
+order; ``exact_step_integral`` is its stack of one.  Plus 0.0, it has the
+bits of the drive on a vector x of dimension 2 or more, whose sum also
+runs in sequence, in cell order, and adds a zero for every cell that does
+not end at a jump.  In dimension 1 the drive sums pairwise, and the two
+can differ in the last bit once x has three jumps or more.
 """
 
 import functools
@@ -444,14 +454,18 @@ def _refine(f, mu, jump_ts, seminorms, tol, max_levels):
     return results
 
 
+def _check_tol(tol):
+    if tol <= 0:
+        raise ArgumentError("tol must be positive")
+
+
 def _checked(fs, mus, seminorms, tol, max_levels):
     """Validate drives of each of ``fs`` against each of ``mus``; return the
     jump times of each of ``mus`` and the seminorm tuple."""
     for f, mu in itertools.product(fs, mus):
         _ensure_compatible(f, mu)
         _require_existence(f, mu)
-    if tol <= 0:
-        raise ArgumentError("tol must be positive")
+    _check_tol(tol)
     if max_levels < 2:
         raise ArgumentError("need at least two refinement levels")
     dim = fs[0].dim or mus[0].dim
@@ -563,24 +577,55 @@ def per_partes(x, g, seminorms=None, tol=1e-8, max_levels=20):
     return PerPartesResult(x_dg=lhs, g_dx=rhs, boundary=boundary, gaps=gaps)
 
 
+def _step_integrals(gs, x):
+    """The closed form sum_j g(tau_j) J_j of integral(g dx) for each g of
+    the stack ``gs``, scalar functions on one grid and continuous at every
+    jump time tau_j of the pure step integrator x, over its nonzero jumps
+    J_j: one (integrands[, dim]) array.  Every g is evaluated at every jump
+    time in one pass, and each g's products are added in sequence, in jump
+    order, starting from x(b) * 0, so each row has the bits of that g's
+    sum alone, signed zeros included."""
+    jumps = x.jump_points(atol=0.0)
+    times = np.array([t for t, _ in jumps])
+    # a stack of one goes through its function's own values_at, the
+    # evaluation layer that perfbench counts, with the bits of _Columns
+    gv = gs[0].values_at(times)[np.newaxis] if len(gs) == 1 \
+        else _Columns(gs).values_at(times)
+    zero = x.values[-1] * 0
+    if np.iscomplexobj(gv):
+        zero = zero * (1 + 0j)
+    if x.dim is None:
+        # numpy's scalar product, which can differ from its array loop in
+        # the last bit of a complex product, as for one g(t) * J
+        return np.array([sum((v * jump for v, (_, jump) in zip(row, jumps)),
+                             zero) for row in gv.tolist()])
+    # every g(tau_j) J_j from one product of two flat arrays, numpy's array
+    # loop as for one g(t) * J; a broadcast to one complex element can take
+    # another loop
+    (count, n), dim = gv.shape, x.dim
+    products = (gv.repeat(dim, axis=1).reshape(-1) * np.tile(
+        np.reshape([jump for _, jump in jumps], -1), count)).reshape(
+            count, n, dim)
+    total = np.repeat(zero[np.newaxis], count, axis=0)
+    for k in range(n):
+        total = total + products[:, k]
+    return total
+
+
 def exact_step_integral(g, x):
     """Closed form of integral(g dx) for a pure step integrator x.
 
-    The value is sum_j g(tau_j) J_j over the jumps (tau_j, J_j) of x; g
-    must be continuous at every jump point.  Serves as an independent
-    oracle for the refinement driver.
+    The value is sum_j g(tau_j) J_j over the nonzero jumps (tau_j, J_j) of
+    x, added in jump order; g must be continuous at every jump point.  It
+    is the stack-of-one case of the kernel by which ``representation``
+    applies T on a step integrator, and serves as an independent oracle
+    for the refinement driver.
     """
     _ensure_compatible(_scalar(g), x)
     if not x.is_step:
         raise ArgumentError("x must be a pure step function")
     _require_existence(g, x)
-    jumps = x.jump_points(atol=0.0)
-    zero = x.values[-1] * 0
-    if np.iscomplexobj(g.values):
-        zero = zero * (1 + 0j)
-    total = zero
-    for t, jump in jumps:
-        total = total + g(t) * jump
+    (total,) = _step_integrals((g,), x)
     if x.dim is None:
         return complex(total) if np.iscomplexobj(total) else float(total)
     return total

@@ -23,7 +23,8 @@ import numpy as np
 from .errors import ArgumentError, EnumerationLimitError
 from .functions import (PiecewiseFunction, _horner, _random_splines,
                         _shift_poly, _split_rows, dual_compose)
-from .integrals import _drive, _scalar, integrate_g_dx
+from .integrals import (_check_tol, _drive, _scalar, _step_integrals,
+                        integrate_g_dx)
 from .semivariation import e_set, wcs_check
 from .spaces import Seminorm, SpaceModel, pair, sample_dual_ball
 
@@ -87,9 +88,21 @@ class StieltjesOperator:
 
 
 def apply(T, g, tol=1e-8):
-    """Tg = integral(g dx) as a coordinate vector; g must be continuous."""
-    return integrate_g_dx(_operand(T, g), T.integrator,
-                          seminorms=T.space.seminorms, tol=tol).value
+    """Tg = integral(g dx) as a coordinate vector; g must be continuous.
+
+    On a pure step integrator T g is the closed form sum_j g(tau_j) J_j
+    over the nonzero jumps of x, exact at every scale, and ``tol`` is only
+    checked; in dimension 2 or more it has the bits of the refinement
+    drive.  On any other x it is that drive's value at ``tol``.  A zero
+    sum is +0.0 on either path.
+    """
+    g = _operand(T, g)
+    _check_tol(tol)
+    x = T.integrator
+    if x.is_step:
+        # + 0.0 turns a -0.0 to +0.0, as at the end of a drive's sum
+        return _step_integrals((g,), x)[0] + 0.0
+    return integrate_g_dx(g, x, seminorms=T.space.seminorms, tol=tol).value
 
 
 def _operand(T, g):
@@ -337,12 +350,14 @@ def weakly_compact_image_check(T, sample_count=10, seed=0, tol=1e-9):
     reported in ``resolutions``.  ``tol`` is relative to the size of the
     set: :func:`hull_membership` holds each image to ``tol`` times the
     power of two just above the largest entry of the image and the set,
-    which for an image near the hull is that of the set, and T is applied
-    at ``tol / 10`` in the set's unit.  ``worst_distance`` is in the data's
-    units.
+    which for an image near the hull is that of the set.  :func:`apply`
+    gives each image, in closed form on a step integrator; on any other x
+    its drive runs at ``tol / 10`` in the set's unit.  ``worst_distance``
+    is in the data's units.
     """
     if sample_count < 1:
         raise ArgumentError("sample_count must be >= 1")
+    _check_tol(tol)
     x = T.integrator
     gens = e_set(x, _IMAGE_RESOLUTION)
     gens = gens.reshape(gens.shape[0], -1)
@@ -455,10 +470,12 @@ def roundtrip(x, probe_count=20, tol=1e-8, dual_count=20, function_count=20,
     breakpoints, measured by every seminorm; (ii) for sampled duals xp in
     the max-abs polar ball and sampled continuous g,
     pair(xp, Tg) = integral of g against d(xp o y) within integration
-    accuracy.  Two stacked drives serve every g: one gives every image Tg,
-    and one every g against every dual.  Returns the max discrepancy of
-    each kind; with no g or no dual the pairing gap is 0.0 and
-    ``worst_pair`` None.
+    accuracy.  One stacked drive gives every g against every dual, the
+    independent side of the check.  Every image Tg has the bits of its own
+    ``apply(T, g, tol=tol)``: on a pure step x all come from one closed
+    form, on any other x from one stacked drive of every g against x.
+    Returns the max discrepancy of each kind; with no g or no dual the
+    pairing gap is 0.0 and ``worst_pair`` None.
     """
     if x.dim is None:
         raise ArgumentError("integrator must be vector-valued")
@@ -467,6 +484,7 @@ def roundtrip(x, probe_count=20, tol=1e-8, dual_count=20, function_count=20,
     if function_count < 0:
         raise ArgumentError(
             f"function_count must be nonnegative, not {function_count}")
+    _check_tol(tol)
     field = "complex" if np.iscomplexobj(x.coeffs) else "real"
     sems = tuple(seminorms) if seminorms is not None \
         else (Seminorm.weighted_sup(np.ones(x.dim)),)
@@ -483,23 +501,26 @@ def roundtrip(x, probe_count=20, tol=1e-8, dual_count=20, function_count=20,
 
     rng = np.random.default_rng(seed)
     duals = sample_dual_ball(np.eye(x.dim), dual_count, seed=seed)
-    gs = _random_splines(x.domain, rng, function_count,
-                         complex_field=(field == "complex"))
+    gs = [_operand(T, g) for g in _random_splines(
+        x.domain, rng, function_count, complex_field=(field == "complex"))]
     # derived data is computed once per stack: the g are normalised by one
     # sup pass, and each stack's derivative sups come from one pass too,
     # cached on each g and each composed integrator for every drive that
-    # follows; the g share their knots, so one drive of every g against x
-    # gives each image T g the bits of its own apply(T, g, tol=tol), and
-    # one of every g against every dual gives each pair the bits of its
-    # own integrate_g_dx(g, yd, tol=tol)
-    images = _drive([_operand(T, g) for g in gs], (x,), T.space.seminorms,
-                    tol).results
+    # follows; the g share their knots, so one closed form or one drive of
+    # every g against x gives each image T g the bits of its own
+    # apply(T, g, tol=tol), and one drive of every g against every dual
+    # gives each pair the bits of its own integrate_g_dx(g, yd, tol=tol)
+    if not x.is_step:
+        images = [tg.value for (tg,) in
+                  _drive(gs, (x,), T.space.seminorms, tol).results]
+    else:
+        images = _step_integrals(gs, x) + 0.0 if gs else ()
     composed = [dual_compose(y, np.asarray(d)) for d in duals]
     drives = _drive(gs, composed, None, tol).results
     pairing_gap, worst = 0.0, None
-    for j, ((tg,), row) in enumerate(zip(images, drives)):
+    for j, (tg, row) in enumerate(zip(images, drives)):
         for i, (d, rhs) in enumerate(zip(duals, row)):
-            gap = abs(pair(np.asarray(d), tg.value) - rhs.value)
+            gap = abs(pair(np.asarray(d), tg) - rhs.value)
             if gap > pairing_gap:
                 pairing_gap, worst = float(gap), (i, j)
     return RoundtripReport(identity_gap=identity_gap,

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
@@ -12,11 +12,11 @@ from stieltjes.functions import (PiecewiseFunction, TaggedPartition, _horner,
                                  random_spline, uniform_tagged_partition)
 from stieltjes.integrals import (_INITIAL_UNIFORM_CELLS, _Columns,
                                  _drive, _envelopes,
-                                 _require_existence,
+                                 _require_existence, _step_integrals,
                                  exact_step_integral, integrate_g_dx,
                                  integrate_x_dg, per_partes, rs_sum_S,
                                  rs_sum_s)
-from stieltjes.representation import StieltjesOperator
+from stieltjes.representation import StieltjesOperator, apply
 from stieltjes.spaces import Seminorm, SpaceModel
 
 
@@ -917,3 +917,71 @@ def test_an_image_stack_keeps_its_integrator_when_integrands_stop():
     assert len({r.levels for r in single}) > 1
     assert any(r.converged for r in single)
     assert not all(r.converged for r in single)
+
+
+# -- a stack of integrands against one step in closed form --------------------
+
+
+@st.composite
+def step_images(draw):
+    """(gs, x, seminorms): 1-5 splines on random_spline's knots against a
+    pure step x of dimension 2 or 3, all real or all complex, whose jumps
+    may include one at b, a zero jump and a zero coordinate, at a scale
+    from 1e-3 to 1e3 at which ``x._jump_times`` lists every nonzero jump;
+    the seminorms are None (max-abs) or 1-3 of each kind."""
+    complex_field = draw(st.booleans())
+    dim = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(SEEDS))
+    times = draw(STEP_TIMES)
+    jumps = rng.normal(size=(len(times), dim)) * (1 + 1j * complex_field) \
+        * 10.0 ** draw(st.integers(-3, 3))
+    if draw(st.booleans()):
+        jumps[rng.integers(len(times))] = 0.0
+    if draw(st.booleans()):
+        jumps[rng.integers(len(times)), rng.integers(dim)] = 0.0
+    x = PiecewiseFunction.step((0.0, 1.0), times, jumps, np.zeros(dim))
+    assume(x._jump_times == tuple(t for t, _ in x.jump_points(atol=0.0)))
+    n = draw(st.integers(1, 5))
+    gs = [random_spline((0.0, 1.0), rng, complex_field=complex_field) * s
+          for s in 10.0 ** rng.integers(-8, 3, n)]
+    return gs, x, draw(seminorm_families(dim))
+
+
+@settings(max_examples=300)
+@given(step_images(), st.floats(0.0, 1e3, exclude_min=True))
+def test_step_images_have_the_bits_of_the_drive(case, tol):
+    # in dimension 2 or more the drive adds its products in sequence, in
+    # cell order, and every cell not ending at a jump adds a zero; with
+    # its + 0.0 the closed form then has the drive's bits, signed zeros
+    # included, and apply gives them
+    gs, x, sems = case
+    images = _step_integrals(gs, x) + 0.0
+    drive = _drive(gs, (x,), sems, tol)
+    space = SpaceModel(x.dim, "complex" if np.iscomplexobj(x.coeffs)
+                       else "real",
+                       sems or (Seminorm.weighted_sup(np.ones(x.dim)),))
+    T = StieltjesOperator(space, x)
+    for g, image, (res,) in zip(gs, images, drive.results, strict=True):
+        assert same_bits(image, res.value)
+        assert same_bits(image, exact_step_integral(g, x) + 0.0)
+        assert same_bits(apply(T, g, tol=tol), res.value)
+
+
+def test_step_images_cover_a_jump_at_b_and_zero_jumps():
+    # a jump at b changes only the end value, a zero jump is a breakpoint
+    # with no jump, and a zero coordinate makes signed-zero products
+    x = PiecewiseFunction.step((0.0, 1.0), [0.25, 0.5, 1.0],
+                               [[1.0, 0.0], [0.0, 0.0], [-2.0, 0.5j]],
+                               [0.0, 0.0])
+    assert x.jump_points(atol=0.0)[-1][0] == 1.0
+    assert 0.5 in x.breakpoints and len(x.jump_points(atol=0.0)) == 2
+    rng = np.random.default_rng(12)
+    gs = [random_spline((0.0, 1.0), rng, complex_field=True)
+          for _ in range(3)]
+    images = _step_integrals(gs, x) + 0.0
+    for g, image, (res,) in zip(gs, images,
+                                _drive(gs, (x,), None, 1e-8).results):
+        assert same_bits(image, res.value)
+        expected = g(0.25) * np.array([1.0, 0.0]) \
+            + g(1.0) * np.array([-2.0, 0.5j])
+        assert same_bits(image, expected + 0.0)

@@ -11,7 +11,7 @@ from stieltjes.errors import ArgumentError, EnumerationLimitError
 from stieltjes import functions, representation
 from stieltjes.functions import (PiecewiseFunction, _horner, _shift_poly,
                                  _split_rows, dual_compose, random_spline)
-from stieltjes.integrals import integrate_g_dx
+from stieltjes.integrals import exact_step_integral, integrate_g_dx
 from stieltjes.representation import (IntervalMeasure, StieltjesOperator,
                                       abel_identity_check, additivity_check,
                                       apply, decompose, hull_membership,
@@ -52,6 +52,38 @@ def test_apply_examples():
     np.testing.assert_allclose(T.apply(ramp()), [0.5, -1.0], atol=1e-10)
     zero = PiecewiseFunction.constant(0.0, (0.0, 1.0))
     np.testing.assert_allclose(apply(T, zero), [0.0, 0.0], atol=1e-14)
+
+
+def decreasing_curve():
+    return PiecewiseFunction(np.array([0.0, 1.0]),
+                             np.array([[[0.0, 0.0], [-1.0, 0.0],
+                                        [0.0, -1.0]]]))
+
+
+@pytest.mark.parametrize("x", [single_jump(), decreasing_curve()])
+def test_apply_and_the_image_check_refuse_a_nonpositive_tol(x):
+    # a step x takes no drive, whose checks refused such a tol before
+    T = StieltjesOperator(plane(), x)
+    for tol in (0.0, -1e-8):
+        with pytest.raises(ArgumentError, match="tol must be positive"):
+            apply(T, ramp(), tol=tol)
+        with pytest.raises(ArgumentError, match="tol must be positive"):
+            weakly_compact_image_check(T, sample_count=1, tol=tol)
+        with pytest.raises(ArgumentError, match="tol must be positive"):
+            roundtrip(x, probe_count=4, tol=tol, dual_count=1,
+                      function_count=0)
+
+
+@pytest.mark.parametrize("x", [single_jump(), decreasing_curve()])
+def test_apply_to_zero_gives_positive_zeros(x):
+    # the products 0 * J sum to -0.0 where J < 0; T g is +0.0 on either
+    # path, as represent-apply prints it
+    zero = PiecewiseFunction.constant(0.0, (0.0, 1.0))
+    if x.is_step:
+        assert np.signbit(exact_step_integral(zero, x)).tolist() \
+            == [False, True]
+    value = apply(StieltjesOperator(plane(), x), zero)
+    assert value.tobytes() == np.zeros(2).tobytes()
 
 
 def test_apply_rejects_functions_outside_domain():
@@ -472,9 +504,10 @@ def test_image_check_solves_no_lp_for_a_zero_part():
 
 
 def test_image_check_takes_no_sup_pass_to_find_a_zero_part():
-    # one sup pass normalises the samples, one per sample bounds its sup
-    # in decompose and one per applied part gives its derivative sups; a
-    # part is zero exactly when its arrays are, which needs no pass
+    # one sup pass normalises the samples and one per sample bounds its
+    # sup in decompose; T applies in closed form on a step x, which takes
+    # no derivative sups, and a part is zero exactly when its arrays are,
+    # which needs no pass
     jumps = np.random.default_rng(3).standard_normal((4, 2))
     x = PiecewiseFunction.step((0.0, 1.0), [0.2, 0.45, 0.7, 0.9], jumps,
                                [0.0, 0.0])
@@ -486,7 +519,23 @@ def test_image_check_takes_no_sup_pass_to_find_a_zero_part():
                                             sample_count=10, seed=0)
     assert report.ok and report.checked == 40
     assert hull.call_count == 20
-    assert sups.call_count == 1 + 10 + hull.call_count
+    assert sups.call_count == 1 + 10
+
+
+def test_image_check_takes_one_sup_pass_per_part_applied_by_a_drive():
+    # on a non-step x each applied part's drive takes one pass for its
+    # derivative sups
+    x = PiecewiseFunction(np.array([0.0, 1.0]),
+                          np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]]))
+    with mock.patch.object(functions, "_sup_abs_rows",
+                           wraps=functions._sup_abs_rows) as sups, \
+            mock.patch.object(representation, "apply",
+                              wraps=apply) as applied:
+        report = weakly_compact_image_check(StieltjesOperator(plane(), x),
+                                            sample_count=5, seed=0)
+    assert report.ok and report.checked == 20
+    assert applied.call_count == 10
+    assert sups.call_count == 1 + 5 + applied.call_count
 
 
 def test_image_check_constant_integrator():
@@ -627,9 +676,12 @@ def test_roundtrip_without_functions_pairs_nothing():
         roundtrip(x, probe_count=10, dual_count=2, function_count=-3)
 
 
-def pairing_by_single_drives(x, tol, dual_count, function_count, seed):
+def pairing_by_single_drives(x, tol, dual_count, function_count, seed,
+                             driven=False):
     """roundtrip's (pairing_gap, worst_pair) from one integrate_g_dx per
-    (dual, g), drawing the duals and the g as roundtrip does."""
+    (dual, g), drawing the duals and the g as roundtrip does.  Each image
+    T g is ``apply(T, g, tol=tol)``, or with ``driven`` its own drive
+    ``integrate_g_dx(g, x, ...)`` whatever x is."""
     field = "complex" if np.iscomplexobj(x.coeffs) else "real"
     space = SpaceModel(x.dim, field, (Seminorm.weighted_sup(np.ones(x.dim)),))
     T = StieltjesOperator(space, x)
@@ -640,7 +692,8 @@ def pairing_by_single_drives(x, tol, dual_count, function_count, seed):
           for _ in range(function_count)]
     gap, worst = 0.0, None
     for j, g in enumerate(gs):
-        tg = apply(T, g, tol=tol)
+        tg = integrate_g_dx(g, x, seminorms=space.seminorms,
+                            tol=tol).value if driven else apply(T, g, tol=tol)
         for i, d in enumerate(duals):
             d = np.asarray(d)
             rhs = integrate_g_dx(g, dual_compose(y, d), tol=tol).value
@@ -675,5 +728,23 @@ def test_roundtrip_pairing_matches_single_drives(x, tol):
     report = roundtrip(x, probe_count=10, tol=tol, dual_count=6,
                        function_count=3, seed=11)
     gap, worst = pairing_by_single_drives(x, tol, 6, 3, 11)
+    assert report.pairing_gap == gap and report.worst_pair == worst
+    assert worst is not None
+
+
+@pytest.mark.parametrize("x", [
+    PiecewiseFunction.step((0.0, 1.0), [0.25, 0.5, 0.75],
+                           [[1.0, 0.0], [0.0, 1j], [2.0, -1.0]], [0.0, 0.0]),
+    PiecewiseFunction.step((0.0, 1.0), [0.2, 0.45, 0.7, 1.0],
+                           np.random.default_rng(5).normal(size=(4, 3)),
+                           np.zeros(3)),
+])
+def test_roundtrip_on_a_step_keeps_the_report_of_driven_images(x):
+    # the closed-form images of a step have the bits of their drives, so
+    # the report is the one that a drive per image gives
+    assert x.is_step
+    report = roundtrip(x, probe_count=10, tol=1e-8, dual_count=6,
+                       function_count=3, seed=11)
+    gap, worst = pairing_by_single_drives(x, 1e-8, 6, 3, 11, driven=True)
     assert report.pairing_gap == gap and report.worst_pair == worst
     assert worst is not None

@@ -17,7 +17,8 @@ import pytest
 from stieltjes import representation
 from stieltjes.errors import ArgumentError
 from stieltjes.functions import PiecewiseFunction, random_spline
-from stieltjes.representation import (StieltjesOperator, hull_membership,
+from stieltjes.representation import (StieltjesOperator, apply,
+                                      hull_membership,
                                       weakly_compact_image_check)
 from stieltjes.semivariation import semivariation
 from stieltjes.spaces import Seminorm, SpaceModel, sample_dual_ball
@@ -240,3 +241,15 @@ def test_step_semivariation_scales(p, k):
     scaled = semivariation(random_step(2.0 ** k), p)
     assert scaled.value == np.ldexp(base.value, k)
     assert scaled.exact and scaled.converged
+
+
+@pytest.mark.parametrize("k", POWERS)
+def test_apply_to_a_step_does_not_depend_on_scale(k):
+    # the closed form sums every nonzero jump; a drive tags only the jumps
+    # above the noise floor, absolute below scale 1, and at 2^-40 would
+    # list 2 of the 4 jumps and tag the others at midpoints
+    g = random_spline((0.0, 1.0), np.random.default_rng(1))
+    base = apply(StieltjesOperator(PLANE, random_step()), g)
+    scaled = apply(StieltjesOperator(PLANE, random_step(2.0 ** k)), g)
+    assert scaled.dtype == base.dtype
+    assert scaled.tobytes() == np.ldexp(base, k).tobytes()
