@@ -602,10 +602,10 @@ def _step_integrals(gs, x):
     # every g(tau_j) J_j from one product of two flat arrays, numpy's array
     # loop as for one g(t) * J; a broadcast to one complex element can take
     # another loop
-    (count, n), dim = gv.shape, x.dim
-    products = (gv.repeat(dim, axis=1).reshape(-1) * np.tile(
-        np.reshape([jump for _, jump in jumps], -1), count)).reshape(
-            count, n, dim)
+    count, n = gv.shape
+    g_at = gv.repeat(x.dim, axis=1).reshape(-1)
+    sizes = np.tile(np.reshape([jump for _, jump in jumps], -1), count)
+    products = (g_at * sizes).reshape(count, n, x.dim)
     total = np.repeat(zero[np.newaxis], count, axis=0)
     for k in range(n):
         total = total + products[:, k]
