@@ -322,7 +322,6 @@ def _run_semivariation(funcs, space, params):
         rep = semivariation(x, p, tol=params.get("tolerance", 1e-8),
                             max_levels=params.get("max_levels", 20),
                             phase_count=params.get("phase_count", 16))
-        rep.seminorm_index = i
         reports.append(rep)
         rows = [[lvl, mesh0 / (1 << lvl), float(v)]
                 for lvl, v in enumerate(rep.trace)]

@@ -166,6 +166,17 @@ def _split_rows(c, h, sign_changes=False):
     return splits
 
 
+def _segments(c, h, sign_changes=False):
+    """The rows of ``c`` (m, K) on [0, h_i] cut at the roots that
+    :func:`_split_rows` finds: the row index of each segment and its ends
+    ``lo`` and ``hi``, three (s,) arrays in row order."""
+    edges = [np.concatenate([[0.0], splits, [w]]) for splits, w in
+             zip(_split_rows(c, h, sign_changes), np.ravel(h).tolist())]
+    row = np.repeat(np.arange(len(edges)), [e.size - 1 for e in edges])
+    return (row, np.concatenate([e[:-1] for e in edges]),
+            np.concatenate([e[1:] for e in edges]))
+
+
 def _polyder(c):
     """Derivatives of the ascending-coefficient pieces ``c`` (m, K, ...);
     constant pieces keep one (zero) coefficient."""
@@ -176,8 +187,8 @@ def _extreme_rows(c, h):
     """Values of each real polynomial row of ``c`` (m, K) at 0, at the
     clipped real parts of all roots of its derivative in ascending order,
     and at h_i: its extreme values over [0, h_i] are among them.  Returns
-    (m, L) rows padded with further values at h_i, and the number of
-    candidates per row.
+    (m, L) rows padded with further values at h_i, so a min or max over a
+    whole row is that over its candidates.
 
     The values are np.polynomial.polyval's, in its operation order; a
     trailing zero coefficient leaves them unchanged, so rows may be padded
@@ -185,7 +196,7 @@ def _extreme_rows(c, h):
     """
     c = np.asarray(c, dtype=float)
     h = np.asarray(h, dtype=float)
-    roots, count = _root_rows(_polyder(c), h)
+    roots, _ = _root_rows(_polyder(c), h)
     hs = h[:, np.newaxis]
     # the NaN that pads a row's roots sorts last, and fmin makes it h_i
     x = np.fmin(np.sort(np.clip(roots.real, 0.0, hs), axis=1), hs)
@@ -193,7 +204,7 @@ def _extreme_rows(c, h):
     vals = c[:, -1:] + x * 0
     for k in range(c.shape[1] - 2, -1, -1):
         vals = c[:, k:k + 1] + vals * x
-    return vals, count + 2
+    return vals
 
 
 def _sup_abs_rows(c, h):
@@ -206,10 +217,10 @@ def _sup_abs_rows(c, h):
     if live.size == 0:
         return sups
     if not np.iscomplexobj(c):
-        vals, _ = _extreme_rows(c[live], h[live])
+        vals = _extreme_rows(c[live], h[live])
         sups[live] = np.max(np.abs(vals), axis=1)
         return sups
-    vals, _ = _extreme_rows(_abs_squared(c[live]), h[live])
+    vals = _extreme_rows(_abs_squared(c[live]), h[live])
     sups[live] = np.sqrt(np.max(vals, axis=1))
     return sups
 
@@ -406,20 +417,20 @@ class PiecewiseFunction:
         return _horner(self.coeffs.take(idx, axis=0),
                        ts - self.breakpoints.take(idx))
 
-    def evaluate(self, t):
+    def __call__(self, t):
         """Function value at a single point (right-continuous convention)."""
         out = self.values_at([t])[0]
         if self.dim is not None:
             return out
         return complex(out) if np.iscomplexobj(out) else float(out)
 
-    __call__ = evaluate
-
     def jump_points(self, atol=None):
         """Ascending list of (t, jump) pairs where the jump exceeds atol,
-        by default the function's noise floor (see ``_JUMP_RTOL``)."""
+        by default the function's noise floor (see ``_JUMP_RTOL``), and 0
+        for a pure step, whose constant pieces leave no rounding noise in
+        its jump table: a step lists every nonzero jump, at any scale."""
         if atol is None:
-            atol = self._noise_floor()
+            atol = 0.0 if self.is_step else self._noise_floor()
         jumps = self._jumps
         size = np.max(np.abs(jumps.reshape(self.piece_count, -1)), axis=1)
         return [(float(t), jump) for t, jump, s
@@ -442,7 +453,7 @@ class PiecewiseFunction:
 
     @cached_property
     def _jump_times(self):
-        """Times of the jumps above the function's noise floor."""
+        """Times of the jumps that :meth:`jump_points` lists by default."""
         return tuple(t for t, _ in self.jump_points())
 
     @cached_property
@@ -474,12 +485,6 @@ class PiecewiseFunction:
         bps = np.concatenate([[lo], inner, [hi]])
         return self._on_grid(bps, self.values_at([hi]))
 
-    def _merge_grid(self, other):
-        if self.domain != other.domain:
-            raise ArgumentError("domains differ")
-        return np.unique(np.concatenate([self.breakpoints,
-                                         other.breakpoints]))
-
     def _on_grid(self, bps, end):
         """Re-express on the grid ``bps`` inside the domain, whose last point
         takes the value ``end`` (shape (1[, dim]))."""
@@ -490,16 +495,14 @@ class PiecewiseFunction:
     def __add__(self, other):
         if not isinstance(other, PiecewiseFunction):
             other = PiecewiseFunction.constant(other, self.domain)
-        bps = self._merge_grid(other)
-        f = self._on_grid(bps, self.values[-1:])
-        g = other._on_grid(bps, other.values[-1:])
+        f, g = _common_grid(self, other)
         kf, kg = f.coeffs.shape[1], g.coeffs.shape[1]
         K = max(kf, kg)
         cf = np.zeros((f.piece_count, K) + f.coeffs.shape[2:],
                       dtype=np.result_type(f.coeffs, g.coeffs))
         cf[:, :kf] = f.coeffs
         cf[:, :kg] += g.coeffs
-        return PiecewiseFunction._trusted(bps, cf,
+        return PiecewiseFunction._trusted(f.breakpoints, cf,
                                           f.values[-1:] + g.values[-1:])
 
     def __neg__(self):
@@ -534,15 +537,31 @@ class PiecewiseFunction:
         """Exact sup of \\|f\\| (scalar) or max-abs over coordinates (vector)."""
         return _sups_abs((self,))[0]
 
-    def range_bounds(self):
-        """Exact (min, max) over [a, b]; real scalar functions only."""
-        if self.dim is not None or np.iscomplexobj(self.coeffs):
-            raise ArgumentError("range_bounds needs a real scalar function")
-        vals, count = _extreme_rows(self.coeffs, np.diff(self.breakpoints))
-        vals = np.concatenate(
-            [vals[np.arange(vals.shape[1]) < count[:, np.newaxis]],
-             self.values[-1:]])
-        return float(np.min(vals)), float(np.max(vals))
+
+def _common_grid(f, g):
+    """``f`` and ``g``, functions on one domain, re-expressed on the union
+    of their breakpoints."""
+    if f.domain != g.domain:
+        raise ArgumentError("domains differ")
+    bps = np.unique(np.concatenate([f.breakpoints, g.breakpoints]))
+    return f._on_grid(bps, f.values[-1:]), g._on_grid(bps, g.values[-1:])
+
+
+def _signed_parts(f):
+    """max(f, 0) and max(-f, 0) of a real scalar piecewise polynomial from
+    one root split of its pieces.  Each part shifts its own signed pieces:
+    negating the other part's would turn some of its zeros into -0.0."""
+    piece, lo, hi = _segments(f.coeffs, np.diff(f.breakpoints),
+                              sign_changes=True)
+    bps = np.concatenate([[f.a], f.breakpoints[piece] + hi])
+    parts = []
+    for c, end in ((f.coeffs, f.values[-1]), (-f.coeffs, -f.values[-1])):
+        shifted = _shift_poly(c[piece], lo)
+        keep = _horner(shifted, 0.5 * (hi - lo)) > 0.0
+        coeffs = np.where(keep[:, np.newaxis], shifted, 0.0)
+        values = np.concatenate([coeffs[:, 0], [max(float(end), 0.0)]])
+        parts.append(PiecewiseFunction(bps, coeffs, values))
+    return parts
 
 
 def _row_starts(blocks):
@@ -621,6 +640,16 @@ class TaggedPartition:
         return cls(points, _tags_by_rule(points, rule))
 
 
+def _partition_points(partition, f):
+    """The points of ``partition``, a TaggedPartition or raw points checked
+    as its are, refused unless they run from a to b of ``f``."""
+    pts = (partition if isinstance(partition, TaggedPartition)
+           else TaggedPartition.from_points(partition)).points
+    if pts[0] != f.a or pts[-1] != f.b:
+        raise ArgumentError("partition does not cover the function domain")
+    return pts
+
+
 def _interleave(a, b, axis=0):
     """a_0, b_0, a_1, b_1, ... along ``axis``, into a new C-ordered array;
     a is as long as b or one longer along that axis."""
@@ -674,7 +703,7 @@ def _variations(fs):
     c, h = np.concatenate([f.coeffs for f in fs]), np.concatenate(widths)
     # padded extreme-value candidates add zero steps at the end of a row
     steps = (_path_lengths(c, h) if np.iscomplexobj(c) else np.abs(
-        np.diff(_extreme_rows(c, h)[0], axis=1)).sum(axis=1)).tolist()
+        np.diff(_extreme_rows(c, h), axis=1)).sum(axis=1)).tolist()
     starts = _row_starts(widths)
     return [float(sum(steps[lo:hi])
                   + sum(abs(jump) for _, jump in f.jump_points(atol=0.0)))
@@ -703,11 +732,8 @@ def _path_lengths(c, h):
     and each row sums its segments in sequence from 0.0."""
     der = _polyder(c)
     nodes, wts = _gauss_legendre()
-    edges = [np.concatenate([[0.0], splits, [hi]]) for splits, hi in
-             zip(_split_rows(_abs_squared(der), h), h.tolist())]
-    row = np.repeat(np.arange(len(edges)), [e.size - 1 for e in edges])
-    lo = np.concatenate([e[:-1] for e in edges])
-    half = 0.5 * (np.concatenate([e[1:] for e in edges]) - lo)
+    row, lo, hi = _segments(_abs_squared(der), h)
+    half = 0.5 * (hi - lo)
     seg = np.empty(lo.size)
     for s in range(0, lo.size, _SEGMENT_BLOCK):
         part = slice(s, s + _SEGMENT_BLOCK)
@@ -739,16 +765,15 @@ def product_integral(f, g):
     """
     if g.dim is not None:
         raise ArgumentError("second factor must be scalar")
-    bps = f._merge_grid(g)
-    ff = f._on_grid(bps, f.values[-1:])
-    gg = g._on_grid(bps, g.values[-1:])
+    ff, gg = _common_grid(f, g)
     fc, kf = ff.coeffs, ff.coeffs.shape[1]
     gc = gg.coeffs.reshape(gg.coeffs.shape + (1,) * (fc.ndim - 2))
     prod = np.zeros((fc.shape[0], kf + gc.shape[1] - 1) + fc.shape[2:],
                     dtype=np.result_type(fc, gc))
     for k in range(gc.shape[1]):
         prod[:, k:k + kf] += fc * gc[:, k:k + 1]
-    return sum(_horner(npoly.polyint(prod, axis=1), np.diff(bps)), 0.0)
+    return sum(_horner(npoly.polyint(prod, axis=1),
+                       np.diff(ff.breakpoints)), 0.0)
 
 
 def _natural_spline(x, y):
@@ -790,20 +815,17 @@ def _natural_spline(x, y):
                     axis=1)
 
 
-def random_spline(domain, rng, knot_count=6, sup_bound=1.0,
-                  complex_field=False):
-    """Random continuous cubic spline with sup-norm exactly ``sup_bound``.
+def random_spline(domain, rng, knot_count=6, complex_field=False):
+    """Random continuous cubic spline with sup-norm exactly 1.
 
     Natural cubic spline through uniform knots with values drawn from
     [-1, 1], rescaled by its exact sup; a complex sample combines two real
     splines.  Returns the zero function when every sampled value is zero.
     """
-    return _random_splines(domain, rng, 1, knot_count, sup_bound,
-                           complex_field)[0]
+    return _random_splines(domain, rng, 1, knot_count, complex_field)[0]
 
 
-def _random_splines(domain, rng, count, knot_count=6, sup_bound=1.0,
-                    complex_field=False):
+def _random_splines(domain, rng, count, knot_count=6, complex_field=False):
     """``count`` successive :func:`random_spline` samples, with its draws in
     its order and its bits, normalised by one sup pass over them all."""
     a, b = float(domain[0]), float(domain[1])
@@ -818,5 +840,5 @@ def _random_splines(domain, rng, count, knot_count=6, sup_bound=1.0,
     # g_1 real, g_1 imaginary, g_2 real, ...: the left operand draws first
     fs = [one() + 1j * one() if complex_field else one()
           for _ in range(count)]
-    return [f * (sup_bound / s) if s > 0 else f
+    return [f * (1.0 / s) if s > 0 else f
             for f, s in zip(fs, _sups_abs(fs))]

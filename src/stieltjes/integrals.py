@@ -76,8 +76,8 @@ import numpy as np
 
 from .errors import ArgumentError, ExistenceError
 from .functions import (PiecewiseFunction, _derivative_sups_of, _interleave,
-                        _polyder)
-from .spaces import Seminorm
+                        _partition_points, _polyder)
+from .spaces import Seminorm, _check_dimension
 
 __all__ = [
     "LevelRecord",
@@ -471,10 +471,7 @@ def _checked(fs, mus, seminorms, tol, max_levels):
     dim = fs[0].dim or mus[0].dim
     seminorms = tuple(seminorms) if seminorms is not None \
         else _max_abs(dim or 1)
-    for p in seminorms:
-        if p.dimension != (dim or 1):
-            raise ArgumentError("seminorm dimension does not match the "
-                                "vector-valued factor")
+    _check_dimension(seminorms, dim or 1)
     return [np.array(mu._jump_times) for mu in mus], seminorms
 
 
@@ -520,9 +517,7 @@ def _scalar(g):
 
 def _plain_sum(f, mu, partition):
     _ensure_compatible(f, mu)
-    pts = partition.points
-    if pts[0] != f.a or pts[-1] != f.b:
-        raise ArgumentError("partition does not cover the common domain")
+    pts = _partition_points(partition, f)
     dim = f.dim or mu.dim
     fv = _Columns((f,)).values_at(partition.tags)
     dmu = np.diff(_Columns((mu,)).values_at(pts), axis=1)
@@ -584,8 +579,9 @@ def _step_integrals(gs, x):
     J_j: one (integrands[, dim]) array.  Every g is evaluated at every jump
     time in one pass, and each g's products are added in sequence, in jump
     order, starting from x(b) * 0, so each row has the bits of that g's
-    sum alone, signed zeros included."""
-    jumps = x.jump_points(atol=0.0)
+    sum alone, signed zeros included.  The jumps are ``x.jump_points()``,
+    which lists every nonzero jump of a step at any scale."""
+    jumps = x.jump_points()
     times = np.array([t for t, _ in jumps])
     # a stack of one goes through its function's own values_at, the
     # evaluation layer that perfbench counts, with the bits of _Columns

@@ -21,12 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, EnumerationLimitError
-from .functions import (PiecewiseFunction, _horner, _random_splines,
-                        _shift_poly, _split_rows, dual_compose)
-from .integrals import (_check_tol, _drive, _scalar, _step_integrals,
-                        integrate_g_dx)
+from .functions import (PiecewiseFunction, _random_splines, _signed_parts,
+                        dual_compose)
+from .integrals import (_check_tol, _drive, _max_abs, _scalar,
+                        _step_integrals, integrate_g_dx)
 from .semivariation import e_set, wcs_check
-from .spaces import Seminorm, SpaceModel, pair, sample_dual_ball
+from .spaces import SpaceModel, pair, sample_dual_ball
 
 __all__ = [
     "StieltjesOperator",
@@ -115,33 +115,14 @@ def _operand(T, g):
     return _scalar(g)
 
 
-def _signed_parts(f):
-    """max(f, 0) and max(-f, 0) of a real scalar piecewise polynomial from
-    one root split of its pieces.  Each part shifts its own signed pieces:
-    negating the other part's would turn some of its zeros into -0.0."""
-    widths = np.diff(f.breakpoints)
-    edges = [np.concatenate([[0.0], splits, [h]]) for splits, h in
-             zip(_split_rows(f.coeffs, widths, sign_changes=True), widths)]
-    piece = np.repeat(np.arange(f.piece_count), [e.size - 1 for e in edges])
-    lo = np.concatenate([e[:-1] for e in edges])
-    hi = np.concatenate([e[1:] for e in edges])
-    bps = np.concatenate([[f.a], f.breakpoints[piece] + hi])
-    parts = []
-    for c, end in ((f.coeffs, f.values[-1]), (-f.coeffs, -f.values[-1])):
-        shifted = _shift_poly(c[piece], lo)
-        keep = _horner(shifted, 0.5 * (hi - lo)) > 0.0
-        coeffs = np.where(keep[:, np.newaxis], shifted, 0.0)
-        values = np.concatenate([coeffs[:, 0], [max(float(end), 0.0)]])
-        parts.append(PiecewiseFunction(bps, coeffs, values))
-    return parts
-
-
 def decompose(g):
     """Split g with sup-norm <= 1 into four parts with values in [0, 1].
 
     The sup may exceed 1 by g's noise floor, ``_JUMP_RTOL`` times the size
     of its coefficients, the rounding of the sup kernel: a g normalised by
-    its own ``sup_abs`` passes.
+    its own ``sup_abs`` passes.  A step g keeps that slack, though its
+    ``jump_points`` need no floor: normalised by its own sup, a step can
+    exceed 1 by an ulp.
 
     Returns (g0, g1, g2, g3) with g = g0 - g2 + i (g1 - g3): the positive
     and negative parts of the real and of the imaginary part, each pair
@@ -477,8 +458,7 @@ def roundtrip(x, probe_count=20, tol=1e-8, dual_count=20, function_count=20,
     Returns the max discrepancy of each kind; with no g or no dual the
     pairing gap is 0.0 and ``worst_pair`` None.
     """
-    if x.dim is None:
-        raise ArgumentError("integrator must be vector-valued")
+    m = measure_from_function(x)  # refuses a scalar x
     if probe_count < 2:
         raise ArgumentError("probe_count must be >= 2")
     if function_count < 0:
@@ -486,11 +466,9 @@ def roundtrip(x, probe_count=20, tol=1e-8, dual_count=20, function_count=20,
             f"function_count must be nonnegative, not {function_count}")
     _check_tol(tol)
     field = "complex" if np.iscomplexobj(x.coeffs) else "real"
-    sems = tuple(seminorms) if seminorms is not None \
-        else (Seminorm.weighted_sup(np.ones(x.dim)),)
+    sems = tuple(seminorms) if seminorms is not None else _max_abs(x.dim)
     space = SpaceModel(x.dim, field, sems)
     T = StieltjesOperator(space, x)
-    m = measure_from_function(x)
     y = m.cumulative
 
     probes = np.unique(np.concatenate(

@@ -21,8 +21,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ArgumentError, EnumerationLimitError
-from .functions import TaggedPartition, _variations, dual_compose
-from .spaces import polar_gauge
+from .functions import _partition_points, _variations, dual_compose
+from .integrals import _check_tol
+from .spaces import _check_dimension, polar_gauge
 
 __all__ = [
     "SemivariationReport",
@@ -65,20 +66,11 @@ class SemivariationReport:
     trace: list = field(default_factory=list)
     partition_points: np.ndarray | None = None
     coefficients: np.ndarray | None = None
-    seminorm_index: int | None = None
 
 
 def _increment_rows(x, points):
     rows = np.diff(x.values_at(points), axis=0)
     return rows if x.dim is not None else rows[:, np.newaxis]
-
-
-def _check_pair(x, p):
-    dim = 1 if x.dim is None else x.dim
-    if p.dimension != dim:
-        raise ArgumentError(
-            f"seminorm dimension {p.dimension} != value dimension {dim}"
-        )
 
 
 def _digit_chunks(base, width):
@@ -130,6 +122,22 @@ def _pattern_enumeration(deltas, p, table):
     return best_val, best_alpha
 
 
+def _jump_rows(x):
+    """The jump table of a step x as (pieces, entries) rows."""
+    return x._jumps.reshape(x.piece_count, -1)
+
+
+def _enumerated_jumps(x):
+    """The nonzero jump rows of a step x, whose subsets or signs are
+    enumerated: refused past MAX_ENUM_INCREMENTS."""
+    rows, _ = _nonzero_rows(_jump_rows(x))
+    if rows.shape[0] > MAX_ENUM_INCREMENTS:
+        raise EnumerationLimitError(
+            f"{rows.shape[0]} jumps exceed the enumeration cap of "
+            f"{MAX_ENUM_INCREMENTS}")
+    return rows
+
+
 def _nonzero_rows(deltas):
     """The nonzero increment rows, and the map that spreads coefficients
     for them over all rows (coefficient 1 on a zero row)."""
@@ -154,7 +162,7 @@ def _vertex_variation(x, rows):
     """Var<u, x(.)> for each row u of ``rows``, _CHUNK rows at a time: a
     step x's jump moduli, by one product with its increments, or one
     extreme-value pass over the compositions of any other x."""
-    deltas = x._jumps.reshape(x.piece_count, -1) if x.is_step else None
+    deltas = _jump_rows(x) if x.is_step else None
     out = [np.zeros(0)]
     for lo in range(0, rows.shape[0], _CHUNK):
         chunk = rows[lo:lo + _CHUNK]
@@ -292,12 +300,8 @@ def semivariation_on_partition(x, partition, p, phase_count=16):
 
     Returns ``(value, coefficients)`` with one coefficient per cell.
     """
-    _check_pair(x, p)
-    # raw points are checked as a TaggedPartition's are
-    pts = (partition if isinstance(partition, TaggedPartition)
-           else TaggedPartition.from_points(partition)).points
-    if pts[0] != x.a or pts[-1] != x.b:
-        raise ArgumentError("partition does not cover the function domain")
+    _check_dimension((p,), x.dim or 1)
+    pts = _partition_points(partition, x)
     if pts.size - 1 > MAX_ENUM_INCREMENTS:
         raise EnumerationLimitError(
             f"{pts.size - 1} cells exceed the enumeration cap of "
@@ -336,9 +340,8 @@ def semivariation(x, p, tol=1e-8, max_levels=20, phase_count=16):
     The grid and the search include the norming dual of x(b) - x(a), so
     the value is at least p(x(b) - x(a)).
     """
-    _check_pair(x, p)
-    if tol <= 0:
-        raise ArgumentError("tol must be positive")
+    _check_dimension((p,), x.dim or 1)
+    _check_tol(tol)
     if p.kind == "max":
         reports = [semivariation(x, part, tol, max_levels, phase_count)
                    for part in p.parts]
@@ -349,16 +352,12 @@ def semivariation(x, p, tol=1e-8, max_levels=20, phase_count=16):
             lower_bound_only=any(r.lower_bound_only for r in reports),
             converged=upper - best.value <= tol)
     complex_field = np.iscomplexobj(x.coeffs) or np.iscomplexobj(x.values)
-    deltas = x._jumps.reshape(x.piece_count, -1) if x.is_step else None
+    deltas = _jump_rows(x) if x.is_step else None
     if p.kind != "quadratic":
         val, upper, u = _polar_vertex_max(x, p, complex_field, phase_count)
         trace, lower_bound_only = [val], upper > val
     elif x.is_step and not complex_field:
-        active, _ = _nonzero_rows(deltas)
-        if active.shape[0] > MAX_ENUM_INCREMENTS:
-            raise EnumerationLimitError(
-                f"{active.shape[0]} jumps exceed the sign-enumeration cap "
-                f"of {MAX_ENUM_INCREMENTS}")
+        active = _enumerated_jumps(x)
         val, alpha = _pattern_enumeration(active, p, _SIGNS)
         # the norming dual of the best sum has the signs alpha on the jumps
         upper, u, trace = val, p.matrix @ (alpha @ active), [val]
@@ -389,11 +388,7 @@ def e_set(x, resolution=None):
     Returns the distinct sums as an array whose row 0 is the empty sum 0.
     """
     if x.is_step:
-        increments, _ = _nonzero_rows(x._jumps.reshape(x.piece_count, -1))
-        if increments.shape[0] > MAX_ENUM_INCREMENTS:
-            raise EnumerationLimitError(
-                f"{increments.shape[0]} jumps exceed the subset-sum cap of "
-                f"{MAX_ENUM_INCREMENTS}")
+        increments = _enumerated_jumps(x)
     else:
         if resolution is None:
             raise ArgumentError("a grid resolution is required for non-step "

@@ -12,7 +12,8 @@ them.  Dual vectors are plain coordinate arrays; the pairing is the
 standard (conjugate-linear in the dual) inner product.
 """
 
-from dataclasses import dataclass, field as dc_field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +33,14 @@ _KINDS = ("weighted-sup", "weighted-one", "quadratic", "max")
 # which the form is rejected as indefinite; eigenvalues up to it count as
 # zero when the kernels of a family are intersected
 _PSD_TOL = 1e-10
+
+
+def _check_dimension(seminorms, dim):
+    """Refuse a seminorm of another dimension than ``dim``, the values'."""
+    for p in seminorms:
+        if p.dimension != dim:
+            raise ArgumentError(
+                f"seminorm dimension {p.dimension} != value dimension {dim}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +141,7 @@ class Seminorm:
 class SpaceModel:
     """Coordinate space R^n / C^n with a finite seminorm family.
 
-    ``separating`` is computed at construction: the family separates points
+    ``separating`` is computed on first read: the family separates points
     iff the intersection of the seminorm kernels is trivial, which is
     checked by the rank of unit rows spanning their complements: the
     coordinates of positive weights, and the eigenvectors of a form whose
@@ -143,7 +152,6 @@ class SpaceModel:
     dimension: int
     field: str
     seminorms: tuple
-    separating: bool = dc_field(init=False, default=False)
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -153,21 +161,17 @@ class SpaceModel:
         sems = tuple(self.seminorms)
         if not sems:
             raise ArgumentError("at least one seminorm is required")
+        _check_dimension(sems, self.dimension)
         for p in sems:
-            if p.dimension != self.dimension:
-                raise ArgumentError(
-                    f"seminorm dimension {p.dimension} != space dimension "
-                    f"{self.dimension}"
-                )
             if self.field == "real" and p.kind == "quadratic":
                 if np.iscomplexobj(p.matrix):
                     raise ArgumentError(
                         "complex quadratic form on a real space"
                     )
         object.__setattr__(self, "seminorms", sems)
-        object.__setattr__(self, "separating", self._separating())
 
-    def _separating(self):
+    @functools.cached_property
+    def separating(self):
         rows = []
         for p in self._flat_seminorms():
             # unit rows spanning the complement of the kernel

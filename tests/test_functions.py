@@ -11,6 +11,7 @@ from stieltjes.functions import (PiecewiseFunction, TaggedPartition,
                                  _sup_abs_rows, dual_compose, product_integral,
                                  random_spline, scalar_variation,
                                  uniform_tagged_partition)
+from test_kernels import range_bounds
 
 
 def single_jump():
@@ -181,13 +182,13 @@ def test_restrict():
 def test_sup_abs_and_range():
     g = PiecewiseFunction.from_global_polynomial([0.0, -1.0], (0.0, 1.0))
     assert g.sup_abs() == 1.0
-    assert g.range_bounds() == (-1.0, 0.0)
+    assert range_bounds(g) == (-1.0, 0.0)
     # interior extremum of t(1 - t) at t = 1/2
     h = PiecewiseFunction.from_global_polynomial([0.0, 1.0, -1.0], (0.0, 1.0))
     assert math.isclose(h.sup_abs(), 0.25, rel_tol=1e-13)
     x = PiecewiseFunction.step((0.0, 1.0), [0.5], [-3.0], 1.0)
     assert x.sup_abs() == 2.0
-    assert x.range_bounds() == (-2.0, 1.0)
+    assert range_bounds(x) == (-2.0, 1.0)
 
 
 def test_derivative():
@@ -310,7 +311,7 @@ def test_range_with_a_negligible_leading_term(lead):
     # it swamps the companion matrix and hides the maximum near t = 0.92
     f = PiecewiseFunction([0.0, 1.5], [[215.0, 612.0, -332.0, lead]])
     peak = 215.0 + 612.0 ** 2 / (4 * 332.0)
-    lo, hi = f.range_bounds()
+    lo, hi = range_bounds(f)
     assert lo == 215.0
     assert math.isclose(hi, peak, rel_tol=1e-12)
     assert math.isclose(f.sup_abs(), peak, rel_tol=1e-12)
@@ -322,7 +323,7 @@ def test_extremes_at_a_triple_critical_point():
     c = [0.9375, 0.5, -1.5, 2.0, -1.0]
     assert _sup_abs_rows(np.array([c]), [1.0])[0] == 1.0
     f = PiecewiseFunction([0.0, 1.0], [c])
-    assert f.range_bounds() == (0.9375, 1.0)
+    assert range_bounds(f) == (0.9375, 1.0)
     assert math.isclose(scalar_variation(f), 0.125, rel_tol=1e-12)
 
 
@@ -344,7 +345,7 @@ def test_random_spline_contract():
     assert not f.jump_points()
     g = random_spline((0.0, 1.0), np.random.default_rng(123))
     np.testing.assert_array_equal(f.coeffs, g.coeffs)
-    z = random_spline((0.0, 1.0), rng, sup_bound=0.25, complex_field=True)
+    z = 0.25 * random_spline((0.0, 1.0), rng, complex_field=True)
     assert math.isclose(z.sup_abs(), 0.25, rel_tol=1e-12)
     assert np.iscomplexobj(z.coeffs)
     with pytest.raises(ArgumentError):

@@ -1,6 +1,7 @@
 """Static checks of the package source: every import is used, every
 private name, at module level or in a class body, is used somewhere in the
-package, and the slow optional imports happen inside functions.  Two
+package, no module but ``functions`` imports the piece kernels, and the
+slow optional imports happen inside functions.  Two
 runtime checks join them: the package exports exactly the names its
 modules export, each of which resolves, and every array a function holds
 or caches is read-only, on copies too.
@@ -147,6 +148,24 @@ def test_every_private_class_member_is_used():
     assert not unused, f"private class members nothing reads: {unused}"
 
 
+# the piecewise-polynomial kernels: other modules reach pieces through the
+# functions that use them, so each rule on pieces has its one home there
+PIECE_KERNELS = {"_horner", "_shift_poly", "_split_rows", "_segments"}
+
+
+def kernel_imports(tree):
+    """The piece kernels that ``tree`` imports from a module."""
+    return sorted(PIECE_KERNELS.intersection(
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) for alias in node.names))
+
+
+@pytest.mark.parametrize("name", sorted(set(MODULES) - {"functions.py"}))
+def test_only_functions_splits_pieces(name):
+    found = kernel_imports(MODULES[name])
+    assert not found, f"{name} imports piece kernels: {found}"
+
+
 @pytest.mark.parametrize("name", sorted(MODULES))
 def test_scipy_and_jsonschema_are_imported_inside_functions(name):
     eager = eager_imports(MODULES[name])
@@ -178,6 +197,10 @@ def test_the_checks_see_a_leftover():
                      "from . import scipy_free\nimport scipyx\n")
     assert eager_imports(tree) == [(1, "scipy.optimize"), (2, "jsonschema"),
                                    (4, "scipy"), (8, "jsonschema")]
+    tree = ast.parse("from .functions import (_horner, dual_compose,\n"
+                     "    _segments)\ndef f():\n"
+                     "    from .functions import _split_rows\n")
+    assert kernel_imports(tree) == ["_horner", "_segments", "_split_rows"]
 
 
 def test_the_package_exports_what_its_modules_export():

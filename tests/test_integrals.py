@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
@@ -927,20 +927,19 @@ def step_images(draw):
     """(gs, x, seminorms): 1-5 splines on random_spline's knots against a
     pure step x of dimension 2 or 3, all real or all complex, whose jumps
     may include one at b, a zero jump and a zero coordinate, at a scale
-    from 1e-3 to 1e3 at which ``x._jump_times`` lists every nonzero jump;
-    the seminorms are None (max-abs) or 1-3 of each kind."""
+    from 1e-12 to 1e12 (a step lists every nonzero jump at any scale); the
+    seminorms are None (max-abs) or 1-3 of each kind."""
     complex_field = draw(st.booleans())
     dim = draw(st.integers(2, 3))
     rng = np.random.default_rng(draw(SEEDS))
     times = draw(STEP_TIMES)
     jumps = rng.normal(size=(len(times), dim)) * (1 + 1j * complex_field) \
-        * 10.0 ** draw(st.integers(-3, 3))
+        * 10.0 ** draw(st.integers(-12, 12))
     if draw(st.booleans()):
         jumps[rng.integers(len(times))] = 0.0
     if draw(st.booleans()):
         jumps[rng.integers(len(times)), rng.integers(dim)] = 0.0
     x = PiecewiseFunction.step((0.0, 1.0), times, jumps, np.zeros(dim))
-    assume(x._jump_times == tuple(t for t, _ in x.jump_points(atol=0.0)))
     n = draw(st.integers(1, 5))
     gs = [random_spline((0.0, 1.0), rng, complex_field=complex_field) * s
           for s in 10.0 ** rng.integers(-8, 3, n)]

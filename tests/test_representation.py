@@ -20,6 +20,7 @@ from stieltjes.representation import (IntervalMeasure, StieltjesOperator,
                                       weakly_compact_image_check)
 from stieltjes.semivariation import e_set
 from stieltjes.spaces import Seminorm, SpaceModel, pair, sample_dual_ball
+from test_kernels import range_bounds
 
 
 def single_jump():
@@ -158,7 +159,7 @@ def test_decompose_reconstructs():
                    + 1j * (g1.values_at(ts) - g3.values_at(ts)))
         np.testing.assert_allclose(rebuilt, g.values_at(ts), atol=1e-12)
         for part in (g0, g1, g2, g3):
-            lo, hi = part.range_bounds()
+            lo, hi = range_bounds(part)
             assert lo >= -1e-12 and hi <= 1.0 + 1e-12
 
 
@@ -295,7 +296,7 @@ def test_decompose_of_splines_keeps_the_bits_per_piece(seed, knots, cplx):
 def test_decompose_splits_the_real_and_imaginary_parts_once(cplx):
     g = random_spline((0.0, 1.0), np.random.default_rng(4),
                       complex_field=cplx)
-    with mock.patch.object(representation, "_split_rows",
+    with mock.patch.object(functions, "_split_rows",
                            wraps=_split_rows) as split:
         decompose(g)
     assert split.call_count == 2

@@ -7,16 +7,18 @@ leave each decision unchanged, and each reported size must scale by 2^k:
 hull membership, the image check, the sampled duals, the validity checks
 of a quadratic form, the separation flag of a family and the
 semivariation of a step, the image check of a polynomial integrator, the
-right-continuity check of user values and the jump list of a spline.  The explicit cases at 1e-13
-to 1e13 are the scales at which absolute thresholds decided wrongly.
+right-continuity check of user values, the jump list of a spline and of a
+step, and the drive and existence check on a step.  The explicit cases at
+1e-13 to 1e13 are the scales at which absolute thresholds decided wrongly.
 """
 
 import numpy as np
 import pytest
 
 from stieltjes import representation
-from stieltjes.errors import ArgumentError
+from stieltjes.errors import ArgumentError, ExistenceError
 from stieltjes.functions import PiecewiseFunction, random_spline
+from stieltjes.integrals import exact_step_integral, integrate_g_dx
 from stieltjes.representation import (StieltjesOperator, apply,
                                       hull_membership,
                                       weakly_compact_image_check)
@@ -245,11 +247,32 @@ def test_step_semivariation_scales(p, k):
 
 @pytest.mark.parametrize("k", POWERS)
 def test_apply_to_a_step_does_not_depend_on_scale(k):
-    # the closed form sums every nonzero jump; a drive tags only the jumps
-    # above the noise floor, absolute below scale 1, and at 2^-40 would
-    # list 2 of the 4 jumps and tag the others at midpoints
+    # the closed form sums every nonzero jump of the step, which
+    # jump_points lists at any scale, so the image scales by exactly 2^k
     g = random_spline((0.0, 1.0), np.random.default_rng(1))
     base = apply(StieltjesOperator(PLANE, random_step()), g)
     scaled = apply(StieltjesOperator(PLANE, random_step(2.0 ** k)), g)
     assert scaled.dtype == base.dtype
     assert scaled.tobytes() == np.ldexp(base, k).tobytes()
+
+
+@pytest.mark.parametrize("k", POWERS)
+@pytest.mark.parametrize("relative", [False, True])
+def test_a_drive_on_a_step_tags_every_jump_at_any_scale(k, relative):
+    # a step's jump table holds no rounding noise, so the drive tags every
+    # nonzero jump at its right end; an absolute floor below scale 1 left
+    # 2 of the 4 jumps at 2^-40 and none at 2^-45 to midpoint tags, and
+    # the drive ran 20 levels without converging
+    g = random_spline((0.0, 1.0), np.random.default_rng(1))
+    x = random_step(2.0 ** k)
+    res = integrate_g_dx(g, x, tol=1e-8 * (2.0 ** k if relative else 1.0))
+    assert res.value.tobytes() == (exact_step_integral(g, x) + 0.0).tobytes()
+    assert res.levels == 2 and res.converged
+
+
+def test_a_common_step_jump_below_scale_one_has_no_integral():
+    g = PiecewiseFunction.step((0.0, 1.0), [0.3], [2.0 ** -40], 0.0)
+    x = PiecewiseFunction.step((0.0, 1.0), [0.3, 0.6],
+                               [[2.0 ** -40, 0.0], [0.0, 1.0]], [0.0, 0.0])
+    with pytest.raises(ExistenceError, match="t = 0.3"):
+        integrate_g_dx(g, x)

@@ -452,7 +452,7 @@ def fresh_jump_points(x, atol):
 def fresh_variation(x):
     c, h = x.coeffs, np.diff(x.breakpoints)
     steps = (_path_lengths(c, h) if np.iscomplexobj(c) else np.abs(
-        np.diff(_extreme_rows(c, h)[0], axis=1)).sum(axis=1)).tolist()
+        np.diff(_extreme_rows(c, h), axis=1)).sum(axis=1)).tolist()
     return float(sum(steps) + sum(abs(jump) for _, jump
                                   in fresh_jump_points(x, 0.0)))
 
@@ -518,7 +518,7 @@ def test_step_semivariation_keeps_its_bits(x, seed):
                                property(increments)):
             expected = semivariation(x, p, max_levels=4)
         for name in ("value", "upper", "exact", "lower_bound_only",
-                     "converged", "levels", "trace", "seminorm_index"):
+                     "converged", "levels", "trace"):
             assert getattr(got, name) == getattr(expected, name), name
         for name in ("value", "upper"):
             assert same_bits(getattr(got, name), getattr(expected, name))
