@@ -179,8 +179,12 @@ def _segments(c, h, sign_changes=False):
 
 def _polyder(c):
     """Derivatives of the ascending-coefficient pieces ``c`` (m, K, ...);
-    constant pieces keep one (zero) coefficient."""
-    return npoly.polyder(c, axis=1) if c.shape[1] > 1 else np.zeros_like(c)
+    constant pieces keep one (zero) coefficient.  Each j c_j is the
+    product np.polynomial.polyder forms, without its per-call set-up."""
+    K = c.shape[1]
+    if K == 1:
+        return np.zeros_like(c)
+    return c[:, 1:] * np.arange(1, K).reshape((-1,) + (1,) * (c.ndim - 2))
 
 
 def _extreme_rows(c, h):
@@ -358,7 +362,10 @@ class PiecewiseFunction:
             [start[np.newaxis],
              start[np.newaxis] + np.cumsum(jumps[interior], axis=0)], axis=0)
         coeffs = levels[:, np.newaxis]
-        end = start + jumps.sum(axis=0)
+        # the last level plus the jump at b, if any: a sum of all jumps
+        # rounds apart from the cumsum and would leave a residue at b
+        end = levels[-1] + jumps[-1] if times.size and not interior[-1] \
+            else levels[-1]
         values = np.concatenate([levels, end[np.newaxis]], axis=0)
         return cls(bps, coeffs, values)
 
@@ -428,7 +435,10 @@ class PiecewiseFunction:
         """Ascending list of (t, jump) pairs where the jump exceeds atol,
         by default the function's noise floor (see ``_JUMP_RTOL``), and 0
         for a pure step, whose constant pieces leave no rounding noise in
-        its jump table: a step lists every nonzero jump, at any scale."""
+        its jump table: a step lists every nonzero jump, at any scale.
+        This default is the one home of the floor rule; the jump table and
+        the size it reads are cached, for a stack of functions from one
+        pass (:func:`_jump_tables_of`)."""
         if atol is None:
             atol = 0.0 if self.is_step else self._noise_floor()
         jumps = self._jumps
@@ -439,17 +449,19 @@ class PiecewiseFunction:
     def _noise_floor(self):
         """``_JUMP_RTOL`` times the function's size: differences below it
         are float evaluation noise."""
-        bound = _horner(np.abs(self.coeffs), np.diff(self.breakpoints))
-        return _JUMP_RTOL * max(1.0, float(np.max(bound)))
+        return _JUMP_RTOL * max(1.0, self._size)
 
     @cached_property
     def _jumps(self):
         """The jump table x(b_i) - x(b_i-), i = 1, ..., m, (m[, dim]); for
         a step function its increments, its zero jumps with their signs."""
-        jumps = self.values[1:] - _horner(self.coeffs,
-                                          np.diff(self.breakpoints))
-        jumps.flags.writeable = False
-        return jumps
+        return _jump_tables_of((self,))[0]
+
+    @cached_property
+    def _size(self):
+        """max_i sum_k \\|c_ik\\| h_i^k over the pieces and coordinates."""
+        _jump_tables_of((self,))
+        return self._size
 
     @cached_property
     def _jump_times(self):
@@ -587,6 +599,28 @@ def _sups_abs(fs):
     return [max(max(sups[lo:hi]),
                 float(np.max(np.abs(np.atleast_1d(f.values[-1])))))
             for lo, hi, f in zip(starts, starts[1:], fs)]
+
+
+def _jump_tables_of(fs):
+    """The ``_jumps`` of each function of ``fs``, all real or all complex
+    with coefficient arrays of one shape but for the piece count.  The
+    functions not yet holding theirs get them, and the ``_size`` that
+    ``_noise_floor`` reads, from one Horner pass over all their rows for
+    the values at the piece ends and one for the size bounds; each caches
+    its own read-only table, with the bits of a pass over its rows
+    alone."""
+    new = [f for f in fs if not {"_jumps", "_size"} <= vars(f).keys()]
+    if new:
+        c = np.concatenate([f.coeffs for f in new])
+        h = np.concatenate([np.diff(f.breakpoints) for f in new])
+        ends, bounds = _horner(c, h), _horner(np.abs(c), h)
+        starts = _row_starts([f.coeffs for f in new])
+        for lo, hi, f in zip(starts, starts[1:], new):
+            jumps = f.values[1:] - ends[lo:hi]
+            jumps.flags.writeable = False
+            vars(f)["_jumps"] = jumps
+            vars(f)["_size"] = float(np.max(bounds[lo:hi]))
+    return [f._jumps for f in fs]
 
 
 def _derivative_sups_of(fs):
@@ -777,8 +811,9 @@ def product_integral(f, g):
 
 
 def _natural_spline(x, y):
-    """Ascending coefficients (m, 4) of the natural cubic spline through
-    the knots ``x`` (m+1,) with values ``y``.
+    """Ascending coefficients (rows, m, 4) of the natural cubic splines
+    through the knots ``x`` (m+1,) with the values of each row of ``y``
+    (rows, m+1).
 
     The knot slopes solve the tridiagonal system that scipy's
     ``CubicSpline(x, y, bc_type="natural")`` builds, in LAPACK ``dgtsv``'s
@@ -786,17 +821,20 @@ def _natural_spline(x, y):
     coefficients, so the result is bit for bit scipy's whenever ``dgtsv``
     swaps no rows: whenever each diagonal entry stays at least the one
     below it, as for knots whose neighbouring spacings differ by less than
-    a factor 2.
+    a factor 2.  The elimination factors depend only on the knots, so
+    they are computed once; the right-hand sides of all rows run through
+    each step together, and each row has the bits of a solve of its own.
     """
     dx = np.diff(x)
-    slope = np.diff(y) / dx
+    slope = np.diff(y, axis=1) / dx
     d = np.concatenate([2 * dx[:1], 2 * (dx[:-1] + dx[1:]),
                         2 * dx[-1:]]).tolist()
     upper = np.concatenate([dx[:1], dx[:-1]]).tolist()
     lower = np.concatenate([dx[1:], dx[-1:]]).tolist()
-    s = np.concatenate([3 * np.diff(y[:2]),
-                        3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
-                        3 * np.diff(y[-2:])]).tolist()
+    # (knots, rows): one right-hand side per column
+    s = np.concatenate([3 * np.diff(y[:, :2], axis=1),
+                        3 * (dx[1:] * slope[:, :-1] + dx[:-1] * slope[:, 1:]),
+                        3 * np.diff(y[:, -2:], axis=1)], axis=1).T.copy()
     n = len(s)
     for i in range(n - 1):
         fact = lower[i] / d[i]
@@ -806,13 +844,13 @@ def _natural_spline(x, y):
     # dgtsv also subtracts its zeroed second superdiagonal times
     # s[i + 2]; that term can turn a -0.0 into +0.0, so it stays, with a
     # +0.0 standing in for s[n] in row n - 2
-    s.append(0.0)
+    s = np.concatenate([s, np.zeros((1, s.shape[1]))])
     for i in range(n - 2, -1, -1):
         s[i] = (s[i] - upper[i] * s[i + 1] - 0.0 * s[i + 2]) / d[i]
-    s = np.array(s[:-1])
-    t = (s[:-1] + s[1:] - 2 * slope) / dx
-    return np.stack([y[:-1], s[:-1], (slope - s[:-1]) / dx - t, t / dx],
-                    axis=1)
+    s = s[:-1].T
+    t = (s[:, :-1] + s[:, 1:] - 2 * slope) / dx
+    return np.stack([y[:, :-1], s[:, :-1], (slope - s[:, :-1]) / dx - t,
+                     t / dx], axis=2)
 
 
 def random_spline(domain, rng, knot_count=6, complex_field=False):
@@ -827,18 +865,22 @@ def random_spline(domain, rng, knot_count=6, complex_field=False):
 
 def _random_splines(domain, rng, count, knot_count=6, complex_field=False):
     """``count`` successive :func:`random_spline` samples, with its draws in
-    its order and its bits, normalised by one sup pass over them all."""
+    its order and its bits.  All knot values come from one draw, which
+    reads the generator's stream as the samples' draws one by one do, and
+    leaves it in the same state; one spline solve serves them all, and one
+    sup pass normalises them."""
     a, b = float(domain[0]), float(domain[1])
     if knot_count < 4:
         raise ArgumentError("need at least four knots")
     knots = np.linspace(a, b, knot_count)
-
-    def one():
-        vals = rng.uniform(-1.0, 1.0, knot_count)
-        return PiecewiseFunction(knots, _natural_spline(knots, vals))
-
+    if not np.all(np.diff(knots) > 0):
+        raise ArgumentError("breakpoints must be strictly increasing")
+    parts = 2 if complex_field else 1
     # g_1 real, g_1 imaginary, g_2 real, ...: the left operand draws first
-    fs = [one() + 1j * one() if complex_field else one()
-          for _ in range(count)]
+    coeffs = _natural_spline(knots, rng.uniform(-1.0, 1.0,
+                                                (count * parts, knot_count)))
+    splines = [PiecewiseFunction._trusted(knots, c) for c in coeffs]
+    fs = [re + 1j * im for re, im in zip(splines[::2], splines[1::2])] \
+        if complex_field else splines
     return [f * (1.0 / s) if s > 0 else f
             for f, s in zip(fs, _sups_abs(fs))]

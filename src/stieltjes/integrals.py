@@ -76,7 +76,7 @@ import numpy as np
 
 from .errors import ArgumentError, ExistenceError
 from .functions import (PiecewiseFunction, _derivative_sups_of, _interleave,
-                        _partition_points, _polyder)
+                        _jump_tables_of, _partition_points, _polyder)
 from .spaces import Seminorm, _check_dimension
 
 __all__ = [
@@ -235,9 +235,17 @@ class _Columns:
     def take(self, keep):
         return _Columns(mu for mu, k in zip(self.mus, keep) if k)
 
-    def envelopes(self, seminorms):
-        """The integrators' envelope rows, (rows, pieces): one per scalar
-        integrator, or one per seminorm for a vector one."""
+    @property
+    def is_step(self):
+        return all(mu.is_step for mu in self.mus)
+
+    def envelopes(self, seminorms, zero=False):
+        """The envelope rows, (rows, pieces): one per scalar function, or
+        one per seminorm for a vector one.  With ``zero``, zero rows of
+        that shape, and no function computes or caches envelopes."""
+        if zero:
+            rows = len(self) if self.dim is None else len(seminorms)
+            return (np.zeros((rows, self.piece_count)),) * 2
         if self.dim is None:
             _derivative_sups_of(self.mus)
         return tuple(np.concatenate(e) for e in
@@ -389,13 +397,22 @@ def _refine(f, mu, jump_ts, seminorms, tol, max_levels):
     ``mu``, on one partition.  A pair stops at its own level; an integrand
     or integrator leaves its stack once all its pairs have stopped.
     Returns one IntegralResult per pair, ``results[g][k]``, each made when
-    the stacks are and kept current until its pair stops."""
+    the stacks are and kept current until its pair stops.
+
+    Envelope rows enter the estimates only as products of one side's rows
+    with the other's, d1f d2m + d2f d1m / 2 on a cell and d1f d1m h^2 at
+    a jump end, and a pure step's rows are zero.  When either stack is all
+    pure steps, every estimate is +0.0 whatever the other side's finite
+    rows are, so neither side computes or caches envelopes: both get zero
+    rows of the same shapes, which stay zero as rows leave the stacks."""
     points = np.unique(np.concatenate(
         [f.breakpoints, mu.breakpoints,
          np.linspace(f.breakpoints[0], f.b, _INITIAL_UNIFORM_CELLS + 1)]))
+    flat = f.is_step or mu.is_step
     # an integrand's envelope rows are one block, (integrands, rows, pieces)
     envs = tuple(e.reshape(len(f), -1, e.shape[1])
-                 for e in f.envelopes(seminorms)) + mu.envelopes(seminorms)
+                 for e in f.envelopes(seminorms, flat)) \
+        + mu.envelopes(seminorms, flat)
     dim = f.dim or mu.dim
     # scalar envelopes bound the modulus of each scalar error e, and
     # p(e) = |e| p(1); a vector factor's envelopes already carry p
@@ -443,7 +460,7 @@ def _refine(f, mu, jump_ts, seminorms, tol, max_levels):
                 jump_ts = [ts for ts, k in zip(jump_ts, keep_mu) if k]
                 f, mu = f.take(keep_f), mu.take(keep_mu)
                 envs = tuple(e[keep_f] for e in envs[:2]) \
-                    + mu.envelopes(seminorms)
+                    + mu.envelopes(seminorms, flat)
                 cells = _kept_columns(cells, keep_f, keep_mu)
                 values = values[keep_f][:, keep_mu]
                 live = live[keep_f][:, keep_mu]
@@ -460,11 +477,20 @@ def _check_tol(tol):
 
 
 def _checked(fs, mus, seminorms, tol, max_levels):
-    """Validate drives of each of ``fs`` against each of ``mus``; return the
-    jump times of each of ``mus`` and the seminorm tuple."""
-    for f, mu in itertools.product(fs, mus):
-        _ensure_compatible(f, mu)
-        _require_existence(f, mu)
+    """Validate drives of each of ``fs`` against each of ``mus``, each a
+    stack of one function or of scalar functions on one grid and
+    coefficient layout; return the jump times of each of ``mus`` and the
+    seminorm tuple.  Each stack's jump tables come from one pass, and the
+    union of the integrands' jump times meets that of the integrators'
+    exactly when some pair jumps at a common point; only then does the
+    pair loop run, to name the first such pair."""
+    _ensure_compatible(fs[0], mus[0])  # a stack shares its domain
+    _jump_tables_of(fs)
+    _jump_tables_of(mus)
+    if not set().union(*(f._jump_times for f in fs)).isdisjoint(
+            itertools.chain.from_iterable(mu._jump_times for mu in mus)):
+        for f, mu in itertools.product(fs, mus):
+            _require_existence(f, mu)
     _check_tol(tol)
     if max_levels < 2:
         raise ArgumentError("need at least two refinement levels")
@@ -500,9 +526,10 @@ def _drive(fs, mus, seminorms, tol, max_levels=20):
         raise ArgumentError("stacked drives take scalar factors")
     if not (fs and mus):
         return _Drive([[] for _ in fs], 0, True)
+    # the stacks are checked first: _checked reads them as stacks
+    f, mu = _Columns(fs), _Columns(mus)
     jump_ts, seminorms = _checked(fs, mus, seminorms, tol, max_levels)
-    results = _refine(_Columns(fs), _Columns(mus), jump_ts, seminorms, tol,
-                      max_levels)
+    results = _refine(f, mu, jump_ts, seminorms, tol, max_levels)
     pairs = [res for row in results for res in row]
     return _Drive(results, max(res.levels for res in pairs),
                   all(res.converged for res in pairs))

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, EnumerationLimitError
-from .functions import (PiecewiseFunction, _random_splines, _signed_parts,
-                        dual_compose)
+from .functions import (PiecewiseFunction, _jump_tables_of, _random_splines,
+                        _signed_parts, dual_compose)
 from .integrals import (_check_tol, _drive, _max_abs, _scalar,
                         _step_integrals, integrate_g_dx)
 from .semivariation import e_set, wcs_check
@@ -405,11 +405,20 @@ def measure_from_function(x):
     """Interval measure of a right-continuous vector integrator.
 
     The cumulative is y(t) = x(t) - x(a) (measures only see increments),
-    so m((c, d]) = x(d) - x(c) for all a <= c < d <= b.
+    so m((c, d]) = x(d) - x(c) for all a <= c < d <= b.  It is x with x(a)
+    subtracted from each piece's constant term and from the end value, on
+    the breakpoints of x: the bits of x minus the constant function x(a).
     """
     if x.dim is None:
         raise ArgumentError("integrator must be vector-valued")
-    y = x - PiecewiseFunction.constant(x.values[0], x.domain)
+    coeffs = x.coeffs.copy()
+    # that difference re-expresses x on its own grid, a Taylor shift by 0
+    # that adds +0.0 to every coefficient but the leading one, turning
+    # their -0.0 into +0.0
+    coeffs[:, :-1] += 0.0
+    coeffs[:, 0] -= x.values[0]
+    y = PiecewiseFunction._trusted(x.breakpoints, coeffs,
+                                   x.values[-1:] - x.values[0])
     return IntervalMeasure(cumulative=y)
 
 
@@ -479,10 +488,13 @@ def roundtrip(x, probe_count=20, tol=1e-8, dual_count=20, function_count=20,
 
     rng = np.random.default_rng(seed)
     duals = sample_dual_ball(np.eye(x.dim), dual_count, seed=seed)
-    gs = [_operand(T, g) for g in _random_splines(
-        x.domain, rng, function_count, complex_field=(field == "complex"))]
+    gs = _random_splines(x.domain, rng, function_count,
+                         complex_field=(field == "complex"))
+    _jump_tables_of(gs)
+    gs = [_operand(T, g) for g in gs]
     # derived data is computed once per stack: the g are normalised by one
-    # sup pass, and each stack's derivative sups come from one pass too,
+    # sup pass and get their jump tables from one pass, and each stack's
+    # derivative sups, where a drive reads them, come from one pass too,
     # cached on each g and each composed integrator for every drive that
     # follows; the g share their knots, so one closed form or one drive of
     # every g against x gives each image T g the bits of its own

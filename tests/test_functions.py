@@ -11,6 +11,7 @@ from stieltjes.functions import (PiecewiseFunction, TaggedPartition,
                                  _sup_abs_rows, dual_compose, product_integral,
                                  random_spline, scalar_variation,
                                  uniform_tagged_partition)
+from stieltjes.integrals import integrate_g_dx
 from test_kernels import range_bounds
 
 
@@ -41,6 +42,31 @@ def test_step_jump_at_right_endpoint():
     assert x(1.0) == 2.0
     (t, jump), = x.jump_points()
     assert t == 1.0 and jump == 2.0
+
+
+def test_a_step_with_no_jump_at_b_lists_none():
+    # the end value is the last level, not start plus a sum of all jumps,
+    # which rounds apart from the cumsum of the levels: a residue at b
+    # was listed as a jump there, and refused against an integrator that
+    # jumps at b
+    z = PiecewiseFunction.step((0.0, 1.0), [0.2, 0.4, 0.6, 0.8],
+                               [0.1 + 0.1j, 0.2 + 0.2j, 0.3 + 0.3j,
+                                -0.7 - 0.7j], 0j)
+    assert z._jump_times == (0.2, 0.4, 0.6, 0.8)
+    jumps = [0.1] * 9 + [-0.9]
+    s = PiecewiseFunction.step((0.0, 1.0), np.linspace(0.05, 0.95, 10),
+                               jumps, 0.0)
+    assert [t for t, _ in s.jump_points()] \
+        == np.linspace(0.05, 0.95, 10).tolist()
+    assert s.values[-1] == s.values[-2] == s.coeffs[-1, 0]
+    x = PiecewiseFunction.from_global_polynomial([0.0, 1.0], (0.0, 1.0)) \
+        + PiecewiseFunction.step((0.0, 1.0), [1.0], [1.0], 0.0)
+    assert integrate_g_dx(s, x, max_levels=2).levels == 2
+    # a jump at b adds to the last level
+    end = PiecewiseFunction.step((0.0, 1.0), np.linspace(0.05, 1.0, 10),
+                                 jumps, 0.0)
+    assert end.values[-1] == end.coeffs[-1, 0] + jumps[-1]
+    assert end._jump_times[-1] == 1.0
 
 
 def test_step_rejects_bad_times():

@@ -246,7 +246,7 @@ def with_caches(f):
     return f
 
 
-CACHES = {"_jumps", "_jump_times", "_envelope_cache"}
+CACHES = {"_jumps", "_size", "_jump_times", "_envelope_cache"}
 
 
 def spline_and_steps():

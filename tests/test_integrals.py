@@ -809,6 +809,70 @@ def test_stacked_drive_examples_cover_each_column_path():
                for row in single for r in row)
 
 
+def steps_on(bps, levels, dim=None):
+    """Step functions on the breakpoints ``bps``, one per row of piece
+    levels, continuous at b."""
+    return [PiecewiseFunction(bps, np.reshape(row, (len(bps) - 1, 1)
+                                              + (() if dim is None
+                                                 else (dim,))))
+            for row in levels]
+
+
+def test_a_stack_existence_check_names_the_first_common_jump():
+    # the jump times of each stack meet; the pair loop then names the
+    # first pair, in product order, that jumps at a common point
+    fs = steps_on([0.0, 0.3, 0.6, 1.0], [[0.0, 1.0, 1.0], [0.0, 0.0, 2.0]])
+    mus = steps_on([0.0, 0.3, 0.45, 0.6, 1.0],
+                   [[0.0, 0.0, 1.0, 3.0], [0.0, 1.0, 1.0, 1.0]])
+    with pytest.raises(ExistenceError) as first:
+        _require_existence(fs[0], mus[1])
+    assert "jump at t = 0.3;" in str(first.value)
+    for stacks in ((fs, mus), (fs[::-1], mus), (fs, mus[::-1])):
+        expected = next(str(e.value) for e in (
+            pytest.raises(ExistenceError, _require_existence, f, mu)
+            for f in stacks[0] for mu in stacks[1]
+            if set(f._jump_times) & set(mu._jump_times)))
+        with pytest.raises(ExistenceError) as got:
+            _drive(*stacks, None, 1e-6)
+        assert str(got.value) == expected
+    # stacks whose jump times do not meet run
+    assert _drive(fs[:1], mus[:1], None, 1e-6).converged
+
+
+def test_a_side_of_steps_computes_no_envelopes():
+    # envelope rows enter the estimates only as products of one side's
+    # rows with the other's; a side of pure steps has zero rows, so every
+    # estimate is +0.0 and neither side computes or caches envelopes
+    rng = np.random.default_rng(12)
+    spline = random_spline((0.0, 1.0), rng)
+    vector = PiecewiseFunction(spline.breakpoints,
+                               np.stack([spline.coeffs, -spline.coeffs], 2))
+    step = single_jump()
+    scalar_steps = steps_on([0.0, 0.25, 0.75, 1.0],
+                            [[1.0, -1.0, 2.0], [0.0, 3.0, 3.0]])
+    families = (None, (Seminorm.weighted_sup(np.array([1.0, 2.0])),
+                       Seminorm.quadratic(np.array([[2.0, 1.0],
+                                                    [1.0, 2.0]]))))
+    for fs, mus in (([spline], scalar_steps[:1]), (scalar_steps, [spline]),
+                    ([spline, 2.0 * spline], scalar_steps),
+                    ([spline, 2.0 * spline], [step]), ([step], [spline]),
+                    ([vector], scalar_steps[:1]), (scalar_steps[:1], [vector]),
+                    ([spline], [spline * 0.0]),
+                    (scalar_steps, [dual_compose(step, np.ones(2))])):
+        dim = fs[0].dim or mus[0].dim
+        for sems in families if dim else families[:1]:
+            fresh = [PiecewiseFunction(f.breakpoints, f.coeffs, f.values)
+                     for f in fs + mus]
+            drive = _drive(fresh[:len(fs)], fresh[len(fs):], sems, 1e-300, 4)
+            for f in fresh:
+                assert not {"_derivative_sups", "_envelope_cache"} \
+                    & vars(f).keys()
+            for res in (r for row in drive.results for r in row):
+                for rec in res.trace:
+                    assert np.all(rec.estimates == 0.0)
+                    assert not np.any(np.signbit(rec.estimates))
+
+
 def test_a_stack_refuses_integrands_off_one_grid():
     # the integrands of a stack share one partition and one Horner pass,
     # so they must be scalar, on one grid and of one coefficient layout

@@ -20,8 +20,9 @@ from scipy.spatial import cKDTree
 from stieltjes import functions
 from stieltjes.functions import (PiecewiseFunction, TaggedPartition,
                                  _common_grid, _derivative_sups_of,
-                                 _extreme_rows, _horner,
-                                 _natural_spline, _random_splines, _root_rows,
+                                 _extreme_rows, _horner, _jump_tables_of,
+                                 _natural_spline, _polyder, _random_splines,
+                                 _root_rows,
                                  _shift_poly, _split_rows, _sup_abs_rows,
                                  _sups_abs, _variations, dual_compose,
                                  product_integral, random_spline,
@@ -600,7 +601,23 @@ def spline_data(draw):
 def test_natural_spline_matches_scipy_bits(data):
     x, y = data
     expected = CubicSpline(x, y, bc_type="natural").c[::-1].T
-    assert same_bits(_natural_spline(x, y), expected)
+    assert same_bits(_natural_spline(x, y[np.newaxis])[0], expected)
+
+
+@settings(max_examples=200)
+@given(spline_data(), st.lists(hnp.arrays(float, 16, elements=KNOT_VALUES),
+                               max_size=4))
+def test_a_spline_block_gives_each_row_the_bits_of_its_own_solve(data, more):
+    # the elimination factors are shared and the right-hand sides run as
+    # columns of one array: each row still has scipy's bits
+    x, y = data
+    block = np.stack([y] + [row[:y.size] for row in more])
+    got = _natural_spline(x, block)
+    assert got.shape == (block.shape[0], x.size - 1, 4)
+    for row, c in zip(block, got, strict=True):
+        expected = CubicSpline(x, row, bc_type="natural").c[::-1].T
+        assert same_bits(c, expected)
+        assert same_bits(c, _natural_spline(x, row[np.newaxis])[0])
 
 
 def scipy_random_spline(domain, rng, knot_count=6, complex_field=False):
@@ -934,6 +951,61 @@ def test_stacked_variations_match_one_function_at_a_time(x, k, seed):
         with mock.patch.object(functions, "_SEGMENT_BLOCK", block):
             assert all(same_bits(got, variation_per_piece(f))
                        for got, f in zip(_variations(fs), fs, strict=True))
+
+
+def jump_table_per_function(f):
+    """The jump table and size of one function, as the code that one
+    stacked pass replaced computed them."""
+    h = np.diff(f.breakpoints)
+    return (f.values[1:] - _horner(f.coeffs, h),
+            float(np.max(_horner(np.abs(f.coeffs), h))))
+
+
+@settings(max_examples=150)
+@given(function_stacks(dims=(None, 1, 3)), st.booleans(), st.booleans())
+def test_stacked_jump_tables_match_one_function_at_a_time(fs, with_end,
+                                                          cached):
+    # steps (one coefficient), vector and complex functions, some with a
+    # jump at b; one function may hold its table already
+    if with_end:
+        fs = [PiecewiseFunction(f.breakpoints, f.coeffs,
+                                np.concatenate([f.values[:-1],
+                                                f.values[-1:] + 1.5]))
+              for f in fs]
+    held = fs[0]._jumps if cached else None
+    tables = _jump_tables_of(fs)
+    if cached:
+        assert fs[0]._jumps is held
+    for f, table in zip(fs, tables, strict=True):
+        expected, size = jump_table_per_function(f)
+        assert table is f._jumps and not table.flags.writeable
+        assert same_bits(table, expected) and same_bits(f._size, size)
+        fresh = PiecewiseFunction(f.breakpoints, f.coeffs, f.values)
+        assert f._jump_times == fresh._jump_times
+        assert same_bits(f._noise_floor(), fresh._noise_floor())
+    # each function holds its own table, not a view of the stack's
+    assert len({id(t.base) for t in tables if t.base is not None}) \
+        == sum(t.base is not None for t in tables)
+    assert _jump_tables_of([]) == []
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 5), st.integers(1, 7), st.sampled_from([(), (1,), (3,)]),
+       st.booleans(), st.data())
+def test_polyder_has_the_bits_of_numpy_polyder(m, k, tail, complex_field,
+                                               data):
+    # signed zeros, huge and, on real rows, infinite entries; polyder
+    # first multiplies by its scale 1, which turns a complex infinity
+    # into NaN, where the library keeps it
+    entries = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(
+        allow_nan=False, allow_infinity=not complex_field))
+    shape = (m, k) + tail
+    c = data.draw(hnp.arrays(float, shape, elements=entries))
+    if complex_field:
+        c = c + 1j * data.draw(hnp.arrays(float, shape, elements=entries))
+    with np.errstate(over="ignore"):
+        expected = npoly.polyder(c, axis=1) if k > 1 else np.zeros_like(c)
+        assert same_bits(_polyder(c), expected)
 
 
 def rooted_coefficients(rng, d):

@@ -20,7 +20,7 @@ from stieltjes.representation import (IntervalMeasure, StieltjesOperator,
                                       weakly_compact_image_check)
 from stieltjes.semivariation import e_set
 from stieltjes.spaces import Seminorm, SpaceModel, pair, sample_dual_ball
-from test_kernels import range_bounds
+from test_kernels import piecewise, range_bounds, same_bits
 
 
 def single_jump():
@@ -597,6 +597,22 @@ def test_measure_uniqueness_up_to_constants():
     m2 = measure_from_function(shifted)
     np.testing.assert_array_equal(m1.cumulative.values, m2.cumulative.values)
     np.testing.assert_array_equal(m1.cumulative.coeffs, m2.cumulative.coeffs)
+
+
+@settings(max_examples=200)
+@given(piecewise(dims=(1, 2, 3)), st.sampled_from([None, 0.0, -0.0, 2.5]))
+def test_measure_has_the_bits_of_x_minus_its_start(x, end):
+    # x(a) leaves the constant terms and the end value directly; the
+    # difference with the constant function x(a) gives the same bits,
+    # signed zeros included, with a jump at b or without
+    if end is not None:
+        x = PiecewiseFunction(x.breakpoints, x.coeffs, np.concatenate(
+            [x.values[:-1], np.full_like(x.values[-1:], end)]))
+    y = measure_from_function(x).cumulative
+    expected = x - PiecewiseFunction.constant(x.values[0], x.domain)
+    for name in ("breakpoints", "coeffs", "values"):
+        assert same_bits(getattr(y, name), getattr(expected, name))
+        assert not getattr(y, name).flags.writeable
 
 
 def test_additivity_check():
