@@ -43,19 +43,32 @@ g scalar integrands on one grid (the sampled functions of a roundtrip)
 against k scalar integrators on one grid (the compositions of one
 integrator with k duals), or g scalar integrands on one grid against one
 vector integrator (the images T g of a roundtrip); the public integrals
-are stacks of one.  Each level computes the partition, the piece
-lookups, the integrators' values and differences and, in one Horner
-pass, the integrands' values once for all pairs; the products and
-estimates are one (rows, cells) block per integrand, so no array
-outgrows one integrand's.  Each pair's result is made with the stacks
-and kept current, a trace record a level, until the pair stops; an
-integrand or integrator leaves its stack once all its pairs have passed
-their test.  ``_row_sums`` sums a row along its cells
-in numpy's order for an (n, r) array along axis 0: in sequence from +0.0
-for the r >= 2 rows of a vector, pairwise for r = 1 and for scalar rows,
-which so have the bits of a sum over their own cells alone.  The order is
-pinned: summed pairwise, vector integrals, their estimates and the CLI
-output that ``perfbench/reference`` holds would move.
+are stacks of one.  A level runs in tiles of at most ``_TILE_CELLS``
+cells (``_tiles``), so that a tile's arrays stay in cache: a tile
+evaluates all the integrands at its tags in one Horner pass and takes the
+integrators' differences once for all pairs, then writes each
+integrand's estimates and products into buffers of the level that every
+tile reuses, and the next level's integrator values at the midpoints go
+tile by tile into the odd columns of its value array.  An integrand's
+product and estimate rows cover only the integrators of its live pairs.
+Each pair's result is made with the stacks and kept current, a trace
+record a level, until the pair stops; an integrand or integrator leaves
+its stack once all its pairs have passed their test.
+
+``_RowSums`` sums rows along their cells in numpy's order for an (n, r)
+array along axis 0: in sequence from +0.0 for the r >= 2 rows of a
+vector, pairwise for r = 1 and for scalar rows, which so have the bits
+of a sum over their own cells alone.  Tiles keep those bits.  numpy sums
+a row of more than 128 doubles as the sum of its halves, split at n / 2
+rounded down to a multiple of 8, and a complex row as its 2n doubles, so
+for n % 16 == 0 both split at n / 2.  A level of n cells is halved only
+while n exceeds the tile size and n % 16 == 0 (``_tile_length``); each
+tile is then a whole subtree of numpy's tree, its sum is numpy's sum of
+its cells, and two sibling tiles add as left + right.  A level of any
+other n is one tile.  A sum in sequence carries across tiles: a tile's
+first cell takes the sum so far.  The order is pinned: summed pairwise,
+vector integrals, their estimates and the CLI output that
+``perfbench/reference`` holds would move.
 
 A pure step integrator x needs no drive: integral(g dx) is the finite sum
 sum_j g(tau_j) J_j over its nonzero jumps.  ``_step_integrals`` computes it
@@ -92,6 +105,10 @@ __all__ = [
 ]
 
 _INITIAL_UNIFORM_CELLS = 8
+# cells per tile of a refinement level, the fastest in a sweep over
+# roundtrip spline items: 2^13 costs more per tile, and from 2^15 on the
+# arrays of a tile of five rows outgrow a 2 MB L2 cache
+_TILE_CELLS = 2 ** 14
 
 
 @dataclass
@@ -257,9 +274,10 @@ class _Columns:
         out[:, ts == self.b] = self._ends
         return out
 
-    def _values_in(self, idx, ts):
+    def _values_in(self, idx, ts, out=None):
         """Values at ``ts`` read as ``len(idx)`` equal blocks, block k inside
-        piece ``idx[k]``, (rows, points).  One Horner pass broadcasts each
+        piece ``idx[k]``, (rows, points), written into ``out`` if given, a
+        C-ordered array of that shape.  One Horner pass broadcasts each
         gathered coefficient over its block, so an element sees the
         operations of a per-point gather: ``((c_K tau) + c_K-1) tau + ...``;
         per-point evaluation is blocks of one."""
@@ -267,36 +285,68 @@ class _Columns:
         m = len(ts) // n0 if n0 else 0
         tau = ts.reshape(n0, m) - self.breakpoints.take(idx)[:, np.newaxis]
         planes = self._planes.take(idx, axis=2)
-        # a new array even for one plane: callers write into the values
-        out = planes[-1].repeat(m, axis=2)
+        if out is None:
+            # a new array even for one plane: callers write into the values
+            out = np.empty((planes.shape[1], len(ts)), planes.dtype)
+        block = out.reshape(len(out), n0, m)
+        # a copy and an in-place product: numpy's broadcast product
+        # c_K * tau into ``block`` is slower
+        block[...] = planes[-1]
         for plane in planes[-2::-1]:
-            out *= tau
-            out += plane
-        return out.reshape(len(out), -1)
+            block *= tau
+            block += plane
+        return out
 
 
-def _row_sums(a, n):
-    """Sums of the rows of ``a`` along its cells in the module's order:
-    in sequence for the n >= 2 coordinates or seminorms of a vector,
-    pairwise for n of None or 1.  May overwrite ``a``."""
-    if (n or 1) == 1:
-        return a.sum(axis=1)
-    # accumulate starts from cell 0, not +0.0; + 0.0 turns its -0.0 to +0.0
-    return np.add.accumulate(a, axis=1, out=a)[:, -1] + 0.0
+def _tile_length(n):
+    """The cells of each tile of a level of n cells: n halved while it
+    exceeds _TILE_CELLS and numpy's real and complex pairwise sums of a
+    row both split it at n / 2, for n > 128 and n % 16 == 0 (see the
+    module docstring), so that every tile is a whole subtree of both."""
+    while n > max(_TILE_CELLS, 128) and n % 16 == 0:
+        n //= 2
+    return n
 
 
-def _tagged_sums(fv, dmu, dim, spare):
-    """Row sums sum_i fv_ri dmu_ri of (rows, cells) stacks, one row of
-    either factor serving every row of the other, in the module's order
-    for a vector factor of dimension ``dim``.  The products overwrite the
-    first of the ``spare`` arrays, which the caller is done with, that has
-    their shape and dtype; not one element, whose complex product in place
-    can differ in the last bit."""
-    shape, dtype = (max(len(fv), len(dmu)), fv.shape[1]), \
-        np.result_type(fv, dmu)
-    out = next((a for a in spare if a.dtype == dtype and a.shape == shape
-                and a.size > 1), None)
-    return _row_sums(np.multiply(fv, dmu, out=out), dim)
+def _tiles(n, m):
+    """The tiles of a level of n cells in order, m children per base cell:
+    a slice of the cells and the base cell of each of its equal blocks,
+    gcd(tile, m) cells each, every block inside one base cell."""
+    t = _tile_length(n)
+    size = int(np.gcd(t, m))
+    for lo in range(0, n, t):
+        yield slice(lo, lo + t), np.arange(lo, lo + t, size) // m
+
+
+class _RowSums:
+    """Sums of the rows of (rows, cells) tiles, fed in cell order, in the
+    module's order: in sequence for the n >= 2 coordinates or seminorms of
+    a vector, each tile's first cell taking the sums so far, and pairwise
+    for n of None or 1, each tile by numpy's own sum and a pair of sibling
+    tiles by left + right, as numpy adds the halves of a row."""
+
+    def __init__(self, n):
+        self.in_sequence = (n or 1) > 1
+        self.parts = []
+
+    def add(self, a):
+        """Feed the next tile; may overwrite ``a``."""
+        if not self.in_sequence:
+            self.parts.append(a.sum(axis=1))
+            return
+        if self.parts:
+            a[:, 0] += self.parts[0]
+        self.parts = [np.add.accumulate(a, axis=1, out=a)[:, -1].copy()]
+
+    def total(self):
+        parts = self.parts
+        if self.in_sequence:
+            # accumulate starts from cell 0, not +0.0; + 0.0 turns its -0.0
+            # to +0.0
+            return parts[0] + 0.0
+        while len(parts) > 1:
+            parts = [a + b for a, b in zip(parts[0::2], parts[1::2])]
+        return parts[0]
 
 
 def _cells(f, mu, points, jump_ts, envs):
@@ -325,8 +375,16 @@ def _bisected_cells(mu, cells, mids):
     evaluated only at the midpoints, and only right children, 2e + 1 for
     a jump end e, can end at a jump."""
     i, j, mu_vals, (rows, ends), smooth = cells
-    return (i, j, _interleave(mu_vals, mu._values_in(j, mids), axis=1),
-            (rows, 2 * ends + 1), smooth)
+    n = len(mids)
+    # the midpoints' values go tile by tile into the odd columns
+    vals = np.empty((len(mu_vals), 2 * n + 1),
+                    np.result_type(mu_vals, mu._planes))
+    vals[:, 0::2] = mu_vals
+    tile = np.empty((len(mu_vals), _tile_length(n)), vals.dtype)
+    for cut, base in _tiles(n, n // len(j)):
+        vals[:, 2 * cut.start + 1:2 * cut.stop:2] = \
+            mu._values_in(j.take(base), mids[cut], tile)
+    return i, j, vals, (rows, 2 * ends + 1), smooth
 
 
 def _kept_columns(cells, keep_f, keep_mu):
@@ -346,49 +404,106 @@ def _kept_columns(cells, keep_f, keep_mu):
     return i, j, mu_vals, at_jumps, smooth
 
 
-def _level_sums(f, mu, rights, h, mids, inside, cells, envs, dim):
-    """One level's tagged sums and error estimates for every pair of the
-    stacks ``f`` and ``mu``, one (sums, estimates) per integrand: a sum
-    per row of ``mu`` (or of a vector integrand) and an estimate per row
-    of its envelope products, for cells with right ends ``rights``, widths
-    ``h`` and midpoints ``mids``; ``inside`` says that every midpoint lies
-    strictly inside its cell.  The cells are m = cells / base cells
-    contiguous children of each base cell, so per-cell arrays are (rows,
-    base cells, m) broadcasts of the base cells' piece indices and
-    envelope products, and cell e lies in base cell e // m.  The
-    integrators' differences and every integrand's tags are computed once;
-    products and estimates are one (rows, cells) block per integrand."""
+def _level_sums(f, mu, rights, h, mids, inside, cells, envs, dim, live):
+    """One level's tagged sums and error estimates for the live pairs of
+    the stacks ``f`` and ``mu``, for cells with right ends ``rights``,
+    widths ``h`` and midpoints ``mids``; ``inside`` says that every
+    midpoint lies strictly inside its cell.  Returns (values, estimates),
+    (integrands, integrators, ...) arrays with a pair's sum, one element
+    per coordinate, and its estimates, one per row of its envelope
+    products; a stopped pair's are zeros, since nothing reads them.
+
+    The cells are m = cells / base cells contiguous children of each base
+    cell, and cell e lies in base cell e // m.  The level runs tile by
+    tile (``_tiles``): a tile evaluates every integrand at its tags and
+    takes the integrators' differences once, then writes each integrand's
+    estimates, broadcast from its base cells' envelope products, and its
+    products into buffers of the level that every tile reuses.  An
+    integrand's rows are the integrators of its live pairs, or every row
+    of one vector integrator; each row is summed alone, so a row left out
+    moves no other row's bits."""
     i, j, mu_vals, (rows, ends), smooth = cells
-    m = len(h) // len(i)
-    fv = f._values_in(i, mids) if inside else f.values_at(mids)
-    fv = fv.reshape(len(f), -1, fv.shape[1])
-    # np.diff's own subtraction, without its per-call set-up
-    dmu = mu_vals[:, 1:] - mu_vals[:, :-1]
-    h3 = (h ** 3 / 12.0).reshape(len(i), m)
+    n = len(h)
+    m = n // len(i)
+    t = _tile_length(n)
+    stack = len(mu) > 1
+    f_rows = len(f._ends) // len(f)
+    width = max(f_rows, len(mu_vals))
+    dtype = np.result_type(f._planes, mu_vals)
+    values = np.zeros(live.shape + (width // len(mu),), dtype)
+    ests = np.zeros(live.shape + (smooth.shape[1] // len(mu),))
     if ends.size:
         D1f, _, D1m, _ = envs
         base = ends // m
-        rows = rows if len(mu) > 1 else slice(None)
         f_ends = f.values_at(rights.take(ends)).reshape(len(f), -1, ends.size)
-        i_ends, d1m, h2 = i.take(base), D1m[rows, j.take(base)], \
+        i_ends, d1m, h2 = i.take(base), \
+            D1m[rows if stack else slice(None), j.take(base)], \
             h.take(ends) ** 2
-    out = []
-    for g, block in enumerate(smooth):
-        est = (block[:, :, np.newaxis] * h3).reshape(len(block), -1)
+    # per integrand: its live rows and their envelope products, its
+    # jump-end cells (row, cell, estimate, tag value) and its row sums
+    integrands = []
+    for g, row in enumerate(live):
+        ks = slice(None) if row.all() else np.flatnonzero(row)
+        block, jumps = smooth[g][ks], None
         if ends.size:
-            est[rows, ends] = D1f[g].take(i_ends, axis=1) * d1m * h2
-        ests = _row_sums(est, len(est) if dim else None)
-        fg = fv[g]
-        if ends.size:
-            if len(mu) > 1:
-                fg = np.repeat(fg, len(mu), axis=0)
-            fg[rows, ends] = f_ends[g]
-        # the differences serve every integrand but the last
-        spare = (dmu, fg) if g == len(smooth) - 1 else (est, fg)
-        out.append((_tagged_sums(fg, dmu, dim, spare), ests))
-        # freed before the next integrand's arrays are made
-        del est, fg, spare
-    return out
+            jumps = (rows if stack else slice(None), ends,
+                     D1f[g].take(i_ends, axis=1) * d1m * h2, f_ends[g])
+            if not isinstance(ks, slice):
+                # a stack's stopped rows leave, and the live ones renumber
+                at = row.take(rows)
+                jumps = ((np.cumsum(row) - 1).take(rows[at]), ends[at],
+                         jumps[2][:, at], jumps[3][:, at])
+        integrands.append((ks, block, jumps,
+                           _RowSums(len(block) if dim else None),
+                           _RowSums(dim)))
+    # the level's tile buffers; an integrand's estimates, the differences
+    # of its live rows and its products share one where their dtypes
+    # agree, each done with before the next is written
+    tags = np.empty((len(f._ends), t), f._planes.dtype)
+    dmu = np.empty((len(mu_vals), t), mu_vals.dtype)
+    products = np.empty((max(width, smooth.shape[1]), t), dtype)
+    est = products if dtype == float else np.empty((smooth.shape[1], t))
+    picked = products if dtype == mu_vals.dtype else np.empty_like(dmu)
+    # a stack's integrand tags, one row per integrator
+    spread = np.empty((len(mu), t), f._planes.dtype)
+    for cut, base in _tiles(n, m):
+        lo, hi = cut.start, cut.stop
+        fv = (f._values_in(i.take(base), mids[cut], tags) if inside
+              else f.values_at(mids[cut])).reshape(len(f), f_rows, t)
+        np.subtract(mu_vals[:, lo + 1:hi + 1], mu_vals[:, lo:hi], out=dmu)
+        h3 = (h[cut] ** 3 / 12.0).reshape(len(base), -1)
+        for fg, (ks, block, jumps, est_sums, sums) in zip(fv, integrands):
+            at = None
+            if jumps is not None:
+                r, cols, jump_ests, jump_tags = jumps
+                if t < n:
+                    here = (cols >= lo) & (cols < hi)
+                    r = r[here] if stack else r
+                    cols, jump_ests, jump_tags = \
+                        cols[here] - lo, jump_ests[..., here], \
+                        jump_tags[..., here]
+                if cols.size:
+                    at = (r, cols)
+            e = np.multiply(block.take(base, axis=1)[:, :, np.newaxis], h3,
+                            out=est[:len(block)].reshape(len(block),
+                                                         len(base), -1))
+            e = e.reshape(len(block), t)
+            if at:
+                e[at] = jump_ests
+            est_sums.add(e)
+            dm = dmu if isinstance(ks, slice) else \
+                np.take(dmu, ks, axis=0, out=picked[:len(ks)])
+            if at:
+                if stack:
+                    spread[:len(dm)] = fg
+                    fg = spread[:len(dm)]
+                fg[at] = jump_tags
+            sums.add(np.multiply(fg, dm, out=products[:max(len(fg),
+                                                           len(dm))]))
+    for g, (ks, _, _, est_sums, sums) in enumerate(integrands):
+        values[g, ks] = sums.total().reshape(-1, values.shape[2])
+        ests[g, ks] = est_sums.total().reshape(-1, ests.shape[2])
+    return values, ests
 
 
 def _refine(f, mu, jump_ts, seminorms, tol, max_levels):
@@ -428,11 +543,10 @@ def _refine(f, mu, jump_ts, seminorms, tol, max_levels):
         h = rights - lefts
         mids = 0.5 * (lefts + rights)
         inside = bool((lefts < mids).all() and (mids < rights).all())
-        sums, ests = zip(*_level_sums(f, mu, rights, h, mids, inside, cells,
-                                      envs, dim))
         # (integrands, integrators, value) and (..., seminorms)
-        values = np.concatenate(sums).reshape(live.shape + (-1,))
-        ests = np.concatenate(ests).reshape(live.shape + (-1,)) * scale
+        values, ests = _level_sums(f, mu, rights, h, mids, inside, cells,
+                                   envs, dim, live)
+        ests = ests * scale
         mesh = float(h.max())
         rows, cols = live.nonzero()
         stop = np.zeros(rows.size, dtype=bool)
@@ -548,7 +662,9 @@ def _plain_sum(f, mu, partition):
     dim = f.dim or mu.dim
     fv = _Columns((f,)).values_at(partition.tags)
     dmu = np.diff(_Columns((mu,)).values_at(pts), axis=1)
-    out = _tagged_sums(fv, dmu, dim, (dmu, fv))
+    sums = _RowSums(dim)
+    sums.add(fv * dmu)
+    out = sums.total()
     return out if dim else out.item()
 
 

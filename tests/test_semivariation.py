@@ -15,10 +15,11 @@ from stieltjes.functions import (PiecewiseFunction, TaggedPartition,
                                  dual_compose, random_spline,
                                  scalar_variation, uniform_tagged_partition)
 from stieltjes.integrals import exact_step_integral
+from stieltjes.representation import StieltjesOperator, apply
 from stieltjes.semivariation import (_dedupe, dual_variation_bound, e_set,
                                      semivariation,
                                      semivariation_on_partition, wcs_check)
-from stieltjes.spaces import Seminorm
+from stieltjes.spaces import Seminorm, SpaceModel
 
 
 def single_jump():
@@ -767,3 +768,62 @@ def test_semivariation_brackets_every_polar_direction(case):
                                        turning_points(best)[:19]]))
     lower, _ = semivariation_on_partition(x, points, p)
     assert rep.value >= lower - tol
+
+
+# -- the operator norm is the semivariation -------------------------------------
+
+
+def norming_integrand(x, report):
+    """g* through the report's coefficient c_i at each jump time of the
+    step x, linear between them and constant before the first: continuous,
+    and |g*| <= 1 since it interpolates values of modulus at most 1, so
+    T g* = sum_i c_i J_i."""
+    times = report.partition_points[1:]
+    c = report.coefficients
+    bps = np.concatenate([[x.a], times]) if times[-1] == x.b \
+        else np.concatenate([[x.a], times, [x.b]])
+    values = np.concatenate([[c[0]], c, [c[-1]]])[:len(bps)]
+    slopes = np.diff(values) / np.diff(bps)
+    return PiecewiseFunction(bps, np.stack([values[:-1], slopes], axis=1),
+                             values)
+
+
+@st.composite
+def normed_steps(draw):
+    """(x, p): a step x of dimension 2-3 with 1-6 jumps, b included or
+    not, real or complex, and a weighted-sup, weighted-one or quadratic
+    seminorm on its dimension."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = draw(st.integers(2, 3))
+    unit = 1 + 1j if draw(st.booleans()) else 1.0
+    n = draw(st.integers(1, 6))
+    times = np.sort(rng.choice(np.arange(1, 20) / 20, n, replace=False))
+    if draw(st.booleans()):
+        times[-1] = 1.0
+    x = PiecewiseFunction.step((0.0, 1.0), times,
+                               rng.normal(size=(n, dim)) * unit,
+                               np.zeros(dim))
+    kind = draw(st.sampled_from(["weighted-sup", "weighted-one",
+                                 "quadratic"]))
+    if kind == "quadratic":
+        a = rng.normal(size=(dim, dim))
+        return x, Seminorm.quadratic(a @ a.T + 0.1 * np.eye(dim))
+    return x, Seminorm(kind, weights=rng.uniform(0.1, 3.0, dim))
+
+
+@settings(max_examples=40)
+@given(normed_steps())
+def test_the_operator_norm_is_the_semivariation_on_steps(case):
+    # sup over |g| <= 1 of p(T g) is the p-semivariation of x: the report's
+    # coefficients attain it through a continuous g*, exactly where the
+    # report is exact, and never beyond its certified upper end
+    x, p = case
+    report = semivariation(x, p)
+    field = "complex" if np.iscomplexobj(x.coeffs) else "real"
+    T = StieltjesOperator(SpaceModel(x.dim, field, (p,)), x)
+    g = norming_integrand(x, report)
+    assert np.max(np.abs(g.coeffs[:, 0])) <= 1.0 + 1e-15
+    norm = p(apply(T, g))
+    if report.exact:
+        assert abs(norm - report.value) <= 1e-14 * report.value
+    assert norm <= report.upper * (1 + 1e-12)
