@@ -155,14 +155,17 @@ def spline_pair(seed):
 
 
 # the traced peak of the drive below, in bytes, with numpy 2.4 on CPython
-# 3.11; per-cell piece indices and envelope products took it to 11.03e6
-DEEP_DRIVE_PEAK = 8.68e6
+# 3.11 and levels in tiles of 2^14 cells; whole-level (rows, cells) arrays
+# took it to 9.47e6, per-cell piece indices and envelope products to
+# 11.03e6
+DEEP_DRIVE_PEAK = 5.99e6
 
 
 def test_a_deep_vector_drive_stays_within_its_memory():
-    # 14 levels, 65536 cells at the last: the drive holds a few
-    # (rows, cells) arrays and broadcasts its piece lookups from the base
-    # cells, so its peak may not grow past the figure measured for that
+    # 14 levels, 65536 cells at the last: the drive holds its points and
+    # integrator values per level, works in tiles of at most 2^14 cells and
+    # broadcasts its piece lookups from the base cells, so its peak may not
+    # grow past the figure measured for that
     integrate_g_dx(*spline_pair(0), tol=1e-7)  # lazy imports and caches
     g, x = spline_pair(1)
     tracemalloc.start()
@@ -194,14 +197,16 @@ def pairing_stack(seed):
 
 
 # the traced peak of the stack below, in bytes, with numpy 2.4 on CPython
-# 3.11; one (25, cells) block per level for all pairs took it to 17.49e6
-PAIRING_STACK_PEAK = 9.63e6
+# 3.11 and levels in tiles of 2^14 cells; one whole-level (integrators,
+# cells) block per integrand took it to 9.64e6, one (25, cells) block per
+# level for all pairs to 17.49e6
+PAIRING_STACK_PEAK = 5.75e6
 
 
 def test_a_deep_pairing_stack_stays_within_its_memory():
     # 12-14 levels, 98304 cells at the last: the products and estimates
-    # are one (integrators, cells) block per integrand, so the peak may
-    # not grow past the figure measured for that
+    # are one (live integrators, tile cells) buffer per level, so the peak
+    # may not grow past the figure measured for that
     _drive(*pairing_stack(0), None, 1e-7)  # lazy imports and caches
     gs, columns = pairing_stack(1)
     tracemalloc.start()
@@ -217,15 +222,16 @@ def test_a_deep_pairing_stack_stays_within_its_memory():
 
 
 # the traced peak of the stack below, in bytes, with numpy 2.4 on CPython
-# 3.11; one drive of each integrand alone peaks at 9.45e6
-IMAGE_STACK_PEAK = 15.00e6
+# 3.11 and levels in tiles of 2^14 cells; whole-level (integrands, cells)
+# arrays took it to 15.00e6
+IMAGE_STACK_PEAK = 6.26e6
 
 
 def test_a_deep_image_stack_stays_within_its_memory():
     # 14 levels, 98304 cells at the last: the integrands' values are one
-    # (integrands, cells) array, and their products and estimates one
-    # (coordinates or seminorms, cells) block per integrand, so the peak
-    # may not grow past the figure measured for that
+    # (integrands, tile cells) buffer, and their products and estimates
+    # one (coordinates or seminorms, tile cells) buffer per level, so the
+    # peak may not grow past the figure measured for that
     gs, x = image_stack(0)
     _drive(gs, (x,), None, 1e-7)  # lazy imports and caches
     gs, x = image_stack(1)

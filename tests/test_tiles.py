@@ -91,7 +91,8 @@ def image_stacks(draw):
                           np.stack([p.coeffs for p in parts], axis=2))
     if draw(st.booleans()):
         times = draw(STEP_TIMES)
-        jumps = rng.normal(size=(len(times), dim)) * (1 + 1j * complex_field)
+        jumps = rng.normal(size=(len(times), dim)) \
+            * ((1 + 1j) if complex_field else 1.0)
         x = x + PiecewiseFunction.step((0.0, 1.0), times, jumps,
                                        np.zeros(dim))
     return gs, x, draw(seminorm_families(dim))
