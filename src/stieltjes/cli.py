@@ -249,13 +249,13 @@ def _resolve(funcs, params, key):
 # -- task dispatch ----------------------------------------------------------
 
 
-def _components(value, prefix="value"):
+def _components(value):
     """Flatten a scalar/vector, real/complex value into named columns."""
     arr = np.atleast_1d(np.asarray(value))
     cx = np.iscomplexobj(arr)
     names, comps = [], []
     for i, z in enumerate(arr):
-        tag = prefix if arr.size == 1 else f"{prefix}_{i}"
+        tag = "value" if arr.size == 1 else f"value_{i}"
         if cx:
             names += [tag + "_re", tag + "_im"]
             comps += [float(z.real), float(z.imag)]

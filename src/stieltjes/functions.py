@@ -684,15 +684,12 @@ def _partition_points(partition, f):
     return pts
 
 
-def _interleave(a, b, axis=0):
-    """a_0, b_0, a_1, b_1, ... along ``axis``, into a new C-ordered array;
-    a is as long as b or one longer along that axis."""
-    shape = list(a.shape)
-    shape[axis] += b.shape[axis]
-    out = np.empty(shape, dtype=np.result_type(a, b))
-    lead = (slice(None),) * axis
-    out[lead + (slice(0, None, 2),)] = a
-    out[lead + (slice(1, None, 2),)] = b
+def _interleave(a, b):
+    """a_0, b_0, a_1, b_1, ... of two 1-D arrays, into a new array; a is as
+    long as b or one longer."""
+    out = np.empty(len(a) + len(b), dtype=np.result_type(a, b))
+    out[0::2] = a
+    out[1::2] = b
     return out
 
 

@@ -45,15 +45,15 @@ integrator with k duals), or g scalar integrands on one grid against one
 vector integrator (the images T g of a roundtrip); the public integrals
 are stacks of one.  A level runs in tiles of at most ``_TILE_CELLS``
 cells (``_tiles``), so that a tile's arrays stay in cache: a tile
-evaluates all the integrands at its tags in one Horner pass and takes the
-integrators' differences once for all pairs, then writes each
-integrand's estimates and products into buffers of the level that every
-tile reuses, and the next level's integrator values at the midpoints go
-tile by tile into the odd columns of its value array.  An integrand's
-product and estimate rows cover only the integrators of its live pairs.
-Each pair's result is made with the stacks and kept current, a trace
-record a level, until the pair stops; an integrand or integrator leaves
-its stack once all its pairs have passed their test.
+evaluates all the integrands at its tags in one Horner pass, takes the
+integrators' differences and picks its jump-end cells once for all
+pairs, then writes each integrand's estimates and products into buffers
+of the level that every tile reuses, and the next level's integrator
+values at the midpoints go tile by tile into the odd columns of its
+value array.  Each pair's result is made with the stacks and kept
+current, a trace record a level, until the pair stops; the stacks
+shrink, an integrand or integrator leaving once all its pairs have
+passed their test, and a stopped pair's rows are computed, not read.
 
 ``_RowSums`` sums rows along their cells in numpy's order for an (n, r)
 array along axis 0: in sequence from +0.0 for the r >= 2 rows of a
@@ -404,24 +404,24 @@ def _kept_columns(cells, keep_f, keep_mu):
     return i, j, mu_vals, at_jumps, smooth
 
 
-def _level_sums(f, mu, rights, h, mids, inside, cells, envs, dim, live):
-    """One level's tagged sums and error estimates for the live pairs of
-    the stacks ``f`` and ``mu``, for cells with right ends ``rights``,
-    widths ``h`` and midpoints ``mids``; ``inside`` says that every
-    midpoint lies strictly inside its cell.  Returns (values, estimates),
+def _level_sums(f, mu, rights, h, mids, inside, cells, envs, dim):
+    """One level's tagged sums and error estimates for every pair of the
+    stacks ``f`` and ``mu``, for cells with right ends ``rights``, widths
+    ``h`` and midpoints ``mids``; ``inside`` says that every midpoint lies
+    strictly inside its cell.  Returns (values, estimates),
     (integrands, integrators, ...) arrays with a pair's sum, one element
     per coordinate, and its estimates, one per row of its envelope
-    products; a stopped pair's are zeros, since nothing reads them.
+    products.  A stopped pair whose integrand and integrator are still in
+    the stacks gets its sum too, which nothing reads; each row is summed
+    alone, so it moves no other row's bits.
 
     The cells are m = cells / base cells contiguous children of each base
     cell, and cell e lies in base cell e // m.  The level runs tile by
-    tile (``_tiles``): a tile evaluates every integrand at its tags and
-    takes the integrators' differences once, then writes each integrand's
-    estimates, broadcast from its base cells' envelope products, and its
-    products into buffers of the level that every tile reuses.  An
-    integrand's rows are the integrators of its live pairs, or every row
-    of one vector integrator; each row is summed alone, so a row left out
-    moves no other row's bits."""
+    tile (``_tiles``): a tile evaluates every integrand at its tags, takes
+    the integrators' differences and picks its jump-end cells once, then
+    writes each integrand's estimates, broadcast from its base cells'
+    envelope products, and its products into buffers of the level that
+    every tile reuses."""
     i, j, mu_vals, (rows, ends), smooth = cells
     n = len(h)
     m = n // len(i)
@@ -430,40 +430,25 @@ def _level_sums(f, mu, rights, h, mids, inside, cells, envs, dim, live):
     f_rows = len(f._ends) // len(f)
     width = max(f_rows, len(mu_vals))
     dtype = np.result_type(f._planes, mu_vals)
-    values = np.zeros(live.shape + (width // len(mu),), dtype)
-    ests = np.zeros(live.shape + (smooth.shape[1] // len(mu),))
     if ends.size:
         D1f, _, D1m, _ = envs
         base = ends // m
-        f_ends = f.values_at(rights.take(ends)).reshape(len(f), -1, ends.size)
-        i_ends, d1m, h2 = i.take(base), \
-            D1m[rows if stack else slice(None), j.take(base)], \
-            h.take(ends) ** 2
-    # per integrand: its live rows and their envelope products, its
-    # jump-end cells (row, cell, estimate, tag value) and its row sums
-    integrands = []
-    for g, row in enumerate(live):
-        ks = slice(None) if row.all() else np.flatnonzero(row)
-        block, jumps = smooth[g][ks], None
-        if ends.size:
-            jumps = (rows if stack else slice(None), ends,
-                     D1f[g].take(i_ends, axis=1) * d1m * h2, f_ends[g])
-            if not isinstance(ks, slice):
-                # a stack's stopped rows leave, and the live ones renumber
-                at = row.take(rows)
-                jumps = ((np.cumsum(row) - 1).take(rows[at]), ends[at],
-                         jumps[2][:, at], jumps[3][:, at])
-        integrands.append((ks, block, jumps,
-                           _RowSums(len(block) if dim else None),
-                           _RowSums(dim)))
-    # the level's tile buffers; an integrand's estimates, the differences
-    # of its live rows and its products share one where their dtypes
-    # agree, each done with before the next is written
+        rows = rows if stack else slice(None)
+        # every integrand's estimates and tags at the jump-end cells,
+        # (integrands, rows, ends)
+        jump_ests = D1f.take(i.take(base), axis=2) \
+            * D1m[rows, j.take(base)] * h.take(ends) ** 2
+        jump_tags = f.values_at(rights.take(ends)).reshape(
+            len(f), f_rows, ends.size)
+    est_sums = [_RowSums(smooth.shape[1] if dim else None) for _ in smooth]
+    sums = [_RowSums(dim) for _ in smooth]
+    # the level's tile buffers; an integrand's estimates and its products
+    # share one where their dtypes agree, the estimates done with first
     tags = np.empty((len(f._ends), t), f._planes.dtype)
     dmu = np.empty((len(mu_vals), t), mu_vals.dtype)
     products = np.empty((max(width, smooth.shape[1]), t), dtype)
-    est = products if dtype == float else np.empty((smooth.shape[1], t))
-    picked = products if dtype == mu_vals.dtype else np.empty_like(dmu)
+    est = (products if dtype == float
+           else np.empty_like(products, float))[:smooth.shape[1]]
     # a stack's integrand tags, one row per integrator
     spread = np.empty((len(mu), t), f._planes.dtype)
     for cut, base in _tiles(n, m):
@@ -472,47 +457,37 @@ def _level_sums(f, mu, rights, h, mids, inside, cells, envs, dim, live):
               else f.values_at(mids[cut])).reshape(len(f), f_rows, t)
         np.subtract(mu_vals[:, lo + 1:hi + 1], mu_vals[:, lo:hi], out=dmu)
         h3 = (h[cut] ** 3 / 12.0).reshape(len(base), -1)
-        for fg, (ks, block, jumps, est_sums, sums) in zip(fv, integrands):
-            at = None
-            if jumps is not None:
-                r, cols, jump_ests, jump_tags = jumps
-                if t < n:
-                    here = (cols >= lo) & (cols < hi)
-                    r = r[here] if stack else r
-                    cols, jump_ests, jump_tags = \
-                        cols[here] - lo, jump_ests[..., here], \
-                        jump_tags[..., here]
-                if cols.size:
-                    at = (r, cols)
-            e = np.multiply(block.take(base, axis=1)[:, :, np.newaxis], h3,
-                            out=est[:len(block)].reshape(len(block),
-                                                         len(base), -1))
-            e = e.reshape(len(block), t)
+        at = None
+        if ends.size:
+            here = slice(None) if t == n else (ends >= lo) & (ends < hi)
+            cols = ends[here] - lo
+            if cols.size:
+                at = (rows[here] if stack else rows, cols)
+                tile_ests, tile_tags = jump_ests[..., here], \
+                    jump_tags[..., here]
+        for g, fg in enumerate(fv):
+            np.multiply(smooth[g].take(base, axis=1)[:, :, np.newaxis], h3,
+                        out=est.reshape(len(est), len(base), -1))
             if at:
-                e[at] = jump_ests
-            est_sums.add(e)
-            dm = dmu if isinstance(ks, slice) else \
-                np.take(dmu, ks, axis=0, out=picked[:len(ks)])
-            if at:
+                est[at] = tile_ests[g]
                 if stack:
-                    spread[:len(dm)] = fg
-                    fg = spread[:len(dm)]
-                fg[at] = jump_tags
-            sums.add(np.multiply(fg, dm, out=products[:max(len(fg),
-                                                           len(dm))]))
-    for g, (ks, _, _, est_sums, sums) in enumerate(integrands):
-        values[g, ks] = sums.total().reshape(-1, values.shape[2])
-        ests[g, ks] = est_sums.total().reshape(-1, ests.shape[2])
-    return values, ests
+                    spread[...] = fg
+                    fg = spread
+                fg[at] = tile_tags[g]
+            est_sums[g].add(est)
+            sums[g].add(np.multiply(fg, dmu, out=products[:width]))
+    return tuple(np.stack([s.total() for s in part]).reshape(
+        len(f), len(mu), -1) for part in (sums, est_sums))
 
 
 def _refine(f, mu, jump_ts, seminorms, tol, max_levels):
     """The refinement loop of every drive: each integrand of the
     :class:`_Columns` stack ``f`` against each integrator of the stack
     ``mu``, on one partition.  A pair stops at its own level; an integrand
-    or integrator leaves its stack once all its pairs have stopped.
-    Returns one IntegralResult per pair, ``results[g][k]``, each made when
-    the stacks are and kept current until its pair stops.
+    or integrator leaves its stack once all its pairs have stopped, and
+    until then a stopped pair's sums are computed and not read.  Returns
+    one IntegralResult per pair, ``results[g][k]``, each made when the
+    stacks are and kept current until its pair stops.
 
     Envelope rows enter the estimates only as products of one side's rows
     with the other's, d1f d2m + d2f d1m / 2 on a cell and d1f d1m h^2 at
@@ -545,7 +520,7 @@ def _refine(f, mu, jump_ts, seminorms, tol, max_levels):
         inside = bool((lefts < mids).all() and (mids < rights).all())
         # (integrands, integrators, value) and (..., seminorms)
         values, ests = _level_sums(f, mu, rights, h, mids, inside, cells,
-                                   envs, dim, live)
+                                   envs, dim)
         ests = ests * scale
         mesh = float(h.max())
         rows, cols = live.nonzero()

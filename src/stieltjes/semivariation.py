@@ -151,11 +151,11 @@ def _nonzero_rows(deltas):
     return deltas[nonzero], expand
 
 
-def _aligning(z, fallback=1.0):
+def _aligning(z):
     """Unimodular coefficients conj(z)/|z| that turn each entry of z onto
-    the positive real axis; ``fallback`` where z vanishes."""
+    the positive real axis; 1 where z vanishes."""
     az = np.abs(z)
-    return np.where(az > 0, np.conj(z) / np.where(az > 0, az, 1), fallback)
+    return np.where(az > 0, np.conj(z) / np.where(az > 0, az, 1), 1.0)
 
 
 def _vertex_variation(x, rows):
