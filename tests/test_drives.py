@@ -28,7 +28,7 @@ def smooth_part(draw, rng, dim, complex_field):
     coordinate per ``dim`` (None: scalar)."""
     kind = draw(st.sampled_from(["spline", "poly", "zero"]))
     shape = () if dim is None else (dim,)
-    unit = 1 + 1j * complex_field
+    unit = (1 + 1j) if complex_field else 1.0
     if kind == "spline":
         parts = [random_spline((0.0, 1.0), rng, complex_field=complex_field)
                  for _ in range(dim or 1)]
@@ -51,7 +51,7 @@ def jump_pairs(draw):
     times = draw(JUMP_TIMES)
     owners = draw(st.lists(st.booleans(), min_size=len(times),
                            max_size=len(times)))
-    unit = 1 + 1j * complex_field
+    unit = (1 + 1j) if complex_field else 1.0
     pair = []
     for own, d in ((True, dim), (False, None)):
         func = smooth_part(draw, rng, d, complex_field)
@@ -62,6 +62,8 @@ def jump_pairs(draw):
                 (0.0, 1.0), ts, rng.normal(size=shape) * unit,
                 np.zeros(shape[1:]) * unit)
         pair.append(func)
+    # a real example runs the real-dtype paths
+    assert complex_field or all(f.coeffs.dtype == np.float64 for f in pair)
     kinds = draw(st.one_of(st.none(), st.lists(st.sampled_from(
         ["weighted-sup", "weighted-one", "quadratic"]), min_size=1,
         max_size=3)))

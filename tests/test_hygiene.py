@@ -1,17 +1,19 @@
 """Static checks of the package source: every import is used, every
 private name, at module level or in a class body, is used somewhere in the
-package, no module but ``functions`` imports the piece kernels, and the
-slow optional imports happen inside functions.  Two
+package, every default of a private function or method is passed by some
+call in the package, no module but ``functions`` imports the piece
+kernels, and the slow optional imports happen inside functions.  Two
 runtime checks join them: the package exports exactly the names its
 modules export, each of which resolves, and every array a function holds
 or caches is read-only, on copies too.
 
 They catch what a deletion leaves behind, such as a constant or a method
-whose only reader went away.  Names listed in a module's ``__all__`` count
-as used, since they are exported.  ``scipy`` and ``jsonschema`` take longer
-to import than a typical CLI problem takes to run, so importing either at
-module level would slow every cold start.  A writeable cached array could
-be changed under the function that computed it, or under its copies.
+whose only reader went away, or a parameter whose only setter did.  Names
+listed in a module's ``__all__`` count as used, since they are exported.
+``scipy`` and ``jsonschema`` take longer to import than a typical CLI
+problem takes to run, so importing either at module level would slow
+every cold start.  A writeable cached array could be changed under the
+function that computed it, or under its copies.
 """
 
 import ast
@@ -115,6 +117,56 @@ def eager_imports(tree, roots=("scipy", "jsonschema")):
     return found
 
 
+def private_defaults(tree):
+    """(function, parameter, position) for each defaulted parameter of a
+    private function or method in ``tree``: its place among the positional
+    arguments a call passes, self or cls not counted, or None for a
+    keyword-only one."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name.startswith("_")
+                and not node.name.startswith("__")):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        if positional and positional[0].arg in ("self", "cls"):
+            positional = positional[1:]
+        first = len(positional) - len(args.defaults)
+        for k, arg in enumerate(positional[first:], first):
+            yield node.name, arg.arg, k
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield node.name, arg.arg, None
+
+
+def call_arguments(tree):
+    """(callee, positional count, keyword names) for each call in ``tree``
+    of a name or an attribute; a starred argument passes every position
+    and a double-starred one every keyword."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+        count = len(node.args)
+        if any(isinstance(a, ast.Starred) for a in node.args):
+            count = float("inf")
+        keywords = {k.arg for k in node.keywords}
+        yield callee, count, keywords
+
+
+def unpassed_defaults(trees):
+    """``function(parameter)`` for each private default in ``trees`` that
+    no call in them passes."""
+    calls = [c for tree in trees for c in call_arguments(tree)]
+    return sorted(
+        f"{function}({parameter})" for tree in trees
+        for function, parameter, position in private_defaults(tree)
+        if not any(callee == function and (
+            None in keywords or parameter in keywords
+            or (position is not None and count > position))
+            for callee, count, keywords in calls))
+
+
 def package_reads():
     used = set()
     for tree in MODULES.values():
@@ -146,6 +198,13 @@ def test_every_private_class_member_is_used():
         f"{name}:{cls}.{member}" for name, tree in MODULES.items()
         for cls, member in class_private_members(tree) if member not in used)
     assert not unused, f"private class members nothing reads: {unused}"
+
+
+def test_every_private_default_is_passed():
+    # a default that no call overrides is a constant in disguise, or the
+    # leftover of a caller that went away
+    unset = unpassed_defaults(list(MODULES.values()))
+    assert not unset, f"private defaults no call passes: {unset}"
 
 
 # the piecewise-polynomial kernels: other modules reach pieces through the
@@ -201,6 +260,19 @@ def test_the_checks_see_a_leftover():
                      "    _segments)\ndef f():\n"
                      "    from .functions import _split_rows\n")
     assert kernel_imports(tree) == ["_horner", "_segments", "_split_rows"]
+
+
+def test_the_default_check_sees_a_leftover():
+    tree = ast.parse("def _scale(v, by=2.0, *, floor=0.0):\n    return v\n"
+                     "class Norm:\n    def _at(self, v, p=1, q=2):\n"
+                     "        return v\n    def __call__(self, v, r=0):\n"
+                     "        return self._at(v, 3) + _scale(v, floor=1)\n"
+                     "def _spread(*a, width=1):\n"
+                     "    return _spread(*a, **{})\n")
+    assert sorted(private_defaults(tree)) == [
+        ("_at", "p", 1), ("_at", "q", 2), ("_scale", "by", 1),
+        ("_scale", "floor", None), ("_spread", "width", None)]
+    assert unpassed_defaults([tree]) == ["_at(q)", "_scale(by)"]
 
 
 def test_the_package_exports_what_its_modules_export():

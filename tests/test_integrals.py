@@ -534,7 +534,8 @@ def drive_pairs(draw):
             times = draw(STEP_TIMES)
             shape = (len(times),) + (() if dim is None else (dim,))
             rng = np.random.default_rng(draw(SEEDS))
-            jumps = rng.normal(size=shape) * (1 + 1j * complex_field)
+            jumps = rng.normal(size=shape) \
+                * ((1 + 1j) if complex_field else 1.0)
             return PiecewiseFunction.step((0.0, 1.0), times, jumps,
                                           np.ones(shape[1:]))
         if kind == "spline":
@@ -728,7 +729,7 @@ def column_drives(draw):
     complex_field = draw(st.booleans())
     kind = draw(st.sampled_from(["step", "spline", "ulp"]))
     rng = np.random.default_rng(draw(SEEDS))
-    unit = 1 + 1j * complex_field
+    unit = (1 + 1j) if complex_field else 1.0
     if kind == "ulp":
         y = continuous_pieces(draw, ULP_GRID, 2, complex_field)
     else:
@@ -937,7 +938,7 @@ def image_drives(draw):
     complex_field = draw(st.booleans())
     dim = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(SEEDS))
-    unit = 1 + 1j * complex_field
+    unit = (1 + 1j) if complex_field else 1.0
     times = draw(STEP_TIMES)
     x = PiecewiseFunction.step((0.0, 1.0), times,
                                rng.normal(size=(len(times), dim)) * unit,
@@ -997,7 +998,8 @@ def step_images(draw):
     dim = draw(st.integers(2, 3))
     rng = np.random.default_rng(draw(SEEDS))
     times = draw(STEP_TIMES)
-    jumps = rng.normal(size=(len(times), dim)) * (1 + 1j * complex_field) \
+    jumps = rng.normal(size=(len(times), dim)) \
+        * ((1 + 1j) if complex_field else 1.0) \
         * 10.0 ** draw(st.integers(-12, 12))
     if draw(st.booleans()):
         jumps[rng.integers(len(times))] = 0.0

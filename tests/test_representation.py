@@ -722,7 +722,7 @@ def pairing_by_single_drives(x, tol, dual_count, function_count, seed,
 def spline_plus_steps(seed, dim, complex_field):
     rng = np.random.default_rng(seed)
     s = random_spline((0.0, 1.0), rng, complex_field=complex_field)
-    jumps = rng.normal(size=(3, dim)) * (1 + 1j * complex_field)
+    jumps = rng.normal(size=(3, dim)) * ((1 + 1j) if complex_field else 1.0)
     return PiecewiseFunction.step((0.0, 1.0), [0.2, 0.5, 0.9], jumps,
                                   np.zeros(dim)) \
         + PiecewiseFunction(s.breakpoints,
