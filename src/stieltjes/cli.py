@@ -16,9 +16,10 @@ keywords that ``problem_schema.json`` uses (``$ref``, ``oneOf``, ``type``,
 with JSON semantics: a bool is never a number, an integral float is an
 integer, and NaN or an infinity is no number at all.
 
-Exit codes: 0 success, 2 schema violation (with the offending location),
-3 task-level numerical error (nonexistence, enumeration caps, incompatible
-operands).  Nothing is written to the output target on an error path.
+Exit codes: 0 success, 2 schema violation (with the offending location)
+or an output path that cannot be written, 3 task-level numerical error
+(nonexistence, enumeration caps, incompatible operands).  Nothing is
+written to the output target on an error path.
 """
 
 import argparse
@@ -517,8 +518,13 @@ def main(argv=None):
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
     else:
-        with open(args.output, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(args.output, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return 2
     return 0
 
 

@@ -15,23 +15,23 @@ width, so a certified per-seminorm error estimate can be summed from
 per-piece derivative envelopes.  Integrals against a common-jump pair do
 not exist and are refused.
 
-The driver is incremental.  Because the initial grid holds every
-breakpoint of both functions, each cell lies inside one piece of each, so
-the piece indices and the envelope products d1f d2m + d2f d1m / 2 that
-bound a cell's error are looked up once per base cell, a cell of that
-lookup.  After L bisections each base cell has 2^L contiguous children in
-the same pieces, so every per-cell quantity is a broadcast over a
-(rows, base cells, 2^L) view and nothing per cell is gathered or
-repeated; each element still sees the operations of a per-cell lookup, in
-the same order.  Each level's midpoints are its tags and the next level's
-new points: the integrator is evaluated only there and its earlier values
-are kept, and since every jump time is an initial point a left child
-never ends at a jump.  Tags at jump ends, which are right endpoints, go
-through ``values_at`` for its right-hand-piece and t = b conventions; the
-cells that end at a jump are held as indices.  A cell only a few ulps
-wide can have its midpoint on an end; the driver then looks the next
-partition up afresh, which gives the same bits as a from-scratch level,
-and its cells become the new base cells.
+The driver is incremental: a level holds only its partition and the
+data of its base cells, the cells of its last lookup.  The initial grid
+holds every breakpoint of both functions, so each cell lies inside one
+piece of each, and the piece indices, the envelope products d1f d2m +
+d2f d1m / 2 that bound a cell's error and the integrator's values at the
+base points are looked up once per base cell.  After L bisections each
+base cell has 2^L contiguous children in the same pieces, so every
+per-cell quantity is a broadcast over a (rows, base cells, 2^L) view;
+each element still sees the operations of a per-cell lookup, in the same
+order, and a point inside a base cell gets the integrator's value in
+that cell's piece.  Every jump time is an initial point, so a base cell
+that ends at a jump does so in its last child.  Base points and tags at
+jump ends go through ``values_at`` for its right-hand-piece and t = b
+conventions.  A cell only a few ulps wide can have its midpoint on an
+end; the driver then looks the next partition up afresh, which gives the
+same bits as a from-scratch level, and its cells become the new base
+cells.
 
 Every drive, and every plain tagged sum, runs on one layout of
 (rows, cells) arrays.  A scalar factor is one row, k scalar functions on
@@ -44,16 +44,16 @@ against k scalar integrators on one grid (the compositions of one
 integrator with k duals), or g scalar integrands on one grid against one
 vector integrator (the images T g of a roundtrip); the public integrals
 are stacks of one.  A level runs in tiles of at most ``_TILE_CELLS``
-cells (``_tiles``), so that a tile's arrays stay in cache: a tile
-evaluates all the integrands at its tags in one Horner pass, takes the
-integrators' differences and picks its jump-end cells once for all
-pairs, then writes each integrand's estimates and products into buffers
-of the level that every tile reuses, and the next level's integrator
-values at the midpoints go tile by tile into the odd columns of its
-value array.  Each pair's result is made with the stacks and kept
-current, a trace record a level, until the pair stops; the stacks
-shrink, an integrand or integrator leaving once all its pairs have
-passed their test, and a stopped pair's rows are computed, not read.
+cells (``_tiles``), so that a tile's arrays stay in cache, and nothing
+per cell but the points outlives its tile: a tile takes its widths and
+midpoints, evaluates all the integrands at its tags in one Horner pass
+and the integrators at its right ends, and picks its jump-end cells once
+for all pairs, then writes each integrand's estimates and products into
+buffers of the level that every tile reuses.  Each pair's result is
+made with the stacks and kept current, a trace record a level, until
+the pair stops; the stacks shrink, an integrand or integrator leaving
+once all its pairs have passed their test, and a stopped pair's rows
+are computed, not read.
 
 ``_RowSums`` sums rows along their cells in numpy's order for an (n, r)
 array along axis 0: in sequence from +0.0 for the r >= 2 rows of a
@@ -368,23 +368,17 @@ def _cells(f, mu, points, jump_ts, envs):
     return i, j, mu.values_at(points), at_jumps, smooth
 
 
-def _bisected_cells(mu, cells, mids):
-    """The cells after bisection at midpoints strictly inside each cell.
-    The piece indices and envelope products stay those of the base cells,
-    each of which now has twice as many contiguous children; mu is
-    evaluated only at the midpoints, and only right children, 2e + 1 for
-    a jump end e, can end at a jump."""
-    i, j, mu_vals, (rows, ends), smooth = cells
-    n = len(mids)
-    # the midpoints' values go tile by tile into the odd columns
-    vals = np.empty((len(mu_vals), 2 * n + 1),
-                    np.result_type(mu_vals, mu._planes))
-    vals[:, 0::2] = mu_vals
-    tile = np.empty((len(mu_vals), _tile_length(n)), vals.dtype)
-    for cut, base in _tiles(n, n // len(j)):
-        vals[:, 2 * cut.start + 1:2 * cut.stop:2] = \
-            mu._values_in(j.take(base), mids[cut], tile)
-    return i, j, vals, (rows, 2 * ends + 1), smooth
+def _right_values(mu, points, cells, cut, base, out):
+    """mu at the right ends of the cells ``cut``, blocks in the base cells
+    ``base``, into ``out``: in the base cell's piece, as a midpoint was,
+    and at a base cell's end its looked-up value (``values_at``)."""
+    lo, hi = cut.start, cut.stop
+    _, j, base_vals, _, _ = cells
+    m = (len(points) - 1) // len(j)
+    if m > 1:
+        mu._values_in(j.take(base), points[lo + 1:hi + 1], out)
+    out[:, m - 1 - lo % m::m] = base_vals[:, lo // m + 1:hi // m + 1]
+    return out
 
 
 def _kept_columns(cells, keep_f, keep_mu):
@@ -404,59 +398,68 @@ def _kept_columns(cells, keep_f, keep_mu):
     return i, j, mu_vals, at_jumps, smooth
 
 
-def _level_sums(f, mu, rights, h, mids, inside, cells, envs, dim):
+def _level_sums(f, mu, points, cells, envs, dim):
     """One level's tagged sums and error estimates for every pair of the
-    stacks ``f`` and ``mu``, for cells with right ends ``rights``, widths
-    ``h`` and midpoints ``mids``; ``inside`` says that every midpoint lies
-    strictly inside its cell.  Returns (values, estimates),
-    (integrands, integrators, ...) arrays with a pair's sum, one element
-    per coordinate, and its estimates, one per row of its envelope
-    products.  A stopped pair whose integrand and integrator are still in
-    the stacks gets its sum too, which nothing reads; each row is summed
+    stacks ``f`` and ``mu`` on the partition ``points``: (values,
+    estimates, mesh, inside), (integrands, integrators, ...) arrays with a
+    pair's sum, one element per coordinate, and its estimates, one per row
+    of its envelope products, the largest width, and whether every
+    midpoint lies strictly inside its cell.  A stopped pair still in the
+    stacks gets its sums too, which nothing reads; each row is summed
     alone, so it moves no other row's bits.
 
     The cells are m = cells / base cells contiguous children of each base
-    cell, and cell e lies in base cell e // m.  The level runs tile by
-    tile (``_tiles``): a tile evaluates every integrand at its tags, takes
-    the integrators' differences and picks its jump-end cells once, then
-    writes each integrand's estimates, broadcast from its base cells'
-    envelope products, and its products into buffers of the level that
-    every tile reuses."""
-    i, j, mu_vals, (rows, ends), smooth = cells
-    n = len(h)
+    cell, and cell e lies in base cell e // m.  Per tile (``_tiles``), the
+    widths and midpoints are taken, the integrands evaluated at the tags,
+    through ``values_at`` unless every midpoint lies strictly inside, and
+    the integrators at the right ends (``_right_values``), the last of
+    which starts the next tile's differences; each integrand's estimates
+    and products go into buffers of the level that every tile reuses."""
+    i, j, mu_vals, (rows, jumps), smooth = cells
+    n = len(points) - 1
     m = n // len(i)
     t = _tile_length(n)
+    ends = (jumps + 1) * m - 1  # a base cell's last child
     stack = len(mu) > 1
     f_rows = len(f._ends) // len(f)
     width = max(f_rows, len(mu_vals))
     dtype = np.result_type(f._planes, mu_vals)
     if ends.size:
         D1f, _, D1m, _ = envs
-        base = ends // m
         rows = rows if stack else slice(None)
         # every integrand's estimates and tags at the jump-end cells,
         # (integrands, rows, ends)
-        jump_ests = D1f.take(i.take(base), axis=2) \
-            * D1m[rows, j.take(base)] * h.take(ends) ** 2
-        jump_tags = f.values_at(rights.take(ends)).reshape(
-            len(f), f_rows, ends.size)
+        times = points.take(ends + 1)
+        jump_ests = D1f.take(i.take(jumps), axis=2) \
+            * D1m[rows, j.take(jumps)] * (times - points.take(ends)) ** 2
+        jump_tags = f.values_at(times).reshape(len(f), f_rows, ends.size)
+        # a stack's integrand tags, one row per integrator
+        spread = np.empty((len(mu), t), f._planes.dtype)
     est_sums = [_RowSums(smooth.shape[1] if dim else None) for _ in smooth]
     sums = [_RowSums(dim) for _ in smooth]
     # the level's tile buffers; an integrand's estimates and its products
     # share one where their dtypes agree, the estimates done with first
     tags = np.empty((len(f._ends), t), f._planes.dtype)
+    # mu at the tile's right ends, and at its left end
+    mu_ends, left = np.empty((len(mu_vals), t), mu_vals.dtype), mu_vals[:, 0]
     dmu = np.empty((len(mu_vals), t), mu_vals.dtype)
     products = np.empty((max(width, smooth.shape[1]), t), dtype)
     est = (products if dtype == float
            else np.empty_like(products, float))[:smooth.shape[1]]
-    # a stack's integrand tags, one row per integrator
-    spread = np.empty((len(mu), t), f._planes.dtype)
+    mesh, inside = 0.0, True
     for cut, base in _tiles(n, m):
         lo, hi = cut.start, cut.stop
-        fv = (f._values_in(i.take(base), mids[cut], tags) if inside
-              else f.values_at(mids[cut])).reshape(len(f), f_rows, t)
-        np.subtract(mu_vals[:, lo + 1:hi + 1], mu_vals[:, lo:hi], out=dmu)
-        h3 = (h[cut] ** 3 / 12.0).reshape(len(base), -1)
+        lefts, rights = points[lo:hi], points[lo + 1:hi + 1]
+        h, mids = rights - lefts, 0.5 * (lefts + rights)
+        tile_inside = bool((lefts < mids).all() and (mids < rights).all())
+        mesh, inside = max(mesh, float(h.max())), inside and tile_inside
+        fv = (f._values_in(i.take(base), mids, tags) if tile_inside
+              else f.values_at(mids)).reshape(len(f), f_rows, t)
+        _right_values(mu, points, cells, cut, base, mu_ends)
+        np.subtract(mu_ends[:, 1:], mu_ends[:, :-1], out=dmu[:, 1:])
+        np.subtract(mu_ends[:, 0], left, out=dmu[:, 0])
+        left = mu_ends[:, -1].copy()
+        h3 = (h ** 3 / 12.0).reshape(len(base), -1)
         at = None
         if ends.size:
             here = slice(None) if t == n else (ends >= lo) & (ends < hi)
@@ -476,8 +479,9 @@ def _level_sums(f, mu, rights, h, mids, inside, cells, envs, dim):
                 fg[at] = tile_tags[g]
             est_sums[g].add(est)
             sums[g].add(np.multiply(fg, dmu, out=products[:width]))
-    return tuple(np.stack([s.total() for s in part]).reshape(
+    values, ests = (np.stack([s.total() for s in part]).reshape(
         len(f), len(mu), -1) for part in (sums, est_sums))
+    return values, ests, mesh, inside
 
 
 def _refine(f, mu, jump_ts, seminorms, tol, max_levels):
@@ -514,15 +518,10 @@ def _refine(f, mu, jump_ts, seminorms, tol, max_levels):
                for _ in f_ids]
     prev = None
     for level in range(max_levels):
-        lefts, rights = points[:-1], points[1:]
-        h = rights - lefts
-        mids = 0.5 * (lefts + rights)
-        inside = bool((lefts < mids).all() and (mids < rights).all())
         # (integrands, integrators, value) and (..., seminorms)
-        values, ests = _level_sums(f, mu, rights, h, mids, inside, cells,
-                                   envs, dim)
+        values, ests, mesh, inside = _level_sums(f, mu, points, cells, envs,
+                                                 dim)
         ests = ests * scale
-        mesh = float(h.max())
         rows, cols = live.nonzero()
         stop = np.zeros(rows.size, dtype=bool)
         if prev is not None:
@@ -554,9 +553,9 @@ def _refine(f, mu, jump_ts, seminorms, tol, max_levels):
                 values = values[keep_f][:, keep_mu]
                 live = live[keep_f][:, keep_mu]
         prev = values
-        points = _interleave(points, mids)
-        cells = (_bisected_cells(mu, cells, mids) if inside
-                 else _cells(f, mu, points, jump_ts, envs))
+        points = _interleave(points, 0.5 * (points[:-1] + points[1:]))
+        if not inside:
+            cells = _cells(f, mu, points, jump_ts, envs)
     return results
 
 

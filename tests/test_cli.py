@@ -375,6 +375,17 @@ def test_no_partial_output_on_error(tmp_path):
     assert not target.exists()
 
 
+def test_an_unwritable_output_exits_with_2(tmp_path, capsys):
+    # a directory that does not exist, and a directory in place of a file
+    source = str(REPO / "problems" / "eset_two_jumps.json")
+    for target in (tmp_path / "missing" / "report.json", tmp_path):
+        assert main(["--input", source, "--output", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {target}: "), err
+        assert "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_represent_apply_reports_bounds():
     doc = problem("represent-apply", {"x": STEP, "g": RAMP},
                   {"integrator": "x", "argument": "g"}, space=PLANE)

@@ -157,15 +157,16 @@ def spline_pair(seed):
 
 
 # the traced peak of the drive below, in bytes, with numpy 2.4 on CPython
-# 3.11 and levels in tiles of 2^14 cells; whole-level (rows, cells) arrays
-# took it to 9.47e6, per-cell piece indices and envelope products to
-# 11.03e6
-DEEP_DRIVE_PEAK = 5.99e6
+# 3.11, levels in tiles of 2^14 cells and nothing per cell kept past its
+# tile; whole-level integrator values, widths and midpoints took it to
+# 5.99e6, whole-level (rows, cells) arrays to 9.47e6, per-cell piece
+# indices and envelope products to 11.03e6
+DEEP_DRIVE_PEAK = 2.38e6
 
 
 def test_a_deep_vector_drive_stays_within_its_memory():
-    # 14 levels, 65536 cells at the last: the drive holds its points and
-    # integrator values per level, works in tiles of at most 2^14 cells and
+    # 14 levels, 98304 cells at the last: the drive holds its points and
+    # base-cell data per level, works in tiles of at most 2^14 cells and
     # broadcasts its piece lookups from the base cells, so its peak may not
     # grow past the figure measured for that
     integrate_g_dx(*spline_pair(0), tol=1e-7)  # lazy imports and caches
@@ -199,10 +200,11 @@ def pairing_stack(seed):
 
 
 # the traced peak of the stack below, in bytes, with numpy 2.4 on CPython
-# 3.11 and levels in tiles of 2^14 cells; one whole-level (integrators,
-# cells) block per integrand took it to 9.64e6, one (25, cells) block per
-# level for all pairs to 17.49e6
-PAIRING_STACK_PEAK = 5.75e6
+# 3.11, levels in tiles of 2^14 cells and nothing per cell kept past its
+# tile; whole-level integrator values, widths and midpoints took it to
+# 5.75e6, one whole-level (integrators, cells) block per integrand to
+# 9.64e6, one (25, cells) block per level for all pairs to 17.49e6
+PAIRING_STACK_PEAK = 3.08e6
 
 
 def test_a_deep_pairing_stack_stays_within_its_memory():
@@ -224,9 +226,10 @@ def test_a_deep_pairing_stack_stays_within_its_memory():
 
 
 # the traced peak of the stack below, in bytes, with numpy 2.4 on CPython
-# 3.11 and levels in tiles of 2^14 cells; whole-level (integrands, cells)
-# arrays took it to 15.00e6
-IMAGE_STACK_PEAK = 6.26e6
+# 3.11, levels in tiles of 2^14 cells and nothing per cell kept past its
+# tile; whole-level integrator values, widths and midpoints took it to
+# 6.26e6, whole-level (integrands, cells) arrays to 15.00e6
+IMAGE_STACK_PEAK = 2.81e6
 
 
 def test_a_deep_image_stack_stays_within_its_memory():

@@ -17,7 +17,7 @@ from numpy.polynomial import polynomial as npoly
 from scipy.interpolate import CubicSpline
 from scipy.spatial import cKDTree
 
-from stieltjes import functions
+from stieltjes import functions, integrals
 from stieltjes.functions import (PiecewiseFunction, TaggedPartition,
                                  _common_grid, _derivative_sups_of,
                                  _extreme_rows, _horner, _jump_tables_of,
@@ -27,8 +27,8 @@ from stieltjes.functions import (PiecewiseFunction, TaggedPartition,
                                  _sups_abs, _variations, dual_compose,
                                  product_integral, random_spline,
                                  scalar_variation)
-from stieltjes.integrals import (_bisected_cells, _cells, _Columns,
-                                 _envelopes, _max_abs, rs_sum_S, rs_sum_s)
+from stieltjes.integrals import (_cells, _Columns, _envelopes, _max_abs,
+                                 _right_values, _tiles, rs_sum_S, rs_sum_s)
 from stieltjes.semivariation import (_CHUNK, _aligning, _dedupe,
                                      _digit_chunks, e_set)
 from stieltjes.spaces import Seminorm
@@ -323,23 +323,37 @@ def test_sup_of_a_zero_polynomial_matches_the_root_path(k, cplx, zero, h):
 
 
 def cell_arrays(cells, m=1):
-    """The per-cell arrays of a cell state whose base cells have m
-    children each: the piece indices and envelope products repeated to
-    one per cell, the jump-end index unpacked."""
-    i, j, mu_vals, at_jumps, smooth = cells
-    return (np.repeat(i, m), np.repeat(j, m), mu_vals) + at_jumps \
-        + (np.repeat(smooth, m, axis=1),)
+    """The per-cell arrays of a lookup whose base cells have m children
+    each: the piece indices and envelope products repeated to one per
+    cell, and the jump-end cells, the last child of each base cell that
+    ends at a jump."""
+    i, j, _, (rows, ends), smooth = cells
+    return (np.repeat(i, m), np.repeat(j, m), rows, (ends + 1) * m - 1,
+            np.repeat(smooth, m, axis=1))
+
+
+def tile_values(mu, points, cells):
+    """mu at every point as the tiles of a level read it: the first base
+    point's value, then each tile's right ends."""
+    n = len(points) - 1
+    vals = [cells[2][:, :1]]
+    for cut, base in _tiles(n, n // len(cells[0])):
+        out = np.empty((len(vals[0]), cut.stop - cut.start), vals[0].dtype)
+        vals.append(_right_values(mu, points, cells, cut, base, out))
+    return np.concatenate(vals, axis=1)
 
 
 @settings(max_examples=100)
-@given(piecewise(), st.data(), st.integers(0, 6))
-def test_inherited_cells_match_a_fresh_lookup(f, data, k):
-    # each cell lies inside one piece of f and of mu, so bisection keeps
-    # the base cells' piece indices and envelope products, which expanded
-    # by their m children each have the bits of a fresh lookup, as do the
-    # mu values and jump-end cells, for one integrator, scalar or vector,
-    # as a stack of one and, when both factors are scalar, for a stack of
-    # integrators on one grid, under one seminorm and under two
+@given(piecewise(), st.data(), st.integers(0, 6),
+       st.sampled_from([64, 2 ** 14]))
+def test_inherited_cells_match_a_fresh_lookup(f, data, k, tile):
+    # each cell lies inside one piece of f and of mu, so after k bisections
+    # the lookup's piece indices, envelope products and jump-end cells,
+    # expanded by their m children each, have the bits of a fresh lookup,
+    # and the integrator values that the level's tiles read have the bits
+    # of values_at on the bisected points, for one integrator, scalar or
+    # vector, as a stack of one and, when both factors are scalar, for a
+    # stack of integrators on one grid, under one seminorm and under two
     mu = data.draw(piecewise(dims=(None,) if f.dim else (None, 1, 2, 3)))
     scaled = mu.breakpoints * (f.b / mu.b)
     scaled[-1] = f.b
@@ -361,7 +375,6 @@ def test_inherited_cells_match_a_fresh_lookup(f, data, k):
             mids = 0.5 * (bps[:-1] + bps[1:])
             if not (np.all(bps[:-1] < mids) and np.all(mids < bps[1:])):
                 break
-            cells = _bisected_cells(integrator, cells, mids)
             bps = functions._interleave(bps, mids)
             m *= 2
         expected = _cells(f, integrator, bps, jump_ts, envs)
@@ -369,6 +382,9 @@ def test_inherited_cells_match_a_fresh_lookup(f, data, k):
         assert all(same_bits(a, b) for a, b in
                    zip(cell_arrays(cells, m), cell_arrays(expected),
                        strict=True))
+        with mock.patch.object(integrals, "_TILE_CELLS", tile):
+            assert same_bits(tile_values(integrator, bps, cells),
+                             expected[2])
         assert np.array_equal(np.repeat(cells[0], m), f._piece_at(bps[:-1]))
 
 
